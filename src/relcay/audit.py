@@ -45,10 +45,10 @@ from .oracles import (
     DEFAULT_EDGE_COLOR_CUTOFF,
     chromatic_number,
     diameter_components,
+    edge_cover_from_matching,
+    matching_edges,
     max_clique,
     max_independent_set,
-    max_matching,
-    min_edge_cover,
     min_vertex_cover,
     structure_flags,
 )
@@ -253,12 +253,16 @@ class InstanceContext:
         return build_relcay(self.group, self.h, self.c)
 
     @cached_property
-    def flags(self):
-        return structure_flags(self.graph)
+    def _components_diameter(self):
+        return diameter_components(self.graph)
 
     @cached_property
+    def flags(self):
+        return structure_flags(self.graph, self._components_diameter[0])
+
+    @property
     def diameter(self) -> Optional[int]:
-        return diameter_components(self.graph)[1]
+        return self._components_diameter[1]
 
     @cached_property
     def clique_number(self) -> int:
@@ -269,8 +273,12 @@ class InstanceContext:
         return max_independent_set(self.graph.n, self.graph.adjacency)
 
     @cached_property
+    def matching(self) -> tuple[tuple[int, int], ...]:
+        return matching_edges(self.graph.n, self.graph.adjacency)
+
+    @property
     def matching_number(self) -> int:
-        return max_matching(self.graph.n, self.graph.adjacency)
+        return len(self.matching)
 
     @cached_property
     def vertex_cover_number(self) -> int:
@@ -278,7 +286,9 @@ class InstanceContext:
 
     @cached_property
     def edge_cover_number(self) -> Optional[int]:
-        return min_edge_cover(self.graph.n, self.graph.adjacency)
+        return edge_cover_from_matching(
+            self.graph.n, self.graph.adjacency, self.matching
+        )
 
     @cached_property
     def chromatic(self) -> int:

@@ -6,9 +6,9 @@ graph.  These values are the ground truth that the prediction layer is
 audited against; none of them consult group structure.
 
 Algorithms are exact searches sized for graphs of at most 64 vertices:
-branch-and-bound cliques and covers, memoized matching, backtracking
-colorings, and plain BFS.  Ties always break toward the lowest vertex
-index, so results are reproducible bit for bit.
+branch-and-bound cliques and covers, Edmonds' blossom matching,
+backtracking colorings, and plain BFS.  Ties always break toward the
+lowest vertex index, so results are reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ __all__ = [
     "matching_edges",
     "min_dominating_set",
     "min_edge_cover",
+    "edge_cover_from_matching",
     "chromatic_number",
     "edge_chromatic_number",
     "DEFAULT_EDGE_COLOR_CUTOFF",
@@ -142,54 +143,87 @@ def max_matching(n: int, adj: Sequence[int]) -> int:
 
 
 def matching_edges(n: int, adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """One maximum matching, lowest-index greedy among optimal choices."""
-    sizes: dict[int, int] = {}
+    """One maximum matching, by Edmonds' blossom algorithm.
 
-    def size_of(avail: int) -> int:
-        known = sizes.get(avail)
-        if known is not None:
-            return known
-        v = -1
-        probe = avail
-        while probe:
-            cand = (probe & -probe).bit_length() - 1
-            if adj[cand] & avail:
-                v = cand
-                break
-            probe &= probe - 1
-        if v < 0:
-            sizes[avail] = 0
-            return 0
-        best = size_of(avail & ~(1 << v))
-        for u in _bits(adj[v] & avail):
-            got = 1 + size_of(avail & ~(1 << v) & ~(1 << u))
-            if got > best:
-                best = got
-        sizes[avail] = best
-        return best
+    The search starts from the greedy matching that pairs each vertex, in
+    index order, with its lowest-index unmatched neighbor, then augments
+    from each still-unmatched vertex in index order.  The result is the
+    pairs ``(v, mate)`` with ``v < mate``, sorted by ``v``; it depends only
+    on the adjacency rows.
+    """
+    mate = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):
+        if free >> v & 1:
+            nb = adj[v] & free
+            if nb:
+                u = (nb & -nb).bit_length() - 1
+                mate[v], mate[u] = u, v
+                free &= ~((1 << v) | (1 << u))
+    # a vertex with no augmenting path never gains one later (Edmonds), so
+    # each unmatched vertex is searched from once
+    for root in _bits(free):
+        if mate[root] < 0 and adj[root]:
+            _augment_from(root, n, adj, mate)
+    return tuple((v, u) for v, u in enumerate(mate) if v < u)
 
-    edges: list[tuple[int, int]] = []
-    avail = (1 << n) - 1
-    while True:
-        target = size_of(avail)
-        if target == 0:
-            return tuple(edges)
-        v = -1
-        probe = avail
-        while probe:
-            cand = (probe & -probe).bit_length() - 1
-            if adj[cand] & avail:
-                v = cand
+
+def _augment_from(root: int, n: int, adj: Sequence[int], mate: list[int]) -> None:
+    """Grow an alternating tree from an unmatched root, contracting odd
+    cycles (blossoms) into their base, and flip the first augmenting path
+    found.  ``mate`` is updated in place."""
+    parent = [-1] * n
+    base = list(range(n))
+    outer = 1 << root
+    queue = [root]
+
+    def lowest_common_base(a: int, b: int) -> int:
+        seen = 0
+        while True:
+            a = base[a]
+            seen |= 1 << a
+            if mate[a] < 0:
                 break
-            probe &= probe - 1
-        if size_of(avail & ~(1 << v)) == target:
-            avail &= ~(1 << v)
-            continue
-        for u in _bits(adj[v] & avail):
-            if 1 + size_of(avail & ~(1 << v) & ~(1 << u)) == target:
-                edges.append((v, u) if v < u else (u, v))
-                avail &= ~(1 << v) & ~(1 << u)
-                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen >> b & 1:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, stop: int, child: int) -> int:
+        bases = 0
+        while base[v] != stop:
+            bases |= (1 << base[v]) | (1 << base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return bases
+
+    for v in queue:
+        for to in _bits(adj[v]):
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
+                top = lowest_common_base(v, to)
+                blossom = mark_path(v, top, to) | mark_path(to, top, v)
+                for i in range(n):
+                    if blossom >> base[i] & 1:
+                        base[i] = top
+                        if not outer >> i & 1:
+                            outer |= 1 << i
+                            queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                if mate[to] < 0:
+                    while to >= 0:
+                        via = parent[to]
+                        after = mate[via]
+                        mate[to], mate[via] = via, to
+                        to = after
+                    return
+                outer |= 1 << mate[to]
+                queue.append(mate[to])
 
 
 def min_dominating_set(n: int, adj: Sequence[int]) -> int:
@@ -237,14 +271,23 @@ def min_dominating_set(n: int, adj: Sequence[int]) -> int:
 
 
 def min_edge_cover(n: int, adj: Sequence[int]) -> Optional[int]:
-    """Minimum edge cover size, or None when an isolated vertex exists.
+    """Minimum edge cover size, or None when an isolated vertex exists."""
+    return edge_cover_from_matching(n, adj, matching_edges(n, adj))
 
-    Built constructively: a maximum matching plus one edge per uncovered
-    vertex.  The construction is validated before the size is returned.
+
+def edge_cover_from_matching(
+    n: int, adj: Sequence[int], matching: Sequence[tuple[int, int]]
+) -> Optional[int]:
+    """Edge cover size built from a maximum matching, or None when an
+    isolated vertex exists.
+
+    Built constructively: the matching plus one edge per uncovered vertex.
+    The construction is validated before the size is returned; by Gallai's
+    identity it is minimum exactly when the matching is maximum.
     """
     if any(adj[v] == 0 for v in range(n)):
         return None
-    chosen = set(matching_edges(n, adj))
+    chosen = set(matching)
     covered = 0
     for u, v in chosen:
         covered |= (1 << u) | (1 << v)
@@ -256,7 +299,7 @@ def min_edge_cover(n: int, adj: Sequence[int]) -> Optional[int]:
         covered |= (1 << u) | (1 << v)
     if covered != (1 << n) - 1:
         raise InternalConsistencyError("edge cover construction missed a vertex")
-    expected = n - max_matching(n, adj)
+    expected = n - len(matching)
     if len(chosen) != expected:
         raise InternalConsistencyError(
             f"edge cover size {len(chosen)} differs from n - matching = {expected}"
@@ -381,29 +424,36 @@ def _bfs_mask_distances(n: int, adj: Sequence[int], source: int) -> list[int]:
     return dist
 
 
+def _components(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    comps: list[tuple[int, ...]] = []
+    unassigned = (1 << n) - 1
+    while unassigned:
+        seen = frontier = unassigned & -unassigned
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        comps.append(tuple(_bits(seen)))
+        unassigned &= ~seen
+    return tuple(comps)
+
+
 def diameter_components(graph) -> tuple[tuple[tuple[int, ...], ...], Optional[int]]:
     """Connected components (sorted by least vertex) and the diameter.
 
     The diameter is None when the graph is disconnected.
     """
     n, adj = graph.n, graph.adjacency
-    comps: list[tuple[int, ...]] = []
-    assigned = 0
-    for v in range(n):
-        if assigned >> v & 1:
-            continue
-        dist = _bfs_mask_distances(n, adj, v)
-        members = tuple(u for u in range(n) if dist[u] >= 0)
-        for u in members:
-            assigned |= 1 << u
-        comps.append(members)
+    comps = _components(n, adj)
     if len(comps) > 1:
-        return tuple(comps), None
+        return comps, None
     diameter = 0
     for v in range(n):
         dist = _bfs_mask_distances(n, adj, v)
         diameter = max(diameter, max(dist))
-    return tuple(comps), diameter
+    return comps, diameter
 
 
 def _is_bipartite(n: int, adj: Sequence[int]) -> bool:
@@ -476,9 +526,12 @@ class StructureFlags:
             raise InternalConsistencyError("bipartite flag with a triangle present")
 
 
-def structure_flags(graph) -> StructureFlags:
+def structure_flags(graph, components=None) -> StructureFlags:
+    """Structural flags of a graph.  ``components`` may pass in the
+    graph's connected components, as ``diameter_components`` returns them,
+    when the caller already has them."""
     n, adj = graph.n, graph.adjacency
-    comps, _ = diameter_components(graph)
+    comps = _components(n, adj) if components is None else components
     edge_total = sum(row.bit_count() for row in adj) // 2
     degrees = sorted({row.bit_count() for row in adj})
     connected = len(comps) == 1
@@ -528,13 +581,14 @@ def invariant_report(
     if n > cap:
         raise CapacityError(f"oracle graph has {n} vertices, above the cap {cap}")
     comps, diameter = diameter_components(graph)
+    matching = matching_edges(n, adj)
     report = InvariantReport(
         clique_number=max_clique(n, adj),
         independence_number=max_independent_set(n, adj),
-        matching_number=max_matching(n, adj),
+        matching_number=len(matching),
         domination_number=min_dominating_set(n, adj),
         vertex_cover_number=min_vertex_cover(n, adj),
-        edge_cover_number=min_edge_cover(n, adj),
+        edge_cover_number=edge_cover_from_matching(n, adj, matching),
         chromatic_number=chromatic_number(n, adj),
         edge_chromatic_number=edge_chromatic_number(n, adj, edge_color_cutoff),
         diameter=diameter,

@@ -1,19 +1,25 @@
 """Audit harness tests: tallies, determinism, sampling, and shrinking."""
 import pytest
 
+import relcay.audit
+import relcay.oracles
 from relcay.audit import (
     AGREE,
     ALL_CHECKS,
     AUDITED_CHECKS,
+    CHECK_FUNCTIONS,
     DEFAULT_CATALOG,
     MISMATCH,
     NOT_APPLICABLE,
+    InstanceContext,
     Limits,
     catalog_up_to,
     run_audit,
     shrink_counterexample,
 )
 from relcay.errors import PreconditionError, UnknownCheckError
+from relcay.graphs import ConnectionSet
+from relcay.group_core import generated_subgroup, make_group
 
 NON_AUDITED = tuple(c for c in ALL_CHECKS if c not in AUDITED_CHECKS)
 
@@ -196,3 +202,23 @@ def test_unevaluated_appears_when_partition_enumeration_capped():
     verdicts = {r.verdict for r in report.records if len(r.h) == 13}
     assert "unevaluated" in verdicts
     assert report.totals["chromatic_equality"]["unevaluated"] > 0
+
+
+def test_one_matching_per_instance(monkeypatch):
+    calls = []
+    real = relcay.oracles.matching_edges
+
+    def counted(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(relcay.oracles, "matching_edges", counted)
+    monkeypatch.setattr(relcay.audit, "matching_edges", counted)
+    g = make_group("D5")
+    h = generated_subgroup(g.element_set([g.element("a")]))
+    c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
+    ctx = InstanceContext(g, h, c, Limits())
+    for check in ALL_CHECKS:
+        CHECK_FUNCTIONS[check](ctx)
+    assert ctx.matching_number == 5 and ctx.edge_cover_number == 5
+    assert calls == [10]

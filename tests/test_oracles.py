@@ -6,10 +6,13 @@ what lets the audit treat the oracle side as ground truth.
 """
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import brute
-from relcay.errors import CapacityError
+import relcay.oracles
+from relcay.errors import CapacityError, InternalConsistencyError
 from relcay.graphs import ConnectionSet, build_relcay, enumerate_connection_sets
 from relcay.group_core import enumerate_subgroups, generated_subgroup, make_group
 from relcay.oracles import (
@@ -137,13 +140,81 @@ def test_capacity_guard(monkeypatch):
         invariant_report(graph)
 
 
+def assert_is_matching(adj, edges):
+    used = [v for e in edges for v in e]
+    assert len(used) == len(set(used))
+    assert all(v < u and adj[v] >> u & 1 for v, u in edges)
+    assert list(edges) == sorted(edges)
+
+
+def random_graph(rng, n, p):
+    adj = [0] * n
+    for v in range(n):
+        for u in range(v + 1, n):
+            if rng.random() < p:
+                adj[v] |= 1 << u
+                adj[u] |= 1 << v
+    return adj
+
+
 def test_matching_edges_form_a_matching():
     graph = instance("D5", ["a"], ["a", "a4", "b"])
     edges = matching_edges(graph.n, graph.adjacency)
     assert len(edges) == 5
-    used = [v for e in edges for v in e]
-    assert len(used) == len(set(used))
-    assert all(graph.is_edge(u, v) for u, v in edges)
+    assert_is_matching(graph.adjacency, edges)
+
+
+def test_matching_augments_through_a_blossom():
+    # Greedy pairs 0-1 and 2-5 and strands 3 and 4, which both see only 1
+    # and 5.  Searching from either, 1 and 5 are inner, 0 and 2 outer, and
+    # the edge 0-2 closes the odd cycle root-1=0-2=5-root.  Only contracting
+    # that blossom makes 1 or 5 outer, and they are the way to the other
+    # stranded vertex.
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)]
+    adj = [0] * 6
+    for v, u in edges:
+        adj[v] |= 1 << u
+        adj[u] |= 1 << v
+    matching = matching_edges(6, adj)
+    assert_is_matching(adj, matching)
+    assert len(matching) == 3
+
+
+def test_matching_matches_brute_on_random_graphs():
+    rng = random.Random(20151012)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        adj = random_graph(rng, n, rng.random())
+        edges = matching_edges(n, adj)
+        assert_is_matching(adj, edges)
+        brute_edges = {
+            frozenset((v, u)) for v in range(n) for u in range(v) if adj[v] >> u & 1
+        }
+        assert len(edges) == brute.brute_max_matching(n, brute_edges)
+
+
+def test_matching_matches_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1965)
+    for _ in range(150):
+        n = rng.randint(1, 64)
+        adj = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3, rng.random()]))
+        edges = matching_edges(n, adj)
+        assert_is_matching(adj, edges)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(
+            (v, u) for v in range(n) for u in range(v + 1, n) if adj[v] >> u & 1
+        )
+        assert len(edges) == len(nx.max_weight_matching(graph, maxcardinality=True))
+
+
+def test_edge_cover_self_check_rejects_a_short_matching(monkeypatch):
+    # K2 with an empty "maximum" matching: the construction covers both
+    # vertices with one edge, which is not n - |M| = 2
+    monkeypatch.setattr(relcay.oracles, "matching_edges", lambda n, adj: ())
+    with pytest.raises(InternalConsistencyError):
+        min_edge_cover(2, [0b10, 0b01])
 
 
 # --------------------------------------------------------------------------
