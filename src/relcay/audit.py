@@ -31,6 +31,7 @@ from .graphs import (
     ConnectionSet,
     RelCayGraph,
     build_relcay,
+    connection_set_count,
     enumerate_connection_sets,
     inverse_orbits,
 )
@@ -69,6 +70,8 @@ __all__ = [
     "MISMATCH",
     "NOT_APPLICABLE",
     "UNEVALUATED",
+    "Check",
+    "CHECKS",
     "ALL_CHECKS",
     "AUDITED_CHECKS",
     "DEFAULT_CATALOG",
@@ -77,6 +80,8 @@ __all__ = [
     "MismatchEntry",
     "AuditReport",
     "catalog_up_to",
+    "evaluate_check",
+    "jsonable",
     "run_audit",
     "shrink_counterexample",
 ]
@@ -86,10 +91,6 @@ MISMATCH = "mismatch"
 NOT_APPLICABLE = "not-applicable"
 UNEVALUATED = "unevaluated"
 VERDICTS = (AGREE, MISMATCH, NOT_APPLICABLE, UNEVALUATED)
-
-# checks whose disagreement is a documented finding, not a defect; they never
-# drive a failing exit status
-AUDITED_CHECKS = frozenset({"square_free_as_printed"})
 
 DEFAULT_CATALOG = (
     "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10", "C11", "C12",
@@ -143,10 +144,10 @@ class AuditRecord:
             "h": list(self.h),
             "c": list(self.c),
             "check": self.check,
-            "predicted": _jsonable(self.predicted),
-            "observed": _jsonable(self.observed),
+            "predicted": jsonable(self.predicted),
+            "observed": jsonable(self.observed),
             "verdict": self.verdict,
-            "witness": _jsonable(self.witness),
+            "witness": jsonable(self.witness),
         }
 
 
@@ -208,24 +209,26 @@ class AuditReport:
                     ",".join(record.h),
                     ",".join(record.c),
                     record.check,
-                    json.dumps(_jsonable(record.predicted), sort_keys=True),
-                    json.dumps(_jsonable(record.observed), sort_keys=True),
+                    json.dumps(jsonable(record.predicted), sort_keys=True),
+                    json.dumps(jsonable(record.observed), sort_keys=True),
                     record.verdict,
                 ]
             )
         return out.getvalue()
 
 
-def _jsonable(value):
+def jsonable(value):
+    """A JSON-ready copy of a check value: sets become lists sorted by repr,
+    dict keys become strings, and anything else unknown becomes its repr."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
         items = list(value)
         if isinstance(value, (set, frozenset)):
             items = sorted(items, key=repr)
-        return [_jsonable(v) for v in items]
+        return [jsonable(v) for v in items]
     return repr(value)
 
 
@@ -258,7 +261,7 @@ class InstanceContext:
 
     @cached_property
     def flags(self):
-        return structure_flags(self.graph, self._components_diameter[0])
+        return structure_flags(self.graph, len(self._components_diameter[0]))
 
     @property
     def diameter(self) -> Optional[int]:
@@ -605,50 +608,74 @@ def _check_bipartite_sufficient(ctx: InstanceContext) -> _CheckResult:
     return fb.predicted, observed, _verdict(observed), None
 
 
-CHECK_FUNCTIONS: dict[str, Callable[[InstanceContext], _CheckResult]] = {
-    "degree_formula": _check_degree_formula,
-    "edge_count": _check_edge_count,
-    "valency_bound": _check_valency_bound,
-    "regular": _check_regular,
-    "semi_regular": _check_semi_regular,
-    "full_degree_coset": _check_full_degree_coset,
-    "isolated_vertex": _check_isolated_vertex,
-    "connectivity": _check_connectivity,
-    "connectivity_disjoint": _check_connectivity_disjoint,
-    "connectivity_aba": _check_connectivity_aba,
-    "diam_width": _make_diameter_check("width"),
-    "diam_half_sum": _make_diameter_check("half_sum"),
-    "diam_three_halves": _make_diameter_check("three_halves"),
-    "diam_disjoint": _make_diameter_check("disjoint"),
-    "diam_small_square": _make_diameter_check("small_square"),
-    "clique_upper": _check_clique_upper,
-    "clique_equality": _check_clique_equality,
-    "clique_psi_lower": _check_clique_psi_lower,
-    "clique_psi_plus": _check_clique_psi_plus,
-    "clique_c3_upper": _check_clique_c3_upper,
-    "clique_dc_decomposition": _check_clique_dc_decomposition,
-    "alpha_independence": _check_alpha_independence,
-    "alpha_prime_matching": _check_alpha_prime_matching,
-    "beta_cover": _check_beta_cover,
-    "beta_prime_edge_cover": _check_beta_prime_edge_cover,
-    "class_one_coloring": _check_class_one_coloring,
-    "chromatic_upper": _check_chromatic_upper,
-    "chromatic_equality": _check_chromatic_equality,
-    "claw_free": _make_forbidden_check("claw_free", "claw_free"),
-    "forest": _make_forbidden_check("forest", "forest"),
-    "tree": _make_forbidden_check("tree", "tree"),
-    "triangle_free": _make_forbidden_check("triangle_free", "triangle_free"),
-    "square_free_as_printed": _make_forbidden_check(
-        "square_free_as_printed", "square_subgraph_free"
-    ),
-    "bipartite_sufficient": _check_bipartite_sufficient,
-}
+@dataclass(frozen=True)
+class Check:
+    """One registered check.
 
-ALL_CHECKS = tuple(CHECK_FUNCTIONS)
+    ``family`` is the theorem family ``check --theorem`` selects it by.  An
+    ``audited`` check's disagreement is a documented finding, not a defect:
+    it never drives a failing exit status.
+    """
+
+    name: str
+    family: str
+    fn: Callable[[InstanceContext], _CheckResult]
+    audited: bool = False
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("degree_formula", "valency", _check_degree_formula),
+    Check("edge_count", "valency", _check_edge_count),
+    Check("valency_bound", "valency", _check_valency_bound),
+    Check("regular", "valency", _check_regular),
+    Check("semi_regular", "valency", _check_semi_regular),
+    Check("full_degree_coset", "valency", _check_full_degree_coset),
+    Check("isolated_vertex", "valency", _check_isolated_vertex),
+    Check("connectivity", "connectivity", _check_connectivity),
+    Check("connectivity_disjoint", "connectivity", _check_connectivity_disjoint),
+    Check("connectivity_aba", "connectivity", _check_connectivity_aba),
+    Check("diam_width", "diameter", _make_diameter_check("width")),
+    Check("diam_half_sum", "diameter", _make_diameter_check("half_sum")),
+    Check("diam_three_halves", "diameter", _make_diameter_check("three_halves")),
+    Check("diam_disjoint", "diameter", _make_diameter_check("disjoint")),
+    Check("diam_small_square", "diameter", _make_diameter_check("small_square")),
+    Check("clique_upper", "clique", _check_clique_upper),
+    Check("clique_equality", "clique", _check_clique_equality),
+    Check("clique_psi_lower", "clique", _check_clique_psi_lower),
+    Check("clique_psi_plus", "clique", _check_clique_psi_plus),
+    Check("clique_c3_upper", "clique", _check_clique_c3_upper),
+    Check("clique_dc_decomposition", "clique", _check_clique_dc_decomposition),
+    Check("alpha_independence", "alpha_beta", _check_alpha_independence),
+    Check("alpha_prime_matching", "alpha_beta", _check_alpha_prime_matching),
+    Check("beta_cover", "alpha_beta", _check_beta_cover),
+    Check("beta_prime_edge_cover", "alpha_beta", _check_beta_prime_edge_cover),
+    Check("class_one_coloring", "coloring", _check_class_one_coloring),
+    Check("chromatic_upper", "chromatic", _check_chromatic_upper),
+    Check("chromatic_equality", "chromatic", _check_chromatic_equality),
+    Check("claw_free", "forbidden", _make_forbidden_check("claw_free", "claw_free")),
+    Check("forest", "forbidden", _make_forbidden_check("forest", "forest")),
+    Check("tree", "forbidden", _make_forbidden_check("tree", "tree")),
+    Check(
+        "triangle_free",
+        "forbidden",
+        _make_forbidden_check("triangle_free", "triangle_free"),
+    ),
+    Check(
+        "square_free_as_printed",
+        "forbidden",
+        _make_forbidden_check("square_free_as_printed", "square_subgraph_free"),
+        audited=True,
+    ),
+    Check("bipartite_sufficient", "forbidden", _check_bipartite_sufficient),
+)
+
+_CHECK_FNS = {check.name: check.fn for check in CHECKS}
+ALL_CHECKS = tuple(_CHECK_FNS)
+AUDITED_CHECKS = frozenset(check.name for check in CHECKS if check.audited)
 
 
 def _build_record(ctx: InstanceContext, check: str) -> AuditRecord:
-    predicted, observed, verdict, witness = CHECK_FUNCTIONS[check](ctx)
+    predicted, observed, verdict, witness = _CHECK_FNS[check](ctx)
     return AuditRecord(
         group=ctx.group.spec,
         h=ctx.names(ctx.h.members),
@@ -667,7 +694,7 @@ def _resolve_checks(checks) -> tuple[str, ...]:
     if checks is None:
         return ALL_CHECKS
     resolved = tuple(checks)
-    unknown = [name for name in resolved if name not in CHECK_FUNCTIONS]
+    unknown = [name for name in resolved if name not in _CHECK_FNS]
     if unknown:
         raise UnknownCheckError(
             f"unknown check name(s): {', '.join(sorted(unknown))}"
@@ -741,14 +768,25 @@ def _sample_quota(counts: dict[int, int], cap: int) -> dict[int, int]:
     return quotas
 
 
-def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
+def _sampling_plan(group, limits: Limits):
+    """Orbits, their sizes, the ways table, and the per-size counts and
+    quotas of the stratified sample; None when every connection set fits
+    under the cap and the scan is exhaustive."""
+    if connection_set_count(group) <= limits.max_connection_sets:
+        return None
     orbits = inverse_orbits(group)
-    if (1 << len(orbits)) <= limits.max_connection_sets:
-        return list(enumerate_connection_sets(group))
     sizes = [len(o) for o in orbits]
     ways = _size_count_table(sizes)
     counts = {r: ways[0][r] for r in range(sum(sizes) + 1) if ways[0][r]}
     quotas = _sample_quota(counts, limits.max_connection_sets)
+    return orbits, sizes, ways, counts, quotas
+
+
+def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
+    plan = _sampling_plan(group, limits)
+    if plan is None:
+        return list(enumerate_connection_sets(group))
+    orbits, sizes, ways, counts, quotas = plan
     key_h = ",".join(map(str, h_members))
     result = []
     for size in sorted(counts):
@@ -768,14 +806,10 @@ def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
 
 
 def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
-    orbits = inverse_orbits(group)
-    total = 1 << len(orbits)
-    if total <= limits.max_connection_sets:
-        return total, False
-    sizes = [len(o) for o in orbits]
-    ways = _size_count_table(sizes)
-    counts = {r: ways[0][r] for r in range(sum(sizes) + 1) if ways[0][r]}
-    quotas = _sample_quota(counts, limits.max_connection_sets)
+    plan = _sampling_plan(group, limits)
+    if plan is None:
+        return connection_set_count(group), False
+    quotas = plan[-1]
     return sum(quotas.values()), True
 
 
@@ -839,7 +873,7 @@ def run_audit(
                 "spec": group.spec,
                 "order": group.order,
                 "proper_subgroups": len(subgroups),
-                "connection_sets": 1 << len(inverse_orbits(group)),
+                "connection_sets": connection_set_count(group),
                 "scanned_per_subgroup": scanned,
                 "sampled": sampled,
                 "instances": scanned * len(subgroups),
@@ -901,13 +935,17 @@ def run_audit(
 
 
 @lru_cache(maxsize=262144)
-def _evaluate_single(
+def evaluate_check(
     spec: str,
     h_members: tuple[int, ...],
     c_members: tuple[int, ...],
     check: str,
     limits: Limits,
 ) -> AuditRecord:
+    """The record of one check on one instance given by element indices.
+
+    Cached, so shrinking re-evaluates each candidate instance only once.
+    """
     group = make_group(spec, max_order=limits.max_order)
     h = Subgroup(group, h_members)
     c = ConnectionSet(group, c_members)
@@ -932,7 +970,7 @@ def shrink_counterexample(
     check = record.check
 
     def still_mismatch(h_m, c_m):
-        return _evaluate_single(spec, h_m, c_m, check, limits).verdict == MISMATCH
+        return evaluate_check(spec, h_m, c_m, check, limits).verdict == MISMATCH
 
     changed = True
     while changed:
@@ -955,4 +993,4 @@ def shrink_counterexample(
                 h_members = cand_members
                 changed = True
                 break
-    return _evaluate_single(spec, h_members, c_members, check, limits)
+    return evaluate_check(spec, h_members, c_members, check, limits)

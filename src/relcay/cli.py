@@ -17,15 +17,16 @@ from typing import Optional, Sequence
 from .audit import (
     ALL_CHECKS,
     AUDITED_CHECKS,
+    CHECKS,
     DEFAULT_CATALOG,
     MISMATCH,
     Limits,
-    _evaluate_single,
-    _jsonable,
+    evaluate_check,
+    jsonable,
     run_audit,
 )
 from .errors import RelCayError, GroupSpecError, PreconditionError, UnknownCheckError
-from .graphs import ConnectionSet, RelCayGraph, build_relcay
+from .graphs import ConnectionSet, RelCayGraph, build_relcay, export_dot
 from .group_core import ElementSet, default_max_order, generated_subgroup, make_group
 from .oracles import (
     DEFAULT_EDGE_COLOR_CUTOFF,
@@ -38,52 +39,6 @@ from .theorems import DEFAULT_CHROMATIC_II_CAP
 __all__ = ["CliConfig", "execute_command", "console_main"]
 
 OUTPUT_FORMATS = ("text", "json", "csv", "dot")
-
-# check-name families accepted by `check --theorem`
-THEOREM_FAMILIES = {
-    "valency": (
-        "degree_formula",
-        "edge_count",
-        "valency_bound",
-        "regular",
-        "semi_regular",
-        "full_degree_coset",
-        "isolated_vertex",
-    ),
-    "connectivity": ("connectivity", "connectivity_disjoint", "connectivity_aba"),
-    "diameter": (
-        "diam_width",
-        "diam_half_sum",
-        "diam_three_halves",
-        "diam_disjoint",
-        "diam_small_square",
-    ),
-    "clique": (
-        "clique_upper",
-        "clique_equality",
-        "clique_psi_lower",
-        "clique_psi_plus",
-        "clique_c3_upper",
-        "clique_dc_decomposition",
-    ),
-    "alpha_beta": (
-        "alpha_independence",
-        "alpha_prime_matching",
-        "beta_cover",
-        "beta_prime_edge_cover",
-    ),
-    "coloring": ("class_one_coloring",),
-    "chromatic": ("chromatic_upper", "chromatic_equality"),
-    "forbidden": (
-        "claw_free",
-        "forest",
-        "tree",
-        "triangle_free",
-        "square_free_as_printed",
-        "bipartite_sufficient",
-    ),
-}
-
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -177,30 +132,12 @@ def _instance(group, subgroup_text: str, conn_text: str):
     return h, c
 
 
-# --------------------------------------------------------------------------
-# DOT serialization
-
-
-def dot_format(graph: RelCayGraph) -> str:
-    """Deterministic undirected DOT text; subgroup vertices drawn filled."""
-    group = graph.group
-    lines = ["graph relcay {", "  node [shape=circle];"]
-    for x in range(graph.n):
-        name = group.names[x]
-        if x in graph.h:
-            lines.append(f'  "{name}" [style=filled];')
-        else:
-            lines.append(f'  "{name}";')
-    for u in range(graph.n):
-        row = graph.adjacency[u] >> (u + 1)
-        v = u + 1
-        while row:
-            if row & 1:
-                lines.append(f'  "{group.names[u]}" -- "{group.names[v]}";')
-            row >>= 1
-            v += 1
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _build_graph(
+    config: CliConfig, spec: str, subgroup_text: str, conn_text: str
+) -> RelCayGraph:
+    group = make_group(spec, max_order=config.max_order)
+    h, c = _instance(group, subgroup_text, conn_text)
+    return build_relcay(group, h, c)
 
 
 # --------------------------------------------------------------------------
@@ -208,12 +145,11 @@ def dot_format(graph: RelCayGraph) -> str:
 
 
 def _cmd_build(args, config: CliConfig) -> int:
-    group = make_group(args.spec, max_order=config.max_order)
-    h, c = _instance(group, args.subgroup, args.conn)
-    graph = build_relcay(group, h, c)
+    graph = _build_graph(config, args.spec, args.subgroup, args.conn)
     if args.dot:
-        sys.stdout.write(dot_format(graph))
+        sys.stdout.write(export_dot(graph))
         return 0
+    group, h, c = graph.group, graph.h, graph.c
     distinct = sorted(set(graph.degrees))
     print(f"group: {group.spec} (order {group.order})")
     print(f"subgroup: {','.join(group.names[x] for x in h.members)} (order {len(h)})")
@@ -228,9 +164,7 @@ def _cmd_build(args, config: CliConfig) -> int:
 
 
 def _cmd_invariants(args, config: CliConfig) -> int:
-    group = make_group(args.spec, max_order=config.max_order)
-    h, c = _instance(group, args.subgroup, args.conn)
-    graph = build_relcay(group, h, c)
+    graph = _build_graph(config, args.spec, args.subgroup, args.conn)
     report = invariant_report(graph, edge_color_cutoff=config.edge_color_cutoff)
     for field_name in (
         "clique_number",
@@ -245,7 +179,7 @@ def _cmd_invariants(args, config: CliConfig) -> int:
         "component_count",
     ):
         print(f"{field_name}: {getattr(report, field_name)}")
-    flags = structure_flags(graph)
+    flags = structure_flags(graph, report.component_count)
     for flag_name in (
         "connected",
         "bipartite",
@@ -264,13 +198,14 @@ def _cmd_invariants(args, config: CliConfig) -> int:
 def _resolve_theorem(name: Optional[str]) -> tuple[str, ...]:
     if name is None:
         return ALL_CHECKS
-    if name in THEOREM_FAMILIES:
-        return THEOREM_FAMILIES[name]
+    family = tuple(check.name for check in CHECKS if check.family == name)
+    if family:
+        return family
     if name in ALL_CHECKS:
         return (name,)
     raise UnknownCheckError(
         f"unknown theorem or check {name!r}; families: "
-        + ", ".join(sorted(THEOREM_FAMILIES))
+        + ", ".join(sorted({check.family for check in CHECKS}))
     )
 
 
@@ -280,9 +215,9 @@ def _cmd_check(args, config: CliConfig) -> int:
     limits = config.limits()
     blocking = False
     for check in _resolve_theorem(args.theorem):
-        record = _evaluate_single(group.spec, h.members, c.members, check, limits)
-        predicted = json.dumps(_jsonable(record.predicted), sort_keys=True)
-        observed = json.dumps(_jsonable(record.observed), sort_keys=True)
+        record = evaluate_check(group.spec, h.members, c.members, check, limits)
+        predicted = json.dumps(jsonable(record.predicted), sort_keys=True)
+        observed = json.dumps(jsonable(record.observed), sort_keys=True)
         print(f"{check}: predicted={predicted} observed={observed} verdict={record.verdict}")
         if record.verdict == MISMATCH and check not in AUDITED_CHECKS:
             blocking = True
@@ -349,58 +284,50 @@ CYCLIC_FAMILY = (("C8", "a4", "a,a2,a6,a7", 4), ("C16", "a4", "a,a2,a14,a15", 6)
 CYCLIC_FINDINGS = (("C4", "a2", "a,a3", 4), ("C8", "a2", "a,a7", 6))
 
 
+def _family_graph(config: CliConfig, spec: str, h_text: str, conn: str):
+    """One family instance: its graph, structure flags and diameter."""
+    graph = _build_graph(config, spec, h_text, conn)
+    components, diameter = diameter_components(graph)
+    return graph, structure_flags(graph, len(components)), diameter
+
+
 def _family_lines(config: CliConfig) -> list[str]:
     lines = ["corona cycle family (rotation subgroup, one step plus a reflection)"]
     for spec in CORONA_FAMILY:
-        group = make_group(spec, max_order=config.max_order)
-        half = group.order // 2
+        half = make_group(spec, max_order=config.max_order).order // 2
         conn = f"a,a{half - 1},b"
-        h, c = _instance(group, "a", conn)
-        graph = build_relcay(group, h, c)
-        flags = structure_flags(graph)
-        _, diameter = diameter_components(graph)
+        graph, flags, diameter = _family_graph(config, spec, "a", conn)
         expected = half // 2 + 2
         lines.append(
-            f"{group.spec} H=<a> C={conn}: edges={graph.edge_count} "
+            f"{graph.group.spec} H=<a> C={conn}: edges={graph.edge_count} "
             f"connected={flags.connected} triangle_free={flags.triangle_free} "
             f"diameter={diameter} family_formula={expected}"
         )
-    lines.append("")
-    lines.append("cyclic bipartite family (index-4 subgroup, two steps)")
-    for spec, h_gen, conn, expected in CYCLIC_FAMILY:
-        group = make_group(spec, max_order=config.max_order)
-        h, c = _instance(group, h_gen, conn)
-        graph = build_relcay(group, h, c)
-        flags = structure_flags(graph)
-        _, diameter = diameter_components(graph)
-        lines.append(
-            f"{group.spec} H=<{h_gen}> C={conn}: bipartite={flags.bipartite} "
-            f"diameter={diameter} family_formula={expected}"
-        )
-    lines.append("")
-    lines.append("recorded findings (single-step connection; formula does not apply)")
-    for spec, h_gen, conn, stated in CYCLIC_FINDINGS:
-        group = make_group(spec, max_order=config.max_order)
-        h, c = _instance(group, h_gen, conn)
-        graph = build_relcay(group, h, c)
-        flags = structure_flags(graph)
-        _, diameter = diameter_components(graph)
-        lines.append(
-            f"{group.spec} H=<{h_gen}> C={conn}: bipartite={flags.bipartite} "
-            f"diameter={diameter} family_formula={stated} (observed differs)"
-        )
+    for title, family, suffix in (
+        ("cyclic bipartite family (index-4 subgroup, two steps)", CYCLIC_FAMILY, ""),
+        (
+            "recorded findings (single-step connection; formula does not apply)",
+            CYCLIC_FINDINGS,
+            " (observed differs)",
+        ),
+    ):
+        lines += ["", title]
+        for spec, h_gen, conn, formula in family:
+            graph, flags, diameter = _family_graph(config, spec, h_gen, conn)
+            lines.append(
+                f"{graph.group.spec} H=<{h_gen}> C={conn}: bipartite={flags.bipartite} "
+                f"diameter={diameter} family_formula={formula}{suffix}"
+            )
     return lines
 
 
 def _cmd_figures(args, config: CliConfig) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for filename, spec, h_text, c_text in FIGURE_INSTANCES:
-        group = make_group(spec, max_order=config.max_order)
-        h, c = _instance(group, h_text, c_text)
-        graph = build_relcay(group, h, c)
+        graph = _build_graph(config, spec, h_text, c_text)
         path = os.path.join(args.out_dir, filename)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(dot_format(graph))
+            handle.write(export_dot(graph))
         print(f"wrote {path} ({graph.n} nodes, {graph.edge_count} edges)")
     lines = _family_lines(config)
     path = os.path.join(args.out_dir, "diameter_families.txt")

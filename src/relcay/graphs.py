@@ -8,7 +8,6 @@ that violates them cannot be observed from outside.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -23,7 +22,6 @@ from .group_core import ElementSet, GroupTable, Subgroup, right_coset
 
 __all__ = [
     "ConnectionSet",
-    "make_connection_set",
     "inverse_orbits",
     "connection_set_count",
     "enumerate_connection_sets",
@@ -31,7 +29,6 @@ __all__ = [
     "build_relcay",
     "DegreeProfile",
     "InducedCayleyGraph",
-    "DotOptions",
     "export_dot",
 ]
 
@@ -52,10 +49,6 @@ class ConnectionSet(ElementSet):
                     f"connection set is not inverse closed: {group.names[x]} is in "
                     f"but its inverse {group.names[group.inv[x]]} is not"
                 )
-
-
-def make_connection_set(group: GroupTable, members: Iterable[int]) -> ConnectionSet:
-    return ConnectionSet(group, members)
 
 
 def inverse_orbits(group: GroupTable) -> tuple[tuple[int, ...], ...]:
@@ -322,59 +315,22 @@ class InducedCayleyGraph:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class DotOptions:
-    graph_name: str = "relcay"
-    rings: bool = False
-    ring_spacing: float = 1.6
-
-
-def _dot_quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def export_dot(graph: RelCayGraph, options: DotOptions | None = None) -> str:
-    """Deterministic DOT text for the graph.
-
-    Every node carries a ``coset`` attribute naming the smallest element of
-    its coset Hx; every edge carries ``gprime`` which is 1 exactly when both
-    endpoints lie in the subgroup.  With ``rings`` enabled, nodes get pinned
-    positions on concentric circles, one circle per coset.
-    """
-    opts = options or DotOptions()
-    g = graph.group
-    profile = graph.degree_profile
-    rep_of: dict[int, int] = {}
-    for rep in profile.coset_representatives:
-        for y in right_coset(graph.h, rep).members:
-            rep_of[y] = rep
-    lines = [f"graph {opts.graph_name} {{"]
-    ring_of = {rep: i for i, rep in enumerate(profile.coset_representatives)}
-    for x in range(g.order):
-        attrs = [f"coset={_dot_quote(g.names[rep_of[x]])}"]
-        if opts.rings:
-            ring = ring_of[rep_of[x]]
-            radius = opts.ring_spacing * (ring + 1)
-            coset_members = right_coset(graph.h, rep_of[x]).members
-            slot = coset_members.index(x)
-            angle = 2 * math.pi * slot / len(coset_members)
-            attrs.append(
-                f'pos="{radius * math.cos(angle):.4f},'
-                f'{radius * math.sin(angle):.4f}!"'
-            )
-        lines.append(f"  {_dot_quote(g.names[x])} [{', '.join(attrs)}];")
-    h_mask = graph.h_mask
-    for x in range(g.order):
-        row = graph.adjacency[x] >> (x + 1)
-        y = x + 1
+def export_dot(graph: RelCayGraph) -> str:
+    """Deterministic undirected DOT text; subgroup vertices drawn filled."""
+    names = graph.group.names
+    lines = ["graph relcay {", "  node [shape=circle];"]
+    for x in range(graph.n):
+        if x in graph.h:
+            lines.append(f'  "{names[x]}" [style=filled];')
+        else:
+            lines.append(f'  "{names[x]}";')
+    for u in range(graph.n):
+        row = graph.adjacency[u] >> (u + 1)
+        v = u + 1
         while row:
             if row & 1:
-                inside = h_mask >> x & 1 and h_mask >> y & 1
-                lines.append(
-                    f"  {_dot_quote(g.names[x])} -- {_dot_quote(g.names[y])} "
-                    f"[gprime={1 if inside else 0}];"
-                )
+                lines.append(f'  "{names[u]}" -- "{names[v]}";')
             row >>= 1
-            y += 1
+            v += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Finite groups as explicit multiplication tables, plus the set algebra
-(products, generated subgroups, subgroup enumeration, width, psi, ABA test)
-that the predicate layer consumes.
+(products, generated subgroups, subgroup enumeration, width, psi) that the
+predicate layer consumes.
 
 Groups are built from a small spec grammar::
 
@@ -46,7 +46,6 @@ __all__ = [
     "enumerate_subgroups",
     "width",
     "psi",
-    "is_aba_group",
     "element_order",
 ]
 
@@ -100,24 +99,14 @@ class GroupTable:
                 raise InternalConsistencyError("inverse law fails")
         if len(set(self.names)) != n:
             raise InternalConsistencyError("element names are not distinct")
-        if n <= DEFAULT_MAX_ORDER:
-            for a in range(n):
-                row_a = mul[a]
-                for b in range(n):
-                    row_ab = mul[row_a[b]]
-                    row_b = mul[b]
-                    for c in range(n):
-                        if row_ab[c] != row_a[row_b[c]]:
-                            raise InternalConsistencyError("associativity fails")
-
-    def op(self, x: int, y: int) -> int:
-        return self.mul[x][y]
-
-    def inverse(self, x: int) -> int:
-        return self.inv[x]
-
-    def name(self, x: int) -> str:
-        return self.names[x]
+        for a in range(n):
+            row_a = mul[a]
+            for b in range(n):
+                row_ab = mul[row_a[b]]
+                row_b = mul[b]
+                for c in range(n):
+                    if row_ab[c] != row_a[row_b[c]]:
+                        raise InternalConsistencyError("associativity fails")
 
     @cached_property
     def name_index(self) -> dict[str, int]:
@@ -693,28 +682,6 @@ def subgroups_within(x: ElementSet) -> tuple[Subgroup, ...]:
         for members in _enumerate_subgroup_sets(g)
         if members <= star
     )
-
-
-def is_aba_group(
-    g: GroupTable,
-) -> tuple[bool, Optional[tuple[Subgroup, Subgroup]]]:
-    """Whether the group factors as A*B*A for proper subgroups A and B.
-
-    Returns the first witness pair in enumeration order, or None.
-    """
-    subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
-    full = (1 << g.order) - 1
-    for a in subgroups:
-        la = len(a)
-        for b in subgroups:
-            if la * la * len(b) < g.order:
-                continue
-            ab = product_set(a, b)
-            if len(ab) * la < g.order:
-                continue
-            if product_set(ab, a).mask == full:
-                return True, (a, b)
-    return False, None
 
 
 def element_order(g: GroupTable, x: int) -> int:

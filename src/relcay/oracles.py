@@ -526,16 +526,16 @@ class StructureFlags:
             raise InternalConsistencyError("bipartite flag with a triangle present")
 
 
-def structure_flags(graph, components=None) -> StructureFlags:
-    """Structural flags of a graph.  ``components`` may pass in the
-    graph's connected components, as ``diameter_components`` returns them,
-    when the caller already has them."""
+def structure_flags(graph, component_count=None) -> StructureFlags:
+    """Structural flags of a graph.  ``component_count`` may pass in the
+    number of connected components when the caller already has it."""
     n, adj = graph.n, graph.adjacency
-    comps = _components(n, adj) if components is None else components
+    if component_count is None:
+        component_count = len(_components(n, adj))
     edge_total = sum(row.bit_count() for row in adj) // 2
     degrees = sorted({row.bit_count() for row in adj})
-    connected = len(comps) == 1
-    forest = edge_total == n - len(comps)
+    connected = component_count == 1
+    forest = edge_total == n - component_count
     return StructureFlags(
         connected=connected,
         bipartite=_is_bipartite(n, adj),

@@ -908,7 +908,7 @@ def _verify_coloring(coloring: EdgeColoring) -> None:
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """All predictions for one (G, H, C) instance, with flat accessors."""
+    """All predictions for one (G, H, C) instance, one field per family."""
 
     valency: ValencyPredictions
     connectivity: ConnectivityPredictions
@@ -916,90 +916,6 @@ class PredictionSet:
     alpha_beta: AlphaBetaPredictions
     chromatic: ChromaticPredictions
     forbidden: tuple[ForbiddenPrediction, ...]
-
-    @property
-    def valency_bound(self) -> int:
-        return self.valency.valency_bound
-
-    @property
-    def sqrt_bound(self) -> int:
-        return self.valency.sqrt_bound
-
-    @property
-    def predicted_regular(self) -> bool:
-        return self.valency.predicted_regular
-
-    @property
-    def predicted_semi_regular(self) -> bool:
-        return self.valency.predicted_semi_regular
-
-    @property
-    def full_degree_coset(self) -> ElementSet:
-        return self.valency.full_degree_coset
-
-    @property
-    def predicted_connected(self) -> bool:
-        return self.connectivity.predicted_connected
-
-    @property
-    def hc_star_covers(self) -> bool:
-        return self.connectivity.hc_star_covers
-
-    @property
-    def diameter_bounds(self) -> tuple[DiameterBound, ...]:
-        return self.connectivity.diameter_bounds
-
-    @property
-    def clique_upper(self) -> int:
-        return self.clique.upper
-
-    @property
-    def clique_upper_is_equality(self) -> bool:
-        return self.clique.upper_is_equality
-
-    @property
-    def clique_lower_psi(self) -> int:
-        return self.clique.lower_psi
-
-    @property
-    def clique_lower_psi_plus(self) -> bool:
-        return self.clique.psi_plus
-
-    @property
-    def c_cubed_case(self) -> Optional[DcCase]:
-        return self.clique.c_cubed_case
-
-    @property
-    def predicted_alpha(self) -> int:
-        return self.alpha_beta.alpha
-
-    @property
-    def predicted_alpha_prime(self) -> int:
-        return self.alpha_beta.alpha_prime
-
-    @property
-    def predicted_beta(self) -> int:
-        return self.alpha_beta.beta
-
-    @property
-    def predicted_beta_prime(self) -> int:
-        return self.alpha_beta.beta_prime
-
-    @property
-    def alpha_beta_hypothesis_ok(self) -> bool:
-        return self.alpha_beta.hypothesis_ok
-
-    @property
-    def chromatic_upper(self) -> int:
-        return self.chromatic.upper
-
-    @property
-    def chromatic_equality_i(self) -> bool:
-        return self.chromatic.equality_i
-
-    @property
-    def chromatic_equality_ii(self) -> Optional[bool]:
-        return self.chromatic.equality_ii
 
     def forbidden_map(self) -> dict[str, ForbiddenPrediction]:
         return {entry.kind: entry for entry in self.forbidden}

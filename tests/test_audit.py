@@ -7,7 +7,7 @@ from relcay.audit import (
     AGREE,
     ALL_CHECKS,
     AUDITED_CHECKS,
-    CHECK_FUNCTIONS,
+    CHECKS,
     DEFAULT_CATALOG,
     MISMATCH,
     NOT_APPLICABLE,
@@ -218,7 +218,17 @@ def test_one_matching_per_instance(monkeypatch):
     h = generated_subgroup(g.element_set([g.element("a")]))
     c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
     ctx = InstanceContext(g, h, c, Limits())
-    for check in ALL_CHECKS:
-        CHECK_FUNCTIONS[check](ctx)
+    for check in CHECKS:
+        check.fn(ctx)
     assert ctx.matching_number == 5 and ctx.edge_cover_number == 5
     assert calls == [10]
+
+
+def test_registry_families_cover_all_checks_in_order():
+    families = list(dict.fromkeys(check.family for check in CHECKS))
+    grouped = [
+        check.name for family in families for check in CHECKS if check.family == family
+    ]
+    assert grouped == list(ALL_CHECKS)
+    assert len(set(ALL_CHECKS)) == len(ALL_CHECKS) == 34
+    assert AUDITED_CHECKS == {"square_free_as_printed"}

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import relcay.oracles
 from relcay.audit import AuditRecord, AuditReport, MismatchEntry
 from relcay.cli import execute_command, parse_elements, split_elements
 from relcay.errors import GroupSpecError
@@ -40,7 +41,48 @@ def test_check_unknown_theorem(capsys):
         ["check", "C4", "--subgroup", "a2", "--conn", "a2", "--theorem", "nope"]
     )
     assert status == 1
-    assert "UnknownCheckError" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "UnknownCheckError: \"unknown theorem or check 'nope'; families: "
+        "alpha_beta, chromatic, clique, coloring, connectivity, diameter, "
+        "forbidden, valency\"\n"
+    )
+
+
+def test_connectivity_selects_the_family_not_the_check(capsys):
+    status = execute_command(
+        ["check", "D5", "--subgroup", "a", "--conn", "a,a4,b", "--theorem", "connectivity"]
+    )
+    checks = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert status == 0
+    assert checks == ["connectivity", "connectivity_disjoint", "connectivity_aba"]
+
+
+def count_components_calls(monkeypatch):
+    calls = []
+    real = relcay.oracles._components
+
+    def counted(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(relcay.oracles, "_components", counted)
+    return calls
+
+
+def test_invariants_finds_components_once(monkeypatch, capsys):
+    calls = count_components_calls(monkeypatch)
+    status = execute_command(["invariants", "D5", "--subgroup", "a", "--conn", "a,a4,b"])
+    assert status == 0
+    assert "component_count: 1" in capsys.readouterr().out
+    assert calls == [10]
+
+
+def test_figures_find_components_once_per_family_graph(tmp_path, monkeypatch, capsys):
+    calls = count_components_calls(monkeypatch)
+    assert execute_command(["figures", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # four corona graphs, two cyclic family graphs, two recorded findings
+    assert calls == [8, 12, 16, 20, 8, 16, 4, 8]
 
 
 def test_build_summary(capsys):
@@ -198,7 +240,7 @@ def test_check_blocking_mismatch_exits_two(monkeypatch, capsys):
     record = _fake_blocking_report().mismatches[0].original
 
     monkeypatch.setattr(
-        "relcay.cli._evaluate_single", lambda *args, **kwargs: record
+        "relcay.cli.evaluate_check", lambda *args, **kwargs: record
     )
     status = execute_command(
         ["check", "C4", "--subgroup", "a", "--conn", "a,a3", "--theorem", "edge_count"]

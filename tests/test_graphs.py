@@ -15,13 +15,11 @@ from relcay.errors import (
 )
 from relcay.graphs import (
     ConnectionSet,
-    DotOptions,
     build_relcay,
     connection_set_count,
     enumerate_connection_sets,
     export_dot,
     inverse_orbits,
-    make_connection_set,
 )
 from relcay.group_core import Subgroup, generated_subgroup, make_group
 
@@ -47,21 +45,21 @@ def c4_cycle():
 
 def test_connection_set_accepts_inverse_pair():
     g = make_group("C4")
-    c = make_connection_set(g, [g.element("a"), g.element("a3")])
+    c = ConnectionSet(g, [g.element("a"), g.element("a3")])
     assert c.members == (1, 3)
 
 
 def test_connection_set_rejects_missing_inverse():
     g = make_group("C4")
     with pytest.raises(ConnectionSetError) as err:
-        make_connection_set(g, [g.element("a")])
+        ConnectionSet(g, [g.element("a")])
     assert "a3" in str(err.value)
 
 
 def test_connection_set_rejects_identity():
     g = make_group("C4")
     with pytest.raises(ConnectionSetError):
-        make_connection_set(g, [0, g.element("a2")])
+        ConnectionSet(g, [0, g.element("a2")])
 
 
 def test_inverse_orbits_and_counts():
@@ -255,35 +253,55 @@ def test_induced_edges_listed_in_parent_indices():
 # DOT export
 
 
+C4_CYCLE_DOT = """\
+graph relcay {
+  node [shape=circle];
+  "1" [style=filled];
+  "a";
+  "a2" [style=filled];
+  "a3";
+  "1" -- "a";
+  "1" -- "a3";
+  "a" -- "a2";
+  "a2" -- "a3";
+}
+"""
+
+
+def node_lines(text):
+    return [l for l in text.splitlines() if l.startswith('  "') and " -- " not in l]
+
+
+def test_dot_export_exact_text_c4():
+    assert export_dot(c4_cycle()) == C4_CYCLE_DOT
+
+
 def test_dot_export_counts_c4():
     text = export_dot(c4_cycle())
-    node_lines = [l for l in text.splitlines() if "coset=" in l]
     edge_lines = [l for l in text.splitlines() if " -- " in l]
-    assert len(node_lines) == 4
+    assert len(node_lines(text)) == 4
     assert len(edge_lines) == 4
 
 
 def test_dot_export_counts_and_marks_d5():
     text = export_dot(d5_corona())
-    node_lines = [l for l in text.splitlines() if "coset=" in l]
     edge_lines = [l for l in text.splitlines() if " -- " in l]
-    assert len(node_lines) == 10
+    nodes = node_lines(text)
+    assert len(nodes) == 10
     assert len(edge_lines) == 10
-    assert sum("gprime=1" in l for l in edge_lines) == 5
-    assert sum("gprime=0" in l for l in edge_lines) == 5
+    assert sum("[style=filled]" in l for l in nodes) == 5
+    assert sum("[style=filled]" not in l for l in nodes) == 5
 
 
 def test_dot_export_edgeless_graph_has_nodes_only():
     text = export_dot(instance("C4", ["a2"], []))
     assert sum(" -- " in l for l in text.splitlines()) == 0
-    assert sum("coset=" in l for l in text.splitlines()) == 4
+    assert len(node_lines(text)) == 4
 
 
-def test_dot_export_is_deterministic_and_ring_layout_parses():
+def test_dot_export_is_deterministic():
     graph = d5_corona()
     assert export_dot(graph) == export_dot(graph)
-    ringed = export_dot(graph, DotOptions(rings=True))
-    assert ringed.count('pos="') == 10
 
 
 # --------------------------------------------------------------------------

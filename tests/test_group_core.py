@@ -12,15 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from relcay.errors import CapacityError, GroupMismatchError, GroupSpecError
+from relcay.errors import (
+    CapacityError,
+    GroupMismatchError,
+    GroupSpecError,
+    InternalConsistencyError,
+)
 from relcay.group_core import (
     ElementSet,
+    GroupTable,
     Subgroup,
     coset_partition,
     element_order,
     enumerate_subgroups,
     generated_subgroup,
-    is_aba_group,
     is_subgroup_set,
     left_coset,
     make_group,
@@ -29,6 +34,7 @@ from relcay.group_core import (
     right_coset,
     width,
 )
+from relcay.theorems import is_aba_subgroup
 
 SMALL_SPECS = [
     "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C12",
@@ -55,13 +61,13 @@ def test_dihedral_d5_is_nonabelian_of_order_10():
     g = make_group("D5")
     assert g.order == 10
     a, b = g.element("a"), g.element("b")
-    assert g.op(a, b) != g.op(b, a)
+    assert g.mul[a][b] != g.mul[b][a]
 
 
 def test_klein_group_has_three_involutions():
     g = make_group("C2xC2")
     assert g.order == 4
-    involutions = [x for x in range(4) if x != 0 and g.op(x, x) == 0]
+    involutions = [x for x in range(4) if x != 0 and g.mul[x][x] == 0]
     assert len(involutions) == 3
 
 
@@ -70,7 +76,7 @@ def test_symmetric_and_quaternion_shapes():
     assert s4.order == 24
     q8 = make_group("Q8")
     assert q8.order == 8
-    assert [x for x in range(8) if x != 0 and q8.op(x, x) == 0] == [
+    assert [x for x in range(8) if x != 0 and q8.mul[x][x] == 0] == [
         q8.element("-1")
     ]
     e = make_group("E3^2")
@@ -82,7 +88,7 @@ def test_identity_is_element_zero_and_named_one():
     for spec in SMALL_SPECS:
         g = make_group(spec)
         assert g.identity == 0
-        assert all(g.op(0, x) == x and g.op(x, 0) == x for x in range(g.order))
+        assert all(g.mul[0][x] == x and g.mul[x][0] == x for x in range(g.order))
 
 
 def test_spec_parsing_is_case_insensitive_and_cached():
@@ -115,11 +121,27 @@ def test_capacity_cap_default_and_override(monkeypatch):
         make_group("C2")
 
 
+def test_associativity_checked_above_default_cap():
+    c65 = make_group("C65", max_order=70)
+    mul = [list(row) for row in c65.mul]
+    # a * a2 no longer equals a3; identity and inverse entries are untouched
+    mul[1][2] = 4
+    with pytest.raises(InternalConsistencyError, match="associativity"):
+        GroupTable(
+            order=65,
+            mul=tuple(map(tuple, mul)),
+            identity=c65.identity,
+            inv=c65.inv,
+            names=c65.names,
+            spec="C65",
+        )
+
+
 def test_element_name_round_trip():
     for spec in SMALL_SPECS:
         g = make_group(spec)
         for x in range(g.order):
-            assert g.element(g.name(x)) == x
+            assert g.element(g.names[x]) == x
     with pytest.raises(GroupSpecError):
         make_group("C4").element("zz")
 
@@ -294,14 +316,19 @@ def test_psi_examples():
     assert psi(h.difference([0])) == len(h) == 3
 
 
+def whole_group(g):
+    return Subgroup(g, range(g.order))
+
+
 def test_aba_examples():
-    ok, witness = is_aba_group(make_group("S3"))
-    assert ok
-    a, b = witness
+    s3 = make_group("S3")
+    assert is_aba_subgroup(whole_group(s3))
+    a = generated_subgroup(s3.element_set([s3.element("(12)")]))
+    b = generated_subgroup(s3.element_set([s3.element("(13)")]))
     assert a.is_proper and b.is_proper
     assert product_set(product_set(a, b), a).members == tuple(range(6))
-    assert is_aba_group(make_group("C5")) == (False, None)
-    assert is_aba_group(make_group("C4")) == (False, None)
+    assert not is_aba_subgroup(whole_group(make_group("C5")))
+    assert not is_aba_subgroup(whole_group(make_group("C4")))
 
 
 # --------------------------------------------------------------------------

@@ -560,28 +560,30 @@ def test_forbidden_iff_sweep():
 # Composite
 
 
-def test_predict_all_exposes_flat_fields():
+def test_predict_all_exposes_nested_fields():
     g, h, c = d5_corona_parts()
     bundle = predict_all(g, h, c)
-    assert bundle.valency_bound == 2
-    assert bundle.sqrt_bound == 4
-    assert not bundle.predicted_regular
-    assert bundle.predicted_semi_regular
-    assert bundle.predicted_connected
-    assert bundle.hc_star_covers
-    assert bundle.clique_upper == 4
-    assert not bundle.clique_upper_is_equality
-    assert bundle.clique_lower_psi == 1
-    assert bundle.clique_lower_psi_plus
-    assert bundle.c_cubed_case is None
-    assert bundle.predicted_alpha == 5
-    assert bundle.predicted_beta_prime == 5
-    assert bundle.alpha_beta_hypothesis_ok
-    assert bundle.chromatic_upper == 4
-    assert not bundle.chromatic_equality_i
-    assert bundle.chromatic_equality_ii is False
-    assert bundle.clique_lower_psi <= bundle.clique_upper
-    assert bundle.valency_bound <= bundle.sqrt_bound
+    valency, conn = bundle.valency, bundle.connectivity
+    clique, ab, chromatic = bundle.clique, bundle.alpha_beta, bundle.chromatic
+    assert valency.valency_bound == 2
+    assert valency.sqrt_bound == 4
+    assert not valency.predicted_regular
+    assert valency.predicted_semi_regular
+    assert conn.predicted_connected
+    assert conn.hc_star_covers
+    assert clique.upper == 4
+    assert not clique.upper_is_equality
+    assert clique.lower_psi == 1
+    assert clique.psi_plus
+    assert clique.c_cubed_case is None
+    assert ab.alpha == 5
+    assert ab.beta_prime == 5
+    assert ab.hypothesis_ok
+    assert chromatic.upper == 4
+    assert not chromatic.equality_i
+    assert chromatic.equality_ii is False
+    assert clique.lower_psi <= clique.upper
+    assert valency.valency_bound <= valency.sqrt_bound
     assert set(bundle.forbidden_map()) == set(FORBIDDEN_KINDS)
 
 
