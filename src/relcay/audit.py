@@ -346,6 +346,14 @@ class InstanceContext:
         except InternalConsistencyError as err:
             return None, str(err)
 
+    @cached_property
+    def h_names(self) -> tuple[str, ...]:
+        return self.h.names()
+
+    @cached_property
+    def c_names(self) -> tuple[str, ...]:
+        return self.c.names()
+
     def names(self, indices) -> tuple[str, ...]:
         return tuple(self.group.names[x] for x in indices)
 
@@ -362,14 +370,14 @@ def _verdict(agree: bool) -> str:
 
 def _check_degree_formula(ctx: InstanceContext) -> _CheckResult:
     g = ctx.group
-    in_c = ctx.c._member_set
+    c_mask = ctx.c.mask
     formula = []
     for x in range(g.order):
         if x in ctx.h:
             formula.append(len(ctx.c))
         else:
             row = g.mul[g.inv[x]]
-            formula.append(sum(1 for m in ctx.h.members if row[m] in in_c))
+            formula.append(sum(c_mask >> row[m] & 1 for m in ctx.h.members))
     actual = list(ctx.graph.degrees)
     witness = None
     for x, (want, got) in enumerate(zip(formula, actual)):
@@ -435,7 +443,7 @@ def _check_full_degree_coset(ctx: InstanceContext) -> _CheckResult:
 
 
 def _check_isolated_vertex(ctx: InstanceContext) -> _CheckResult:
-    reach = product_set(ctx.h, ctx.c.with_identity())._member_set
+    reach = product_set(ctx.h, ctx.c.with_identity())
     claimed = [x for x in range(ctx.group.order) if x not in reach]
     degrees = ctx.graph.degrees
     isolated = [x for x in range(ctx.group.order) if degrees[x] == 0]
@@ -678,8 +686,8 @@ def _build_record(ctx: InstanceContext, check: str) -> AuditRecord:
     predicted, observed, verdict, witness = _CHECK_FNS[check](ctx)
     return AuditRecord(
         group=ctx.group.spec,
-        h=ctx.names(ctx.h.members),
-        c=ctx.names(ctx.c.members),
+        h=ctx.h_names,
+        c=ctx.c_names,
         check=check,
         predicted=predicted,
         observed=observed,
@@ -820,7 +828,7 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 def _scan_subgroup(args):
     catalog_index, spec, h_members, checks, limits, keep_records = args
     group = make_group(spec, max_order=limits.max_order)
-    h = Subgroup(group, h_members)
+    h = group.subgroup(h_members)
     totals: Counter = Counter()
     mismatches: list[AuditRecord] = []
     records: list[AuditRecord] = []
@@ -947,7 +955,7 @@ def evaluate_check(
     Cached, so shrinking re-evaluates each candidate instance only once.
     """
     group = make_group(spec, max_order=limits.max_order)
-    h = Subgroup(group, h_members)
+    h = group.subgroup(h_members)
     c = ConnectionSet(group, c_members)
     return _build_record(InstanceContext(group, h, c, limits), check)
 

@@ -165,7 +165,9 @@ def _cmd_build(args, config: CliConfig) -> int:
 
 def _cmd_invariants(args, config: CliConfig) -> int:
     graph = _build_graph(config, args.spec, args.subgroup, args.conn)
-    report = invariant_report(graph, edge_color_cutoff=config.edge_color_cutoff)
+    report = invariant_report(
+        graph, edge_color_cutoff=config.edge_color_cutoff, max_order=config.max_order
+    )
     for field_name in (
         "clique_number",
         "independence_number",

@@ -18,7 +18,13 @@ from .errors import (
     ImproperSubgroupError,
     InternalConsistencyError,
 )
-from .group_core import ElementSet, GroupTable, Subgroup, right_coset
+from .group_core import (
+    ElementSet,
+    GroupTable,
+    Subgroup,
+    bit_indices,
+    coset_partition,
+)
 
 __all__ = [
     "ConnectionSet",
@@ -41,10 +47,11 @@ class ConnectionSet(ElementSet):
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
         super().__init__(group, members)
-        if group.identity in self._member_set:
+        mask = self.mask
+        if mask >> group.identity & 1:
             raise ConnectionSetError("connection set must not contain the identity")
         for x in self.members:
-            if group.inv[x] not in self._member_set:
+            if not mask >> group.inv[x] & 1:
                 raise ConnectionSetError(
                     f"connection set is not inverse closed: {group.names[x]} is in "
                     f"but its inverse {group.names[group.inv[x]]} is not"
@@ -119,13 +126,9 @@ class RelCayGraph:
         for x in range(n):
             if self.adjacency[x] >> x & 1:
                 raise InternalConsistencyError("adjacency has a self loop")
-            row = self.adjacency[x]
-            y = 0
-            while row:
-                if row & 1 and not self.adjacency[y] >> x & 1:
+            for y in bit_indices(self.adjacency[x]):
+                if not self.adjacency[y] >> x & 1:
                     raise InternalConsistencyError("adjacency is not symmetric")
-                row >>= 1
-                y += 1
             if not self.h_mask >> x & 1 and self.adjacency[x] & ~self.h_mask:
                 raise InternalConsistencyError(
                     "vertices outside the subgroup must form an independent set"
@@ -139,15 +142,7 @@ class RelCayGraph:
         return bool(self.adjacency[x] >> y & 1)
 
     def neighbors(self, x: int) -> tuple[int, ...]:
-        row = self.adjacency[x]
-        out = []
-        y = 0
-        while row:
-            if row & 1:
-                out.append(y)
-            row >>= 1
-            y += 1
-        return tuple(out)
+        return tuple(bit_indices(self.adjacency[x]))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -172,13 +167,8 @@ class RelCayGraph:
         degrees = self.degrees
         reps: list[int] = []
         per_coset: list[int] = []
-        covered = 0
         c_mask = self.c.mask
-        for x in range(g.order):
-            if covered >> x & 1:
-                continue
-            coset = right_coset(self.h, x)
-            covered |= coset.mask
+        for coset in coset_partition(self.h, "right"):
             first = coset.members[0]
             reps.append(first)
             deg = degrees[first]
@@ -270,13 +260,8 @@ class InducedCayleyGraph:
         rows = []
         for v in vertices:
             row = 0
-            sub = parent.adjacency[v] & parent.h_mask
-            u = 0
-            while sub:
-                if sub & 1:
-                    row |= 1 << pos[u]
-                sub >>= 1
-                u += 1
+            for u in bit_indices(parent.adjacency[v] & parent.h_mask):
+                row |= 1 << pos[u]
             expected = 0
             for gen in generators.members:
                 expected |= 1 << pos[g.mul[v][gen]]
@@ -303,15 +288,13 @@ class InducedCayleyGraph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as parent-index pairs, each sorted, in lexicographic order."""
-        out = []
-        for i, v in enumerate(self.vertices):
-            row = self.adjacency[i] >> (i + 1)
-            j = i + 1
-            while row:
-                if row & 1:
-                    out.append((v, self.vertices[j]))
-                row >>= 1
-                j += 1
+        vertices = self.vertices
+        out = [
+            (v, vertices[j])
+            for i, v in enumerate(vertices)
+            for j in bit_indices(self.adjacency[i])
+            if j > i
+        ]
         return tuple(sorted(out))
 
 
@@ -325,12 +308,8 @@ def export_dot(graph: RelCayGraph) -> str:
         else:
             lines.append(f'  "{names[x]}";')
     for u in range(graph.n):
-        row = graph.adjacency[u] >> (u + 1)
-        v = u + 1
-        while row:
-            if row & 1:
+        for v in bit_indices(graph.adjacency[u]):
+            if v > u:
                 lines.append(f'  "{names[u]}" -- "{names[v]}";')
-            row >>= 1
-            v += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,7 +9,15 @@ Groups are built from a small spec grammar::
           | "Q8" | "E"<p>"^"<k> (elementary abelian, p prime)
 
 Specs are case-insensitive and whitespace-free.  Element 0 is always the
-identity.  All objects here are immutable and safe to share across workers.
+identity.
+
+A set of elements is an integer bit mask (bit x set when element x is a
+member); products, cosets, closures and subset tests are mask arithmetic.
+Each subgroup is built and closure-checked once per group: ``subgroup``,
+``generated_subgroup`` and ``enumerate_subgroups`` hand out one shared
+object per member set, which also keeps the per-subgroup quantities (coset
+partitions, the A*B*A flag) once computed.  All objects here are immutable
+apart from these caches and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -34,6 +42,7 @@ __all__ = [
     "GroupTable",
     "ElementSet",
     "Subgroup",
+    "bit_indices",
     "default_max_order",
     "make_group",
     "product_set",
@@ -126,7 +135,19 @@ class GroupTable:
 
     @cached_property
     def all_elements(self) -> "ElementSet":
-        return ElementSet(self, range(self.order))
+        return _from_mask(self, (1 << self.order) - 1)
+
+    def subgroup(self, members: Iterable[int]) -> "Subgroup":
+        """The subgroup with these members.
+
+        It is built and checked on the first request; later requests for
+        the same members get the same object back.
+        """
+        return _shared_subgroup(self, ElementSet(self, members).mask)
+
+    @cached_property
+    def _subgroups_by_mask(self) -> dict[int, "Subgroup"]:
+        return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GroupTable({self.spec}, order={self.order})"
@@ -140,113 +161,141 @@ def _require_same_group(a: "ElementSet", b: "ElementSet") -> GroupTable:
     return a.group
 
 
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of a non-negative mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ElementSet:
-    """An immutable subset of a group's elements, kept sorted and deduplicated."""
+    """An immutable subset of a group's elements, held as a bit mask.
+
+    Bit x of ``mask`` is set exactly when element x is a member.  Size,
+    membership, equality, hashing and the set operations read the mask;
+    ``members``, the ascending tuple of member indices, is derived from it
+    on first use.
+    """
 
     group: GroupTable
-    members: tuple[int, ...]
+    mask: int
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
-        canon = tuple(sorted({int(m) for m in members}))
-        if canon and not (0 <= canon[0] and canon[-1] < group.order):
-            bad = canon[0] if canon[0] < 0 else canon[-1]
-            raise GroupSpecError(
-                f"element index {bad} out of range for group of order {group.order}"
-            )
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "members", canon)
+        order = group.order
+        items = [int(m) for m in members]
+        mask = 0
+        for m in items:
+            if not 0 <= m < order:
+                low = min(items)
+                bad = low if low < 0 else max(items)
+                raise GroupSpecError(
+                    f"element index {bad} out of range for group of order {order}"
+                )
+            mask |= 1 << m
+        # frozen: the fields go straight into the instance dict
+        self.__dict__.update(group=group, mask=mask)
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple(bit_indices(self.mask))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
             return NotImplemented
-        return self.group is other.group and self.members == other.members
+        return self.group is other.group and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.members))
+        return hash((id(self.group), self.mask))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
 
     def __contains__(self, x: object) -> bool:
-        return x in self._member_set
+        return isinstance(x, int) and x >= 0 and bool(self.mask >> x & 1)
 
     def __bool__(self) -> bool:
-        return bool(self.members)
-
-    @cached_property
-    def _member_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
-    @cached_property
-    def mask(self) -> int:
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+        return self.mask != 0
 
     def union(self, other: "ElementSet | Iterable[int]") -> "ElementSet":
-        other_members = self._coerce(other)
-        return ElementSet(self.group, self._member_set | other_members)
+        return _from_mask(self.group, self.mask | self._coerce(other))
 
     def intersection(self, other: "ElementSet | Iterable[int]") -> "ElementSet":
-        other_members = self._coerce(other)
-        return ElementSet(self.group, self._member_set & other_members)
+        return _from_mask(self.group, self.mask & self._coerce(other))
 
     def difference(self, other: "ElementSet | Iterable[int]") -> "ElementSet":
-        other_members = self._coerce(other)
-        return ElementSet(self.group, self._member_set - other_members)
+        return _from_mask(self.group, self.mask & ~self._coerce(other))
 
-    def _coerce(self, other: "ElementSet | Iterable[int]") -> frozenset[int]:
+    def _coerce(self, other: "ElementSet | Iterable[int]") -> int:
         if isinstance(other, ElementSet):
             _require_same_group(self, other)
-            return other._member_set
-        return frozenset(int(x) for x in other)
+            return other.mask
+        return ElementSet(self.group, other).mask
 
     def with_identity(self) -> "ElementSet":
         """The starred set: this set together with the identity."""
-        if self.group.identity in self._member_set:
+        bit = 1 << self.group.identity
+        if self.mask & bit:
             return self
-        return ElementSet(self.group, self.members + (self.group.identity,))
+        return _from_mask(self.group, self.mask | bit)
 
     def inverses(self) -> "ElementSet":
         inv = self.group.inv
-        return ElementSet(self.group, (inv[x] for x in self.members))
+        out = 0
+        for x in self.members:
+            out |= 1 << inv[x]
+        return _from_mask(self.group, out)
 
     @property
     def is_inverse_closed(self) -> bool:
-        inv = self.group.inv
-        return all(inv[x] in self._member_set for x in self.members)
+        return self.inverses().mask == self.mask
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self.group.names[x] for x in self.members)
+        names = self.group.names
+        return tuple(names[x] for x in self.members)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         shown = ",".join(self.names())
         return f"{{{shown}}}@{self.group.spec}"
 
 
+def _from_mask(group: GroupTable, mask: int) -> ElementSet:
+    """An ElementSet over a mask already known to lie inside the group."""
+    out = object.__new__(ElementSet)
+    out.__dict__.update(group=group, mask=mask)
+    return out
+
+
 class Subgroup(ElementSet):
-    """An ElementSet that is verified to be a subgroup at construction."""
+    """An ElementSet that is verified to be a subgroup at construction.
+
+    Quantities that depend on the subgroup alone (its coset partitions and
+    its A*B*A flag) are computed on first use and kept on the object, so a
+    subgroup shared through ``GroupTable.subgroup``, ``generated_subgroup``
+    or ``enumerate_subgroups`` computes each of them once.
+    """
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
         super().__init__(group, members)
-        mem = self._member_set
-        if group.identity not in mem:
+        mask = self.mask
+        if not mask >> group.identity & 1:
             raise GroupSpecError("subgroup must contain the identity")
         mul = group.mul
         inv = group.inv
         for x in self.members:
-            if inv[x] not in mem:
+            if not mask >> inv[x] & 1:
                 raise GroupSpecError(
                     f"subgroup not closed under inversion at {group.names[x]}"
                 )
             row = mul[x]
             for y in self.members:
-                if row[y] not in mem:
+                if not mask >> row[y] & 1:
                     raise GroupSpecError(
                         "subgroup not closed under multiplication at "
                         f"{group.names[x]}*{group.names[y]}"
@@ -254,11 +303,41 @@ class Subgroup(ElementSet):
 
     @property
     def is_proper(self) -> bool:
-        return len(self.members) < self.group.order
+        return len(self) < self.group.order
 
     @property
     def index(self) -> int:
-        return self.group.order // len(self.members)
+        return self.group.order // len(self)
+
+    @cached_property
+    def _left_cosets(self) -> tuple[ElementSet, ...]:
+        return _build_cosets(self, left_coset)
+
+    @cached_property
+    def _right_cosets(self) -> tuple[ElementSet, ...]:
+        return _build_cosets(self, right_coset)
+
+    @cached_property
+    def is_aba(self) -> bool:
+        """Whether the subgroup factors as A*B*A for proper subgroups A, B
+        of it."""
+        target = self.mask
+        size = len(self)
+        smaller = [
+            s
+            for s in enumerate_subgroups(self.group)
+            if len(s) < size and not s.mask & ~target
+        ]
+        for a in smaller:
+            for b in smaller:
+                if len(a) * len(a) * len(b) < size:
+                    continue
+                ab = product_set(a, b)
+                if len(ab) * len(a) < size:
+                    continue
+                if product_set(ab, a).mask == target:
+                    return True
+        return False
 
 
 # --------------------------------------------------------------------------
@@ -512,125 +591,147 @@ def product_set(a: ElementSet, b: ElementSet) -> ElementSet:
     """The setwise product {xy : x in a, y in b}."""
     g = _require_same_group(a, b)
     mul = g.mul
-    out: set[int] = set()
+    right = b.members
+    out = 0
     for x in a.members:
         row = mul[x]
-        for y in b.members:
-            out.add(row[y])
-    return ElementSet(g, out)
+        for y in right:
+            out |= 1 << row[y]
+    return _from_mask(g, out)
 
 
 def conjugate_set(x: ElementSet, g_elt: int) -> ElementSet:
     """The conjugate set {g^-1 x g : x in the set}."""
     g = x.group
     mul = g.mul
-    ginv = g.inv[g_elt]
-    return ElementSet(g, (mul[mul[ginv][m]][g_elt] for m in x.members))
+    row = mul[g.inv[g_elt]]
+    out = 0
+    for m in x.members:
+        out |= 1 << mul[row[m]][g_elt]
+    return _from_mask(g, out)
 
 
 def left_coset(s: ElementSet, x: int) -> ElementSet:
     """xS for an element x."""
-    mul_row = s.group.mul[x]
-    return ElementSet(s.group, (mul_row[m] for m in s.members))
+    row = s.group.mul[x]
+    out = 0
+    for m in s.members:
+        out |= 1 << row[m]
+    return _from_mask(s.group, out)
 
 
 def right_coset(s: ElementSet, x: int) -> ElementSet:
     """Sx for an element x."""
     mul = s.group.mul
-    return ElementSet(s.group, (mul[m][x] for m in s.members))
+    out = 0
+    for m in s.members:
+        out |= 1 << mul[m][x]
+    return _from_mask(s.group, out)
 
 
-def coset_partition(h: Subgroup, side: str = "left") -> tuple[ElementSet, ...]:
-    """All cosets of a subgroup, ordered by their smallest member."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    g = h.group
+def _build_cosets(h: Subgroup, coset) -> tuple[ElementSet, ...]:
     cosets = []
     covered = 0
-    for x in range(g.order):
+    for x in range(h.group.order):
         if covered >> x & 1:
             continue
-        coset = left_coset(h, x) if side == "left" else right_coset(h, x)
-        covered |= coset.mask
-        cosets.append(coset)
+        found = coset(h, x)
+        covered |= found.mask
+        cosets.append(found)
     return tuple(cosets)
 
 
-def _closure_members(g: GroupTable, seed: Iterable[int]) -> frozenset[int]:
+def coset_partition(h: Subgroup, side: str = "left") -> tuple[ElementSet, ...]:
+    """All cosets of a subgroup, ordered by their smallest member.
+
+    Built once per subgroup object and shared by later calls.
+    """
+    if side == "left":
+        return h._left_cosets
+    if side == "right":
+        return h._right_cosets
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def _closure_mask(g: GroupTable, seed_mask: int) -> int:
+    # every product of seed elements, grown breadth-first from the identity;
+    # in a finite group these words already form the generated subgroup
     mul = g.mul
-    members: list[int] = [g.identity]
-    seen = {g.identity}
-    pending = [x for x in seed]
-    while pending:
-        x = pending.pop()
-        if x in seen:
-            continue
-        for y in members:
-            p = mul[x][y]
-            if p not in seen:
-                pending.append(p)
-            q = mul[y][x]
-            if q not in seen:
-                pending.append(q)
-        p = mul[x][x]
-        if p not in seen:
-            pending.append(p)
-        members.append(x)
-        seen.add(x)
-    return frozenset(seen)
+    gens = bit_indices(seed_mask)
+    found = 1 << g.identity
+    reached = [g.identity]
+    for x in reached:
+        row = mul[x]
+        for s in gens:
+            y = row[s]
+            if not found >> y & 1:
+                found |= 1 << y
+                reached.append(y)
+    return found
+
+
+def _shared_subgroup(g: GroupTable, mask: int) -> Subgroup:
+    shared = g._subgroups_by_mask
+    found = shared.get(mask)
+    if found is None:
+        found = shared[mask] = Subgroup(g, bit_indices(mask))
+    return found
 
 
 def generated_subgroup(x: ElementSet) -> Subgroup:
     """The smallest subgroup containing the given set."""
-    return Subgroup(x.group, _closure_members(x.group, x.members))
+    return _shared_subgroup(x.group, _closure_mask(x.group, x.mask))
 
 
 def is_subgroup_set(x: ElementSet) -> bool:
     """Whether the set itself is a subgroup (identity in, products closed)."""
     g = x.group
-    mem = x._member_set
-    if g.identity not in mem:
+    mask = x.mask
+    if not mask >> g.identity & 1:
         return False
     mul = g.mul
-    for a in x.members:
+    members = x.members
+    for a in members:
         row = mul[a]
-        for b in x.members:
-            if row[b] not in mem:
+        for b in members:
+            if not mask >> row[b] & 1:
                 return False
     return True
 
 
 @lru_cache(maxsize=None)
-def _enumerate_subgroup_sets(g: GroupTable) -> tuple[frozenset[int], ...]:
-    trivial = frozenset({g.identity})
+def _all_subgroups(g: GroupTable) -> tuple[Subgroup, ...]:
+    trivial = 1 << g.identity
     found = {trivial}
     frontier = [trivial]
     while frontier:
         fresh = []
         for s in frontier:
             for x in range(g.order):
-                if x in s:
+                if s >> x & 1:
                     continue
-                t = _closure_members(g, s | {x})
+                t = _closure_mask(g, s | 1 << x)
                 if t not in found:
                     found.add(t)
                     fresh.append(t)
         frontier = fresh
-    return tuple(sorted(found, key=lambda s: (len(s), tuple(sorted(s)))))
+    ordered = sorted(found, key=lambda m: (m.bit_count(), bit_indices(m)))
+    return tuple(_shared_subgroup(g, m) for m in ordered)
 
 
 def enumerate_subgroups(
     g: GroupTable, max_order: Optional[int] = None
 ) -> tuple[Subgroup, ...]:
-    """All subgroups, each once, sorted by size then member list."""
+    """All subgroups, each once, sorted by size then member list.
+
+    The tuple is built once per group; every call returns the same one.
+    """
     cap = default_max_order() if max_order is None else max_order
     if g.order > cap:
         raise CapacityError(
             f"subgroup enumeration needs order <= {cap}, got {g.order}"
         )
-    return tuple(
-        Subgroup(g, members) for members in _enumerate_subgroup_sets(g)
-    )
+    return _all_subgroups(g)
 
 
 def width(x: ElementSet, within: Optional[Subgroup] = None) -> int | float:
@@ -643,45 +744,46 @@ def width(x: ElementSet, within: Optional[Subgroup] = None) -> int | float:
     g = x.group
     if within is not None:
         _require_same_group(x, within)
-        target = within._member_set
+        target = within.mask
     else:
-        target = generated_subgroup(x)._member_set
-    covered = {g.identity}
-    if covered >= target:
+        target = generated_subgroup(x).mask
+    covered = 1 << g.identity
+    if not target & ~covered:
         return 0
     mul = g.mul
-    current = set(x.members)
+    factors = x.members
+    current = x.mask
     steps = 0
     while True:
         steps += 1
-        before = len(covered)
+        before = covered
         covered |= current
-        if covered >= target:
+        if not target & ~covered:
             return steps
-        if len(covered) == before:
+        if covered == before:
             return math.inf
-        current = {mul[a][b] for a in current for b in x.members}
+        grown = 0
+        for a in bit_indices(current):
+            row = mul[a]
+            for b in factors:
+                grown |= 1 << row[b]
+        current = grown
 
 
 def psi(x: ElementSet) -> int:
     """Largest order of a subgroup contained in the starred set."""
-    star = x._member_set | {x.group.identity}
+    star = x.with_identity().mask
     best = 1
-    for members in _enumerate_subgroup_sets(x.group):
-        if len(members) > best and members <= star:
-            best = len(members)
+    for s in _all_subgroups(x.group):
+        if len(s) > best and not s.mask & ~star:
+            best = len(s)
     return best
 
 
 def subgroups_within(x: ElementSet) -> tuple[Subgroup, ...]:
     """All subgroups contained in the starred set, sorted by size then members."""
-    star = x._member_set | {x.group.identity}
-    g = x.group
-    return tuple(
-        Subgroup(g, members)
-        for members in _enumerate_subgroup_sets(g)
-        if members <= star
-    )
+    star = x.with_identity().mask
+    return tuple(s for s in _all_subgroups(x.group) if not s.mask & ~star)
 
 
 def element_order(g: GroupTable, x: int) -> int:

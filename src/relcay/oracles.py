@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import CapacityError, InternalConsistencyError
-from .group_core import default_max_order
+from .group_core import bit_indices, default_max_order
 
 __all__ = [
     "InvariantReport",
@@ -40,28 +40,8 @@ __all__ = [
 DEFAULT_EDGE_COLOR_CUTOFF = 40
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
 def _edge_list(n: int, adj: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    for v in range(n):
-        row = adj[v] >> (v + 1)
-        u = v + 1
-        while row:
-            if row & 1:
-                out.append((v, u))
-            row >>= 1
-            u += 1
-    return out
+    return [(v, u) for v in range(n) for u in bit_indices(adj[v]) if u > v]
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +85,7 @@ def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
     def matching_lower_bound(remaining: int) -> int:
         used = 0
         count = 0
-        for v in _bits(remaining):
+        for v in bit_indices(remaining):
             if used >> v & 1:
                 continue
             nb = adj[v] & remaining & ~used
@@ -120,7 +100,7 @@ def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
             return
         pick = -1
         pick_deg = 0
-        for v in _bits(remaining):
+        for v in bit_indices(remaining):
             deg = (adj[v] & remaining).bit_count()
             if deg > pick_deg:
                 pick, pick_deg = v, deg
@@ -162,7 +142,7 @@ def matching_edges(n: int, adj: Sequence[int]) -> tuple[tuple[int, int], ...]:
                 free &= ~((1 << v) | (1 << u))
     # a vertex with no augmenting path never gains one later (Edmonds), so
     # each unmatched vertex is searched from once
-    for root in _bits(free):
+    for root in bit_indices(free):
         if mate[root] < 0 and adj[root]:
             _augment_from(root, n, adj, mate)
     return tuple((v, u) for v, u in enumerate(mate) if v < u)
@@ -201,7 +181,7 @@ def _augment_from(root: int, n: int, adj: Sequence[int], mate: list[int]) -> Non
         return bases
 
     for v in queue:
-        for to in _bits(adj[v]):
+        for to in bit_indices(adj[v]):
             if base[v] == base[to] or mate[v] == to:
                 continue
             if to == root or (mate[to] >= 0 and parent[mate[to]] >= 0):
@@ -259,11 +239,11 @@ def min_dominating_set(n: int, adj: Sequence[int]) -> int:
             return
         # most-constrained undominated vertex
         pick, options = -1, n + 1
-        for v in _bits(undominated):
+        for v in bit_indices(undominated):
             count = closed[v].bit_count()
             if count < options:
                 pick, options = v, count
-        for u in _bits(closed[pick]):
+        for u in bit_indices(closed[pick]):
             recurse(dominated | closed[u], size + 1)
 
     recurse(0, 0)
@@ -315,7 +295,7 @@ def _greedy_coloring_bound(n: int, adj: Sequence[int]) -> int:
     colors: dict[int, int] = {}
     used = 0
     for v in range(n):
-        taken = {colors[u] for u in _bits(adj[v]) if u in colors}
+        taken = {colors[u] for u in bit_indices(adj[v]) if u in colors}
         c = 0
         while c in taken:
             c += 1
@@ -342,11 +322,11 @@ def _k_colorable(n: int, adj: Sequence[int], k: int) -> bool:
                     pick, pick_count = v, count
         cap = min(k, max(color) + 2 if done else 1)
         options = avail[pick] & ((1 << cap) - 1)
-        for c in _bits(options):
+        for c in bit_indices(options):
             color[pick] = c
             touched = []
             ok = True
-            for u in _bits(adj[pick]):
+            for u in bit_indices(adj[pick]):
                 if color[u] < 0 and avail[u] >> c & 1:
                     avail[u] &= ~(1 << c)
                     touched.append(u)
@@ -415,11 +395,11 @@ def _bfs_mask_distances(n: int, adj: Sequence[int], source: int) -> list[int]:
     while frontier:
         step += 1
         reach = 0
-        for v in _bits(frontier):
+        for v in bit_indices(frontier):
             reach |= adj[v]
         frontier = reach & ~seen
         seen |= frontier
-        for v in _bits(frontier):
+        for v in bit_indices(frontier):
             dist[v] = step
     return dist
 
@@ -431,11 +411,11 @@ def _components(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         seen = frontier = unassigned & -unassigned
         while frontier:
             reach = 0
-            for v in _bits(frontier):
+            for v in bit_indices(frontier):
                 reach |= adj[v]
             frontier = reach & ~seen
             seen |= frontier
-        comps.append(tuple(_bits(seen)))
+        comps.append(tuple(bit_indices(seen)))
         unassigned &= ~seen
     return tuple(comps)
 
@@ -465,7 +445,7 @@ def _is_bipartite(n: int, adj: Sequence[int]) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in _bits(adj[v]):
+            for u in bit_indices(adj[v]):
                 if side[u] < 0:
                     side[u] = side[v] ^ 1
                     stack.append(u)
@@ -492,7 +472,7 @@ def _has_square_subgraph(n: int, adj: Sequence[int]) -> bool:
 
 def _has_induced_claw(n: int, adj: Sequence[int]) -> bool:
     for v in range(n):
-        nb = _bits(adj[v])
+        nb = bit_indices(adj[v])
         if len(nb) < 3:
             continue
         for i, a in enumerate(nb):
@@ -568,16 +548,21 @@ class InvariantReport:
 
 
 def invariant_report(
-    graph, *, edge_color_cutoff: int = DEFAULT_EDGE_COLOR_CUTOFF
+    graph,
+    *,
+    edge_color_cutoff: int = DEFAULT_EDGE_COLOR_CUTOFF,
+    max_order: Optional[int] = None,
 ) -> InvariantReport:
     """All numeric invariants of a graph, by exhaustive search.
 
     The edge chromatic number is skipped (None) above the edge-count
     cutoff; the edge cover number is None when isolated vertices exist;
-    the diameter is None when the graph is disconnected.
+    the diameter is None when the graph is disconnected.  Graphs with more
+    than ``max_order`` vertices (default: ``default_max_order()``) are
+    refused with ``CapacityError``.
     """
     n, adj = graph.n, graph.adjacency
-    cap = default_max_order()
+    cap = default_max_order() if max_order is None else max_order
     if n > cap:
         raise CapacityError(f"oracle graph has {n} vertices, above the cap {cap}")
     comps, diameter = diameter_components(graph)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -31,9 +30,9 @@ from .group_core import (
     ElementSet,
     GroupTable,
     Subgroup,
+    bit_indices,
     conjugate_set,
     coset_partition,
-    enumerate_subgroups,
     generated_subgroup,
     is_subgroup_set,
     left_coset,
@@ -115,14 +114,14 @@ def predict_valencies(group: GroupTable, h: Subgroup, c: ElementSet) -> ValencyP
 
     # same |C|-count in every left coset gH other than H itself
     outside_counts = {
-        len(coset.intersection(c))
+        (coset.mask & c.mask).bit_count()
         for coset in coset_partition(h, "left")
         if group.identity not in coset
     }
     same_left_counts = len(outside_counts) <= 1
     # C inside a single right coset Hx other than H
     in_one_right_coset = any(
-        c._member_set <= coset._member_set
+        not c.mask & ~coset.mask
         for coset in coset_partition(h, "right")
         if group.identity not in coset
     )
@@ -195,26 +194,12 @@ class ConnectivityPredictions:
     diameter_bounds: tuple[DiameterBound, ...]
 
 
-@lru_cache(maxsize=None)
 def is_aba_subgroup(h: Subgroup) -> bool:
-    """Whether the subgroup factors as A*B*A for proper subgroups A, B of it."""
-    target = h._member_set
-    smaller = [
-        s
-        for s in enumerate_subgroups(h.group)
-        if len(s) < len(target) and s._member_set <= target
-    ]
-    size = len(target)
-    for a in smaller:
-        for b in smaller:
-            if len(a) * len(a) * len(b) < size:
-                continue
-            ab = product_set(a, b)
-            if len(ab) * len(a) < size:
-                continue
-            if product_set(ab, a)._member_set == target:
-                return True
-    return False
+    """Whether the subgroup factors as A*B*A for proper subgroups A, B of it.
+
+    Computed once per subgroup object (``Subgroup.is_aba``).
+    """
+    return h.is_aba
 
 
 def predict_connectivity(
@@ -230,7 +215,7 @@ def predict_connectivity(
     outer_square = h.intersection(product_set(outer, outer))
     outer_square_span = generated_subgroup(outer_square)
 
-    target = h._member_set
+    target = h.mask
     witnesses = []
     for g_elt in range(group.order):
         if g_elt in h:
@@ -239,17 +224,16 @@ def predict_connectivity(
         if not reach:
             continue
         covered = product_set(product_set(reach, inner_span), outer_square_span)
-        if covered._member_set == target:
+        if covered.mask == target:
             witnesses.append(g_elt)
 
     predicted_connected = bool(witnesses) and hc_star_covers
 
     disjoint_predicted = hc_star_covers and (
-        generated_subgroup(h.intersection(product_set(c, c)))._member_set == target
+        generated_subgroup(h.intersection(product_set(c, c))).mask == target
     )
     aba_predicted = hc_star_covers and (
-        inner_span._member_set == target
-        or outer_square_span._member_set == target
+        inner_span.mask == target or outer_square_span.mask == target
     )
 
     inner_width = width(inner)
@@ -264,7 +248,7 @@ def predict_connectivity(
         DiameterBound(
             "small_square",
             len(h) / 2 + 2,
-            outer_square._member_set == {identity},
+            outer_square.mask == 1 << identity,
         ),
     )
 
@@ -274,7 +258,7 @@ def predict_connectivity(
         predicted_connected=predicted_connected,
         disjoint_applicable=not inner,
         disjoint_predicted=disjoint_predicted,
-        aba_applicable=not is_aba_subgroup(h),
+        aba_applicable=not h.is_aba,
         aba_predicted=aba_predicted,
         diameter_bounds=bounds,
     )
@@ -326,26 +310,23 @@ def predict_clique(
 
     equality = False
     if is_subgroup_set(inner.with_identity()):
-        inner_members = inner._member_set
         for member in outer.members:
-            if inner_members <= left_coset(c, member)._member_set:
+            if not inner.mask & ~left_coset(c, member).mask:
                 equality = True
                 break
 
     lower_psi = psi(inner)
     psi_plus = False
     if outer:
-        carriers = [
-            k._member_set for k in subgroups_within(inner) if len(k) == lower_psi
-        ]
+        carriers = [k.mask for k in subgroups_within(inner) if len(k) == lower_psi]
         for member in outer.members:
-            shifted = left_coset(c, member)._member_set
-            if any(k <= shifted for k in carriers):
+            shifted = left_coset(c, member).mask
+            if any(not k & ~shifted for k in carriers):
                 psi_plus = True
                 break
 
     c_squared = product_set(c, c)
-    triple_closed = product_set(c_squared, c)._member_set <= c._member_set
+    triple_closed = not product_set(c_squared, c).mask & ~c.mask
     case = None
     if triple_closed and c:
         chosen = c.members[0]
@@ -364,7 +345,7 @@ def predict_clique(
                     "triple-product decomposition fails: " + "; ".join(failures)
                 )
         else:
-            case = DcCase(d=Subgroup(group, c_squared.members), c_elt=chosen)
+            case = DcCase(d=group.subgroup(c_squared.members), c_elt=chosen)
 
     return CliquePredictions(
         upper=upper,
@@ -453,13 +434,15 @@ def _partition_condition(
     shifted = [pos[group.mul[member][step]] for member in members]
 
     # per outside vertex g: which positions x of H have g*x in C
-    c_members = c._member_set
+    c_mask = c.mask
     windows = set()
     for g_elt in range(group.order):
         if g_elt in h:
             continue
         row = group.mul[g_elt]
-        window = frozenset(i for i, member in enumerate(members) if row[member] in c_members)
+        window = frozenset(
+            i for i, member in enumerate(members) if c_mask >> row[member] & 1
+        )
         if len(window) >= 3:
             windows.add(window)
     window_list = sorted(windows, key=sorted)
@@ -491,14 +474,14 @@ def predict_chromatic(
     inner = h.intersection(c)
     upper = len(inner) + 2
 
-    applicable = bool(c) and generated_subgroup(inner)._member_set == h._member_set
+    applicable = bool(c) and generated_subgroup(inner).mask == h.mask
 
     condition_i = False
-    if h.difference((identity,))._member_set <= c._member_set:
+    if not h.mask & ~(1 << identity) & ~c.mask:
         for g_elt in range(group.order):
             if g_elt in h:
                 continue
-            if left_coset(h, g_elt)._member_set <= c._member_set:
+            if not left_coset(h, g_elt).mask & ~c.mask:
                 condition_i = True
                 break
 
@@ -507,9 +490,8 @@ def predict_chromatic(
         generators = [
             x
             for x in inner.members
-            if {x, group.inv[x]} == inner._member_set
-            and generated_subgroup(ElementSet(group, (x,)))._member_set
-            == h._member_set
+            if (1 << x | 1 << group.inv[x]) == inner.mask
+            and generated_subgroup(group.element_set((x,))).mask == h.mask
         ]
         if generators:
             if len(h) > partition_cap:
@@ -557,7 +539,7 @@ def _claw_free_condition(
                 if quotient not in h:
                     continue
                 mirrored = mul[b][inv[a]]
-                if {a, b, quotient, mirrored} == c._member_set:
+                if (1 << a | 1 << b | 1 << quotient | 1 << mirrored) == c.mask:
                     return True, "coset_pair"
     if len(outer) == 1:
         lone = outer.members[0]
@@ -575,7 +557,7 @@ def _claw_free_condition(
 
 def _forest_condition(group: GroupTable, h: Subgroup, c: ElementSet) -> bool:
     squares = h.intersection(product_set(c, c))
-    if not squares._member_set <= {group.identity}:
+    if squares.mask & ~(1 << group.identity):
         return False
     inner = h.intersection(c)
     if not inner:
@@ -598,7 +580,7 @@ def _tree_condition(group: GroupTable, h: Subgroup, c: ElementSet) -> bool:
     flip = next(x for x in h.members if x != group.identity)
     # the factor set is forced: C = D*flip pins D to C*flip
     transversal = right_coset(c, flip)
-    if transversal.intersection(h)._member_set != {group.identity}:
+    if transversal.mask & h.mask != 1 << group.identity:
         return False
     return len(product_set(transversal, h)) == group.order
 
@@ -615,7 +597,6 @@ def _square_free_details(
     # transitivity makes the anchored search exhaustive
     induced_square = False
     gens = inner.members
-    gen_set = inner._member_set
     for first in gens:
         for second in gens:
             two = mul[first][second]
@@ -625,7 +606,7 @@ def _square_free_details(
                 three = mul[two][third]
                 if three == identity or three == first:
                     continue
-                if group.inv[three] in gen_set:
+                if inner.mask >> group.inv[three] & 1:
                     induced_square = True
                     break
             if induced_square:
@@ -636,10 +617,10 @@ def _square_free_details(
     inner_pairs = product_set(inner, inner)
     outer_pairs = product_set(outer, outer)
     overlap = inner_pairs.intersection(outer_pairs)
-    pair_condition = overlap._member_set == {identity}
+    pair_condition = overlap.mask == 1 << identity
 
     degree_sum = sum(
-        len(right_coset(h, member).intersection(c)) for member in outer.members
+        (right_coset(h, member).mask & c.mask).bit_count() for member in outer.members
     )
     degree_required = len(h.intersection(outer_pairs)) + len(outer)
 
@@ -742,17 +723,7 @@ def _misra_gries(
                 return color
         raise InternalConsistencyError("vertex has no free color")
 
-    neighbor_lists = []
-    for u in range(n):
-        row = adjacency[u]
-        out = []
-        v = 0
-        while row:
-            if row & 1:
-                out.append(v)
-            row >>= 1
-            v += 1
-        neighbor_lists.append(out)
+    neighbor_lists = [bit_indices(adjacency[u]) for u in range(n)]
 
     edges = [
         (u, v) for u in range(n) for v in neighbor_lists[u] if u < v
@@ -861,7 +832,7 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
                     )
                 assignments[edge] = missing[0]
 
-    palette = tuple(sorted(c.difference((special,))._member_set | {identity}))
+    palette = c.difference((special,)).with_identity().members
     coloring = EdgeColoring(
         graph=graph,
         special=special,
@@ -876,15 +847,12 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
 
 def _verify_coloring(coloring: EdgeColoring) -> None:
     graph = coloring.graph
-    expected = set()
-    for u in range(graph.n):
-        row = graph.adjacency[u] >> (u + 1)
-        v = u + 1
-        while row:
-            if row & 1:
-                expected.add((u, v))
-            row >>= 1
-            v += 1
+    expected = {
+        (u, v)
+        for u in range(graph.n)
+        for v in bit_indices(graph.adjacency[u])
+        if v > u
+    }
     colored = {(u, v) for u, v, _ in coloring.assignments}
     if colored != expected:
         raise InternalConsistencyError("edge coloring misses or invents edges")

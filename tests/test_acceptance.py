@@ -226,7 +226,7 @@ def test_criterion_7_hypothesis_gap(full_scan):
         for h in enumerate_subgroups(group):
             if not h.is_proper:
                 continue
-            inside = sum(1 for orbit in orbits if set(orbit) <= h._member_set)
+            inside = sum(1 for orbit in orbits if set(orbit) <= frozenset(h))
             expected_interior += 1 << inside
     for check in ("alpha_independence", "alpha_prime_matching", "beta_cover"):
         assert report.totals[check]["not-applicable"] == expected_interior, check

@@ -2,6 +2,7 @@
 import pytest
 
 import relcay.audit
+import relcay.group_core
 import relcay.oracles
 from relcay.audit import (
     AGREE,
@@ -19,7 +20,7 @@ from relcay.audit import (
 )
 from relcay.errors import PreconditionError, UnknownCheckError
 from relcay.graphs import ConnectionSet
-from relcay.group_core import generated_subgroup, make_group
+from relcay.group_core import Subgroup, enumerate_subgroups, generated_subgroup, make_group
 
 NON_AUDITED = tuple(c for c in ALL_CHECKS if c not in AUDITED_CHECKS)
 
@@ -232,3 +233,46 @@ def test_registry_families_cover_all_checks_in_order():
     assert grouped == list(ALL_CHECKS)
     assert len(set(ALL_CHECKS)) == len(ALL_CHECKS) == 34
     assert AUDITED_CHECKS == {"square_free_as_printed"}
+
+
+def test_per_subgroup_work_happens_once(monkeypatch):
+    counts = {"subgroups": 0, "cosets": 0}
+    real_init = Subgroup.__init__
+    real_build = relcay.group_core._build_cosets
+
+    def counted_init(self, group, members=()):
+        counts["subgroups"] += 1
+        real_init(self, group, members)
+
+    def counted_build(h, coset):
+        counts["cosets"] += 1
+        return real_build(h, coset)
+
+    monkeypatch.setattr(Subgroup, "__init__", counted_init)
+    monkeypatch.setattr(relcay.group_core, "_build_cosets", counted_build)
+    g = make_group("D4")
+    assert enumerate_subgroups(g) is enumerate_subgroups(g)
+    subgroups = enumerate_subgroups(g)
+    proper = [s for s in subgroups if s.is_proper]
+    report = run_audit(("D4",), shrink=False)
+    instances = sum(entry["instances"] for entry in report.catalog)
+    assert instances == 576
+    # every generated subgroup of D4 is one of its subgroups, so the bound
+    # is the subgroup count however many connection sets are scanned
+    assert counts["subgroups"] <= len(subgroups)
+    # one left and one right partition per proper subgroup
+    assert counts["cosets"] <= 2 * len(proper)
+    counts.update(subgroups=0, cosets=0)
+    run_audit(("D4",), shrink=False)
+    assert counts == {"subgroups": 0, "cosets": 0}
+
+
+def test_records_of_one_instance_share_name_tuples():
+    g = make_group("D5")
+    h = generated_subgroup(g.element_set([g.element("a")]))
+    c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
+    ctx = InstanceContext(g, h, c, Limits())
+    records = [relcay.audit._build_record(ctx, name) for name in ALL_CHECKS]
+    assert records[0].h == ("1", "a", "a2", "a3", "a4")
+    assert records[0].c == ("a", "a4", "b")
+    assert all(r.h is records[0].h and r.c is records[0].c for r in records)

@@ -144,6 +144,24 @@ def test_env_order_cap(monkeypatch, capsys):
     assert "CapacityError" in capsys.readouterr().err
 
 
+def test_invariants_honours_max_order_flag(monkeypatch, capsys):
+    monkeypatch.delenv("RELCAY_MAX_ORDER", raising=False)
+    args = ["invariants", "C65", "--subgroup", "a5", "--conn", "a,a64"]
+    assert execute_command(args[:2] + ["--max-order", "70"] + args[2:]) == 0
+    captured = capsys.readouterr()
+    assert "component_count: 39" in captured.out
+    assert captured.err == ""
+
+
+def test_invariants_keeps_default_cap_without_flag(monkeypatch, capsys):
+    monkeypatch.delenv("RELCAY_MAX_ORDER", raising=False)
+    status = execute_command(
+        ["invariants", "C65", "--subgroup", "a5", "--conn", "a,a64"]
+    )
+    assert status == 1
+    assert capsys.readouterr().err.startswith("CapacityError")
+
+
 def test_help_exits_zero(capsys):
     assert execute_command(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True

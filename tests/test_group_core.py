@@ -6,6 +6,7 @@ brute.py before being asserted here.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from relcay.group_core import (
     ElementSet,
     GroupTable,
     Subgroup,
+    bit_indices,
     coset_partition,
     element_order,
     enumerate_subgroups,
@@ -147,6 +149,23 @@ def test_element_name_round_trip():
 
 
 # --------------------------------------------------------------------------
+# Bit masks
+
+
+def naive_bit_indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def test_bit_indices_matches_naive_definition():
+    rng = random.Random(20150601)
+    masks = [0, (1 << 64) - 1]
+    masks += [1 << i for i in range(130)]
+    masks += [rng.getrandbits(rng.randrange(1, 140)) for _ in range(500)]
+    for mask in masks:
+        assert bit_indices(mask) == naive_bit_indices(mask)
+
+
+# --------------------------------------------------------------------------
 # ElementSet basics
 
 
@@ -231,7 +250,7 @@ def test_generated_subgroup_matches_brute_closure():
         g = make_group(spec)
         for seed in [(), (1,), (1, 2), (g.order - 1,), (2, 3)]:
             got = generated_subgroup(g.element_set(seed))
-            assert got._member_set == brute.brute_closure(g, seed)
+            assert frozenset(got) == brute.brute_closure(g, seed)
 
 
 def test_enumerate_subgroups_counts():
@@ -245,7 +264,7 @@ def test_enumerate_subgroups_matches_brute_scan():
         g = make_group(spec)
         if g.order > 12:
             continue
-        got = [s._member_set for s in enumerate_subgroups(g)]
+        got = [frozenset(s) for s in enumerate_subgroups(g)]
         expected = brute.brute_subgroup_sets(g)
         assert sorted(got, key=lambda s: (len(s), sorted(s))) == sorted(
             expected, key=lambda s: (len(s), sorted(s))
@@ -297,14 +316,14 @@ def test_width_against_direct_power_union():
         for _ in range(int(n)):
             covered |= current
             current = {g.mul[a][b] for a in current for b in seed}
-        assert covered == k._member_set
+        assert covered == frozenset(k)
         if n > 0:
             prior = {g.identity}
             current = set(seed)
             for _ in range(int(n) - 1):
                 prior |= current
                 current = {g.mul[a][b] for a in current for b in seed}
-            assert prior != k._member_set
+            assert prior != frozenset(k)
 
 
 def test_psi_examples():
@@ -386,9 +405,9 @@ def group_and_subset(draw):
 def test_generated_subgroup_is_closure_fixed_point(gx):
     g, x = gx
     k = generated_subgroup(x)
-    assert x._member_set <= k._member_set
+    assert frozenset(x) <= frozenset(k)
     assert product_set(k, k) == ElementSet(g, k.members)
-    assert k._member_set == brute.brute_closure(g, x.members)
+    assert frozenset(k) == brute.brute_closure(g, x.members)
 
 
 @settings(max_examples=60, deadline=None)
