@@ -23,8 +23,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .errors import (
+    CapacityError,
     InternalConsistencyError,
     PreconditionError,
+    RelCayError,
     UnknownCheckError,
 )
 from .graphs import (
@@ -165,6 +167,7 @@ class AuditReport:
     mismatches: tuple[MismatchEntry, ...]
     records: Optional[tuple[AuditRecord, ...]]
     wall_time_seconds: float
+    errors: tuple[dict, ...] = ()
 
     def has_blocking_mismatch(self) -> bool:
         return any(
@@ -184,6 +187,8 @@ class AuditReport:
         }
         if self.records is not None:
             payload["records"] = [r.as_dict() for r in self.records]
+        if self.errors:
+            payload["errors"] = list(self.errors)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
@@ -241,7 +246,9 @@ class InstanceContext:
 
     Oracle quantities are computed lazily so cheap checks never pay for
     expensive ones; in particular nothing here touches edge colorings or
-    domination, which the audit does not need.
+    domination, which the audit does not need.  An exact search that runs
+    out of its node budget is not repeated: later reads raise the same
+    ``CapacityError`` at once.
     """
 
     def __init__(self, group, h: Subgroup, c: ConnectionSet, limits: Limits):
@@ -250,6 +257,16 @@ class InstanceContext:
         self.c = c
         self.limits = limits
         self._forbidden = {}
+        self._exhausted = {}
+
+    def _exact(self, search) -> int:
+        message = self._exhausted.get(search)
+        if message is None:
+            try:
+                return search(self.graph.n, self.graph.adjacency)
+            except CapacityError as err:
+                message = self._exhausted[search] = str(err)
+        raise CapacityError(message)
 
     @cached_property
     def graph(self) -> RelCayGraph:
@@ -269,11 +286,11 @@ class InstanceContext:
 
     @cached_property
     def clique_number(self) -> int:
-        return max_clique(self.graph.n, self.graph.adjacency)
+        return self._exact(max_clique)
 
     @cached_property
     def independence_number(self) -> int:
-        return max_independent_set(self.graph.n, self.graph.adjacency)
+        return self._exact(max_independent_set)
 
     @cached_property
     def matching(self) -> tuple[tuple[int, int], ...]:
@@ -285,7 +302,7 @@ class InstanceContext:
 
     @cached_property
     def vertex_cover_number(self) -> int:
-        return min_vertex_cover(self.graph.n, self.graph.adjacency)
+        return self._exact(min_vertex_cover)
 
     @cached_property
     def edge_cover_number(self) -> Optional[int]:
@@ -295,7 +312,7 @@ class InstanceContext:
 
     @cached_property
     def chromatic(self) -> int:
-        return chromatic_number(self.graph.n, self.graph.adjacency)
+        return self._exact(chromatic_number)
 
     @cached_property
     def valency(self):
@@ -683,7 +700,12 @@ AUDITED_CHECKS = frozenset(check.name for check in CHECKS if check.audited)
 
 
 def _build_record(ctx: InstanceContext, check: str) -> AuditRecord:
-    predicted, observed, verdict, witness = _CHECK_FNS[check](ctx)
+    try:
+        predicted, observed, verdict, witness = _CHECK_FNS[check](ctx)
+    except CapacityError as err:
+        # an exact search ran past its node budget: no observed value
+        predicted = observed = None
+        verdict, witness = UNEVALUATED, {"capacity": str(err)}
     return AuditRecord(
         group=ctx.group.spec,
         h=ctx.h_names,
@@ -832,11 +854,27 @@ def _scan_subgroup(args):
     totals: Counter = Counter()
     mismatches: list[AuditRecord] = []
     records: list[AuditRecord] = []
+    errors: list[dict] = []
     for c in _connection_sets_for(group, h_members, limits):
         ctx = InstanceContext(group, h, c, limits)
-        for check in checks:
-            record = _build_record(ctx, check)
-            totals[(check, record.verdict)] += 1
+        instance_records = []
+        try:
+            for check in checks:
+                instance_records.append(_build_record(ctx, check))
+        except (RelCayError, RecursionError) as err:
+            # one faulty instance is reported, not fatal to the scan
+            errors.append(
+                {
+                    "group": group.spec,
+                    "h": list(ctx.h_names),
+                    "c": list(ctx.c_names),
+                    "check": check,
+                    "error": f"{type(err).__name__}: {err}",
+                }
+            )
+            continue
+        for record in instance_records:
+            totals[(record.check, record.verdict)] += 1
             if record.verdict == MISMATCH:
                 mismatches.append(record)
             if keep_records:
@@ -844,7 +882,7 @@ def _scan_subgroup(args):
     sort_key = lambda r: (r.c_indices, r.check)
     mismatches.sort(key=sort_key)
     records.sort(key=sort_key)
-    return catalog_index, h_members, dict(totals), mismatches, records
+    return catalog_index, h_members, dict(totals), mismatches, records, errors
 
 
 def run_audit(
@@ -862,7 +900,10 @@ def run_audit(
     sets than ``limits.max_connection_sets``; it is deterministic, so two
     runs with the same arguments produce byte-identical JSON no matter the
     ``parallelism``.  Shrinking of mismatch witnesses can be switched off
-    for speed when only totals matter.
+    for speed when only totals matter.  An instance whose evaluation raises
+    a ``RelCayError`` (other than an exhausted search budget, which makes
+    the check ``unevaluated``) or a ``RecursionError`` is left out of the
+    totals and listed in the report's ``errors``.
     """
     started = time.monotonic()
     limits = limits or Limits()
@@ -901,10 +942,12 @@ def run_audit(
     totals_counter: Counter = Counter()
     raw_mismatches: list[AuditRecord] = []
     all_records: list[AuditRecord] = []
-    for _, _, item_totals, item_mismatches, item_records in results:
+    errors: list[dict] = []
+    for _, _, item_totals, item_mismatches, item_records, item_errors in results:
         totals_counter.update(item_totals)
         raw_mismatches.extend(item_mismatches)
         all_records.extend(item_records)
+        errors.extend(item_errors)
 
     totals = {
         check: {verdict: totals_counter.get((check, verdict), 0) for verdict in VERDICTS}
@@ -935,6 +978,7 @@ def run_audit(
         mismatches=mismatch_entries,
         records=tuple(all_records) if keep_records else None,
         wall_time_seconds=time.monotonic() - started,
+        errors=tuple(errors),
     )
 
 
@@ -978,7 +1022,11 @@ def shrink_counterexample(
     check = record.check
 
     def still_mismatch(h_m, c_m):
-        return evaluate_check(spec, h_m, c_m, check, limits).verdict == MISMATCH
+        try:
+            record = evaluate_check(spec, h_m, c_m, check, limits)
+        except (RelCayError, RecursionError):
+            return False
+        return record.verdict == MISMATCH
 
     changed = True
     while changed:

@@ -243,6 +243,8 @@ def _format_audit_text(report) -> str:
         1 for e in report.mismatches if e.original.check not in AUDITED_CHECKS
     )
     lines.append(f"mismatches: {len(report.mismatches)} (blocking {blocking})")
+    if report.errors:
+        lines.append(f"errors: {len(report.errors)} instance(s) could not be evaluated")
     lines.append(f"wall time: {report.wall_time_seconds:.1f}s")
     return "\n".join(lines) + "\n"
 
@@ -270,7 +272,7 @@ def _cmd_audit(args, config: CliConfig) -> int:
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
-    return 2 if report.has_blocking_mismatch() else 0
+    return 2 if report.has_blocking_mismatch() or report.errors else 0
 
 
 FIGURE_INSTANCES = (

@@ -9,7 +9,7 @@ that violates them cannot be observed from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -58,11 +58,12 @@ class ConnectionSet(ElementSet):
                 )
 
 
+@lru_cache(maxsize=None)
 def inverse_orbits(group: GroupTable) -> tuple[tuple[int, ...], ...]:
     """Orbits of the inversion map on non-identity elements.
 
     Involutions give singleton orbits; other elements pair with their
-    inverses.  Ordered by smallest member.
+    inverses.  Ordered by smallest member.  Computed once per group.
     """
     orbits = []
     seen = set()

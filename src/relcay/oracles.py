@@ -6,9 +6,19 @@ graph.  These values are the ground truth that the prediction layer is
 audited against; none of them consult group structure.
 
 Algorithms are exact searches sized for graphs of at most 64 vertices:
-branch-and-bound cliques and covers, Edmonds' blossom matching,
-backtracking colorings, and plain BFS.  Ties always break toward the
-lowest vertex index, so results are reproducible bit for bit.
+branch-and-bound cliques, covers and dominating sets, Edmonds' blossom
+matching, backtracking colorings, and plain BFS.  Ties always break toward
+the lowest vertex index, so results are reproducible bit for bit.
+
+The domination search prunes with a counting lower bound and a dominance
+rule between branch candidates (see ``min_dominating_set``).  Every
+exponential search -- the clique search behind ``max_clique``,
+``max_independent_set`` and ``chromatic_number``, ``min_vertex_cover``,
+``min_dominating_set``, and the k-colorability test behind
+``chromatic_number`` and ``edge_chromatic_number`` -- counts the nodes it
+visits and raises ``CapacityError`` once a single call exceeds
+``SEARCH_NODE_BUDGET``, so a graph at the order cap ends in an answer or an
+explicit refusal, never a hang.
 """
 from __future__ import annotations
 
@@ -35,9 +45,21 @@ __all__ = [
     "chromatic_number",
     "edge_chromatic_number",
     "DEFAULT_EDGE_COLOR_CUTOFF",
+    "SEARCH_NODE_BUDGET",
 ]
 
 DEFAULT_EDGE_COLOR_CUTOFF = 40
+
+# Nodes one call of an exponential search may visit before it gives up
+# with CapacityError.  Read at the start of each call.
+SEARCH_NODE_BUDGET = 1_000_000
+
+
+def _over_budget(search: str, budget: int, n: int) -> CapacityError:
+    return CapacityError(
+        f"{search} search exceeded the budget of {budget} nodes "
+        f"on a graph with {n} vertices"
+    )
 
 
 def _edge_list(n: int, adj: Sequence[int]) -> list[tuple[int, int]]:
@@ -49,10 +71,44 @@ def _edge_list(n: int, adj: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def max_clique(n: int, adj: Sequence[int]) -> int:
+    return _clique_search(n, adj, (1 << n) - 1, "max_clique")
+
+
+def max_independent_set(n: int, adj: Sequence[int]) -> int:
+    """Independence number.
+
+    A vertex of degree at most one lies in some maximum independent set
+    together with none of its neighbors, so such vertices are taken first,
+    each removing itself and its neighbor, until none is left; the rest is
+    the clique number of the complement of what remains.
+    """
+    full = remaining = (1 << n) - 1
+    taken = 0
+    changed = True
+    while changed:
+        changed = False
+        for v in bit_indices(remaining):
+            nb = adj[v] & remaining
+            if remaining >> v & 1 and not nb & (nb - 1):
+                remaining &= ~(nb | 1 << v)
+                taken += 1
+                changed = True
+    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
+    return taken + _clique_search(n, comp, remaining, "max_independent_set")
+
+
+def _clique_search(n: int, adj: Sequence[int], start: int, search: str) -> int:
+    """The clique number inside the vertex mask ``start``, by branch and
+    bound; ``search`` names the caller in the budget error."""
+    budget = SEARCH_NODE_BUDGET
     best = 0
+    nodes = 0
 
     def expand(cand: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise _over_budget(search, budget, n)
         if size + cand.bit_count() <= best:
             return
         if not cand:
@@ -64,14 +120,8 @@ def max_clique(n: int, adj: Sequence[int]) -> int:
         if size + rest.bit_count() > best:
             expand(rest, size)
 
-    expand((1 << n) - 1, 0)
+    expand(start, 0)
     return best
-
-
-def max_independent_set(n: int, adj: Sequence[int]) -> int:
-    full = (1 << n) - 1
-    comp = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    return max_clique(n, comp)
 
 
 def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
@@ -80,7 +130,9 @@ def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
     Deliberately not derived from the independence number, so the Gallai
     identity stays a real cross-check.
     """
+    budget = SEARCH_NODE_BUDGET
     best = n
+    nodes = 0
 
     def matching_lower_bound(remaining: int) -> int:
         used = 0
@@ -95,7 +147,10 @@ def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
         return count
 
     def recurse(remaining: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise _over_budget("min_vertex_cover", budget, n)
         if size >= best:
             return
         pick = -1
@@ -209,8 +264,18 @@ def _augment_from(root: int, n: int, adj: Sequence[int], mate: list[int]) -> Non
 def min_dominating_set(n: int, adj: Sequence[int]) -> int:
     """Exact domination number.
 
-    Starts from a greedy upper bound and branches on the vertex that is
-    hardest to dominate, trying each member of its closed neighborhood.
+    Starts from a greedy upper bound and branches on the undominated vertex
+    with the fewest possible dominators, trying each member of its closed
+    neighborhood.  Two rules prune the search:
+
+    - lower bound: no vertex newly dominates more than
+      ``reach = max_v |N[v] & undominated|`` vertices, so a node that has
+      chosen ``size`` vertices is cut when
+      ``size + ceil(|undominated| / reach) >= best``;
+    - dominance: a candidate whose newly dominated vertices are a subset of
+      another candidate's is skipped, since swapping it for that candidate
+      never costs more; of two candidates with equal sets the lower index
+      is kept.  A pendant vertex thereby forces its neighbor.
     """
     if n == 0:
         return 0
@@ -228,14 +293,22 @@ def min_dominating_set(n: int, adj: Sequence[int]) -> int:
         dominated |= closed[pick]
         greedy += 1
     best = greedy
+    budget = SEARCH_NODE_BUDGET
+    nodes = 0
 
     def recurse(dominated: int, size: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise _over_budget("min_dominating_set", budget, n)
         if size >= best:
             return
         undominated = full & ~dominated
         if not undominated:
             best = size
+            return
+        reach = max((row & undominated).bit_count() for row in closed)
+        if size + (undominated.bit_count() + reach - 1) // reach >= best:
             return
         # most-constrained undominated vertex
         pick, options = -1, n + 1
@@ -243,7 +316,16 @@ def min_dominating_set(n: int, adj: Sequence[int]) -> int:
             count = closed[v].bit_count()
             if count < options:
                 pick, options = v, count
-        for u in bit_indices(closed[pick]):
+        candidates = bit_indices(closed[pick])
+        gains = [closed[u] & undominated for u in candidates]
+        for i, u in enumerate(candidates):
+            gain = gains[i]
+            if any(
+                not gain & ~other and (other != gain or j < i)
+                for j, other in enumerate(gains)
+                if j != i
+            ):
+                continue
             recurse(dominated | closed[u], size + 1)
 
     recurse(0, 0)
@@ -304,11 +386,19 @@ def _greedy_coloring_bound(n: int, adj: Sequence[int]) -> int:
     return max(used, 1)
 
 
-def _k_colorable(n: int, adj: Sequence[int], k: int) -> bool:
+def _k_colorable(n: int, adj: Sequence[int], k: int, search: str) -> bool:
+    """Whether a proper k-coloring exists, by backtracking; ``search``
+    names the caller in the budget error."""
+    budget = SEARCH_NODE_BUDGET
     avail = [(1 << k) - 1 for _ in range(n)]
     color = [-1] * n
+    nodes = 0
 
     def place(done: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _over_budget(search, budget, n)
         if done == n:
             return True
         # most-constrained uncolored vertex
@@ -347,10 +437,10 @@ def chromatic_number(n: int, adj: Sequence[int]) -> int:
         return 0
     if all(row == 0 for row in adj):
         return 1
-    low = max_clique(n, adj)
+    low = _clique_search(n, adj, (1 << n) - 1, "chromatic_number")
     high = _greedy_coloring_bound(n, adj)
     for k in range(low, high):
-        if _k_colorable(n, adj, k):
+        if _k_colorable(n, adj, k, "chromatic_number"):
             return k
     return high
 
@@ -373,11 +463,11 @@ def edge_chromatic_number(
                 line_adj[i] |= 1 << j
                 line_adj[j] |= 1 << i
     delta = max(row.bit_count() for row in adj)
-    if _k_colorable(m, line_adj, delta):
+    if _k_colorable(m, line_adj, delta, "edge_chromatic_number"):
         result = delta
     else:
         result = delta + 1
-        if not _k_colorable(m, line_adj, result):
+        if not _k_colorable(m, line_adj, result, "edge_chromatic_number"):
             raise InternalConsistencyError("edge coloring exceeded delta + 1")
     return result
 

@@ -1,4 +1,6 @@
 """Audit harness tests: tallies, determinism, sampling, and shrinking."""
+import json
+
 import pytest
 
 import relcay.audit
@@ -18,8 +20,9 @@ from relcay.audit import (
     run_audit,
     shrink_counterexample,
 )
-from relcay.errors import PreconditionError, UnknownCheckError
-from relcay.graphs import ConnectionSet
+from relcay.cli import execute_command
+from relcay.errors import InternalConsistencyError, PreconditionError, UnknownCheckError
+from relcay.graphs import ConnectionSet, inverse_orbits
 from relcay.group_core import Subgroup, enumerate_subgroups, generated_subgroup, make_group
 
 NON_AUDITED = tuple(c for c in ALL_CHECKS if c not in AUDITED_CHECKS)
@@ -276,3 +279,82 @@ def test_records_of_one_instance_share_name_tuples():
     assert records[0].h == ("1", "a", "a2", "a3", "a4")
     assert records[0].c == ("a", "a4", "b")
     assert all(r.h is records[0].h and r.c is records[0].c for r in records)
+
+
+def test_inverse_orbits_computed_once_per_group():
+    inverse_orbits.cache_clear()
+    run_audit(("D4",))
+    info = inverse_orbits.cache_info()
+    assert info.misses == 1
+    assert info.hits > 0
+
+
+@pytest.mark.parametrize("error", [InternalConsistencyError, RecursionError])
+def test_a_raising_check_is_reported_not_fatal(monkeypatch, capsys, request, error):
+    # shrinking caches records of the patched check: none may outlive it
+    relcay.audit.evaluate_check.cache_clear()
+    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
+    real = relcay.audit._CHECK_FNS["edge_count"]
+
+    def flaky(ctx):
+        if len(ctx.c) == 2:
+            raise error("injected")
+        if len(ctx.c) == 3:
+            return 0, 0, MISMATCH, None
+        return real(ctx)
+
+    monkeypatch.setitem(relcay.audit._CHECK_FNS, "edge_count", flaky)
+    report = run_audit(["C4"], keep_records=True)
+    # C4 has two proper subgroups and one two-element connection set
+    assert [(e["h"], e["c"], e["check"]) for e in report.errors] == [
+        (["1"], ["a", "a3"], "edge_count"),
+        (["1", "a2"], ["a", "a3"], "edge_count"),
+    ]
+    assert {e["error"] for e in report.errors} == {f"{error.__name__}: injected"}
+    assert report.catalog[0]["instances"] == 8
+    assert len(report.records) == 6 * len(ALL_CHECKS)
+    for check in ALL_CHECKS:
+        assert sum(report.totals[check].values()) == 6
+    assert json.loads(report.to_json())["errors"] == list(report.errors)
+    # shrinking {a, a2, a3} would try {a, a3}, which raises: that candidate
+    # counts as no mismatch, and the shrink ends where it started
+    shrunk = [
+        (e.shrunk.c, e.shrunk.check)
+        for e in report.mismatches
+        if e.original.check == "edge_count"
+    ]
+    assert shrunk == [(("a", "a2", "a3"), "edge_count")] * 2
+    assert run_audit(["C4"], keep_records=True, parallelism=2).to_json() == report.to_json()
+    assert execute_command(["audit", "--catalog", "C4"]) == 2
+    assert "errors: 2 instance(s) could not be evaluated" in capsys.readouterr().out
+
+
+def test_error_free_report_has_no_errors_key(c4_report):
+    assert c4_report.errors == ()
+    assert "errors" not in json.loads(c4_report.to_json())
+
+
+def test_exhausted_search_budget_makes_checks_unevaluated(monkeypatch):
+    calls = []
+    real = relcay.audit.max_clique
+
+    def counted(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 0)
+    monkeypatch.setattr(relcay.audit, "max_clique", counted)
+    report = run_audit(["C4"], keep_records=True, shrink=False)
+    assert report.errors == ()
+    for check in ("clique_upper", "alpha_independence", "beta_cover"):
+        assert report.totals[check]["unevaluated"] == 8
+    # the two edgeless graphs are 1-colorable without a search
+    assert report.totals["chromatic_upper"]["unevaluated"] == 6
+    assert report.totals["edge_count"]["agree"] == 8
+    record = next(r for r in report.records if r.check == "clique_upper")
+    assert record.witness == {
+        "capacity": "max_clique search exceeded the budget of 0 nodes "
+        "on a graph with 4 vertices"
+    }
+    # five clique checks read the clique number, but each instance searches once
+    assert calls == [4] * 8

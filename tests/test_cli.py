@@ -1,5 +1,9 @@
 """CLI tests: parsing, output shapes, exit codes, and figure reproduction."""
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +164,35 @@ def test_invariants_keeps_default_cap_without_flag(monkeypatch, capsys):
     )
     assert status == 1
     assert capsys.readouterr().err.startswith("CapacityError")
+
+
+@pytest.mark.parametrize(
+    "spec, subgroup, conn, gamma",
+    [("C64", "a2", "a,a63", 22), ("D32", "a", "a,a31,b", 32)],
+)
+def test_invariants_at_the_order_cap_ends_quickly(spec, subgroup, conn, gamma):
+    # each ran past 120 s before the searches had pruning and a node budget
+    src = os.path.dirname(os.path.dirname(relcay.oracles.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("RELCAY_MAX_ORDER", None)
+    argv = ["invariants", spec, "--subgroup", subgroup, "--conn", conn]
+    done = subprocess.run(
+        [sys.executable, "-m", "relcay", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=5,
+    )
+    if done.returncode == 0:
+        assert f"domination_number: {gamma}\n" in done.stdout
+    else:
+        assert done.returncode == 1
+        assert re.fullmatch(
+            r"CapacityError: (max_clique|max_independent_set|min_vertex_cover"
+            r"|min_dominating_set|chromatic_number|edge_chromatic_number) search "
+            r"exceeded the budget of \d+ nodes on a graph with 64 vertices\n",
+            done.stderr,
+        )
 
 
 def test_help_exits_zero(capsys):

@@ -14,7 +14,7 @@ import brute
 import relcay.oracles
 from relcay.errors import CapacityError, InternalConsistencyError
 from relcay.graphs import ConnectionSet, build_relcay, enumerate_connection_sets
-from relcay.group_core import enumerate_subgroups, generated_subgroup, make_group
+from relcay.group_core import bit_indices, enumerate_subgroups, generated_subgroup, make_group
 from relcay.oracles import (
     chromatic_number,
     diameter_components,
@@ -215,6 +215,123 @@ def test_edge_cover_self_check_rejects_a_short_matching(monkeypatch):
     monkeypatch.setattr(relcay.oracles, "matching_edges", lambda n, adj: ())
     with pytest.raises(InternalConsistencyError):
         min_edge_cover(2, [0b10, 0b01])
+
+
+# --------------------------------------------------------------------------
+# Domination and the search budget
+
+
+def graph_with_pendants_and_twins(rng, n):
+    """A random graph with some vertices cut down to one neighbor and some
+    neighborhoods copied, so the dominance rule has candidates to drop."""
+    adj = random_graph(rng, n, rng.random())
+    if n < 2:
+        return adj
+    for _ in range(rng.randint(0, 2)):
+        v, u = rng.sample(range(n), 2)
+        for w in bit_indices(adj[v]):
+            adj[w] &= ~(1 << v)
+        adj[v] = 1 << u
+        adj[u] |= 1 << v
+    for _ in range(rng.randint(0, 2)):
+        v, w = rng.sample(range(n), 2)
+        for x in bit_indices(adj[w]):
+            adj[x] &= ~(1 << w)
+        row = adj[v] & ~(1 << w)
+        if rng.random() < 0.5:
+            row |= 1 << v  # true twins: equal closed neighborhoods
+        adj[w] = row
+        for x in bit_indices(row):
+            adj[x] |= 1 << w
+    return adj
+
+
+def brute_edges(n, adj):
+    return {frozenset((v, u)) for v in range(n) for u in range(v) if adj[v] >> u & 1}
+
+
+def test_domination_and_independence_match_brute_on_random_graphs():
+    rng = random.Random(2004)
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        adj = graph_with_pendants_and_twins(rng, n)
+        edges = brute_edges(n, adj)
+        assert min_dominating_set(n, adj) == brute.brute_min_dominating(n, edges)
+        assert max_independent_set(n, adj) == brute.brute_max_independent(n, edges)
+
+
+def test_domination_within_networkx_bounds():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2011)
+    for _ in range(150):
+        n = rng.randint(1, 64)
+        adj = random_graph(rng, n, rng.choice([0.03, 0.06, 0.1, 0.3, rng.random()]))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(
+            (v, u) for v in range(n) for u in range(v + 1, n) if adj[v] >> u & 1
+        )
+        greedy = nx.dominating_set(graph)
+        assert nx.is_dominating_set(graph, greedy)
+        delta = max(row.bit_count() for row in adj)
+        gamma = min_dominating_set(n, adj)
+        assert -(-n // (delta + 1)) <= gamma <= len(greedy)
+
+
+@pytest.mark.parametrize(
+    "spec, h_names, c_names, gamma",
+    [
+        ("C64", ["a2"], ["a", "a63"], 22),
+        ("D32", ["a"], ["a", "a31", "b"], 32),
+    ],
+)
+def test_domination_at_the_order_cap(monkeypatch, spec, h_names, c_names, gamma):
+    # both are solved in a handful of nodes; unpruned, each ran past 25 s
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 1_000)
+    graph = instance(spec, h_names, c_names)
+    assert min_dominating_set(graph.n, graph.adjacency) == gamma
+
+
+def test_domination_of_ladder_c36_fits_a_small_budget(monkeypatch):
+    # the search without pruning visits 797,161 nodes here
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 20_000)
+    graph = instance("C36", ["a2"], ["a", "a35"])
+    assert min_dominating_set(graph.n, graph.adjacency) == 12
+
+
+@pytest.mark.parametrize(
+    "spec, h_names, c_names, gamma",
+    [("C36", ["a2"], ["a", "a35"], 12), ("C64", ["a2"], ["a", "a63"], 22)],
+)
+def test_domination_lower_bound_cuts_at_the_root(monkeypatch, spec, h_names, c_names, gamma):
+    # on a cycle no vertex dominates more than 3, so ceil(n / 3) meets the
+    # greedy start and the root is the only node
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 1)
+    graph = instance(spec, h_names, c_names)
+    assert min_dominating_set(graph.n, graph.adjacency) == gamma
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        max_clique,
+        max_independent_set,
+        min_vertex_cover,
+        min_dominating_set,
+        chromatic_number,
+        edge_chromatic_number,
+    ],
+)
+def test_exhausted_budget_raises_capacity_error(monkeypatch, search):
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 0)
+    five_cycle = [(1 << (v + 1) % 5) | (1 << (v - 1) % 5) for v in range(5)]
+    message = (
+        f"{search.__name__} search exceeded the budget of 0 nodes "
+        "on a graph with 5 vertices"
+    )
+    with pytest.raises(CapacityError) as caught:
+        search(5, five_cycle)
+    assert str(caught.value) == message
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute
+from relcay.audit import MISMATCH, Limits, catalog_up_to, evaluate_check
 from relcay.errors import PreconditionError, UnknownCheckError
 from relcay.graphs import (
     ConnectionSet,
@@ -22,9 +24,10 @@ from relcay.group_core import (
     enumerate_subgroups,
     generated_subgroup,
     make_group,
+    product_set,
     psi,
 )
-from relcay.oracles import invariant_report, structure_flags
+from relcay.oracles import diameter_components, invariant_report, structure_flags
 from relcay.theorems import (
     FORBIDDEN_KINDS,
     build_class_one_coloring,
@@ -660,3 +663,44 @@ def test_random_instances_color_within_max_degree(instance):
 def test_psi_agrees_with_definition_on_corona():
     g, h, c = d5_corona_parts()
     assert psi(h.intersection(c)) == 1
+
+
+# --------------------------------------------------------------------------
+# Connectivity through A = <H & C> and B = <H & (C - H)^2>
+
+
+def permuting_factors(g, h, c):
+    """A, B, and whether H*C (C with the identity) covers G."""
+    outside = c.difference(h)
+    a = generated_subgroup(h.intersection(c))
+    b = generated_subgroup(h.intersection(product_set(outside, outside)))
+    covers = product_set(h, c.with_identity()).mask == g.all_elements.mask
+    return a, b, covers
+
+
+def test_s4_half_sum_bound_fails_where_a_and_b_do_not_permute():
+    # the shrunk witness of the S4 audit's blocking diam_half_sum mismatches
+    g, h, c = parts(
+        "S4", ["(34)", "(23)"], ["(24)", "(1243)", "(1342)", "(13)(24)", "(14)(23)"]
+    )
+    bound = next(
+        b for b in predict_connectivity(g, h, c).diameter_bounds if b.name == "half_sum"
+    )
+    assert bound.value == 5.0
+    graph = build_relcay(g, h, c)
+    assert diameter_components(graph)[1] == 6
+    assert brute.brute_diameter(graph.n, brute.edges_of(graph)) == 6
+    record = evaluate_check("S4", h.members, c.members, "diam_half_sum", Limits())
+    assert (record.predicted, record.observed, record.verdict) == (5.0, 6, MISMATCH)
+    a, b, covers = permuting_factors(g, h, c)
+    assert covers and generated_subgroup(a.union(b)) == h
+    assert product_set(a, b) != product_set(b, a)
+
+
+@pytest.mark.parametrize("spec", catalog_up_to(8))
+def test_connected_iff_hc_star_covers_and_a_b_generate_h(spec):
+    for g, h, c in all_instances(spec):
+        a, b, covers = permuting_factors(g, h, c)
+        characterised = covers and generated_subgroup(a.union(b)) == h
+        components, _ = diameter_components(build_relcay(g, h, c))
+        assert characterised == (len(components) == 1), (h.names(), c.names())
