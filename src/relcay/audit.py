@@ -4,6 +4,8 @@ Enumerates (group, subgroup, connection set) instances over a catalog of
 small groups, evaluates every registered check on both the prediction side
 (group arithmetic) and the oracle side (brute force on adjacency), and
 classifies each pair as agree, mismatch, not-applicable, or unevaluated.
+The scan tallies each verdict as it comes; it builds an ``AuditRecord``
+only for a mismatch, or for every pair when ``keep_records`` is set.
 Mismatches are shrunk to smaller witnesses before reporting.
 
 Determinism is a hard requirement here: reports carry no timestamps or
@@ -19,7 +21,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import (
@@ -39,10 +41,12 @@ from .graphs import (
 )
 from .group_core import (
     Subgroup,
+    bit_indices,
+    cached_attribute,
+    coset_partition,
     default_max_order,
     enumerate_subgroups,
     make_group,
-    product_set,
 )
 from .oracles import (
     DEFAULT_EDGE_COLOR_CUTOFF,
@@ -57,6 +61,7 @@ from .oracles import (
 )
 from .theorems import (
     DEFAULT_CHROMATIC_II_CAP,
+    InstanceSets,
     build_class_one_coloring,
     cayley_adjacency,
     predict_alpha_beta,
@@ -249,6 +254,11 @@ class InstanceContext:
     domination, which the audit does not need.  An exact search that runs
     out of its node budget is not repeated: later reads raise the same
     ``CapacityError`` at once.
+
+    The context owns the instance's derived sets, ``sets``: H n C, C minus
+    H, C*C, (C minus H)^2 and HC*, each computed on first read (see
+    ``theorems.InstanceSets``).  The predictors and checks that need them
+    read them from there, so no set is built twice for one instance.
     """
 
     def __init__(self, group, h: Subgroup, c: ConnectionSet, limits: Limits):
@@ -256,6 +266,7 @@ class InstanceContext:
         self.h = h
         self.c = c
         self.limits = limits
+        self.sets = InstanceSets(group, h, c)
         self._forbidden = {}
         self._exhausted = {}
 
@@ -268,15 +279,15 @@ class InstanceContext:
                 message = self._exhausted[search] = str(err)
         raise CapacityError(message)
 
-    @cached_property
+    @cached_attribute
     def graph(self) -> RelCayGraph:
         return build_relcay(self.group, self.h, self.c)
 
-    @cached_property
+    @cached_attribute
     def _components_diameter(self):
         return diameter_components(self.graph)
 
-    @cached_property
+    @cached_attribute
     def flags(self):
         return structure_flags(self.graph, len(self._components_diameter[0]))
 
@@ -284,15 +295,15 @@ class InstanceContext:
     def diameter(self) -> Optional[int]:
         return self._components_diameter[1]
 
-    @cached_property
+    @cached_attribute
     def clique_number(self) -> int:
         return self._exact(max_clique)
 
-    @cached_property
+    @cached_attribute
     def independence_number(self) -> int:
         return self._exact(max_independent_set)
 
-    @cached_property
+    @cached_attribute
     def matching(self) -> tuple[tuple[int, int], ...]:
         return matching_edges(self.graph.n, self.graph.adjacency)
 
@@ -300,35 +311,35 @@ class InstanceContext:
     def matching_number(self) -> int:
         return len(self.matching)
 
-    @cached_property
+    @cached_attribute
     def vertex_cover_number(self) -> int:
         return self._exact(min_vertex_cover)
 
-    @cached_property
+    @cached_attribute
     def edge_cover_number(self) -> Optional[int]:
         return edge_cover_from_matching(
             self.graph.n, self.graph.adjacency, self.matching
         )
 
-    @cached_property
+    @cached_attribute
     def chromatic(self) -> int:
         return self._exact(chromatic_number)
 
-    @cached_property
+    @cached_attribute
     def valency(self):
-        return predict_valencies(self.group, self.h, self.c)
+        return predict_valencies(self.group, self.h, self.c, sets=self.sets)
 
-    @cached_property
+    @cached_attribute
     def connectivity(self):
-        return predict_connectivity(self.group, self.h, self.c)
+        return predict_connectivity(self.group, self.h, self.c, sets=self.sets)
 
-    @cached_property
+    @cached_attribute
     def _clique_bundle(self):
         try:
-            return predict_clique(self.group, self.h, self.c), None
+            return predict_clique(self.group, self.h, self.c, sets=self.sets), None
         except InternalConsistencyError as err:
             fallback = predict_clique(
-                self.group, self.h, self.c, verify_c_cubed=False
+                self.group, self.h, self.c, verify_c_cubed=False, sets=self.sets
             )
             return fallback, str(err)
 
@@ -340,22 +351,28 @@ class InstanceContext:
     def dc_failure(self) -> Optional[str]:
         return self._clique_bundle[1]
 
-    @cached_property
+    @cached_attribute
     def alpha_beta(self):
         return predict_alpha_beta(self.group, self.h, self.c)
 
-    @cached_property
+    @cached_attribute
     def chromatic_prediction(self):
         return predict_chromatic(
-            self.group, self.h, self.c, partition_cap=self.limits.chromatic_ii_cap
+            self.group,
+            self.h,
+            self.c,
+            partition_cap=self.limits.chromatic_ii_cap,
+            sets=self.sets,
         )
 
     def forbidden(self, kind: str):
         if kind not in self._forbidden:
-            self._forbidden[kind] = predict_forbidden(self.group, self.h, self.c, kind)
+            self._forbidden[kind] = predict_forbidden(
+                self.group, self.h, self.c, kind, sets=self.sets
+            )
         return self._forbidden[kind]
 
-    @cached_property
+    @cached_attribute
     def coloring_outcome(self) -> tuple[Optional[int], Optional[str]]:
         try:
             coloring = build_class_one_coloring(self.graph)
@@ -363,11 +380,11 @@ class InstanceContext:
         except InternalConsistencyError as err:
             return None, str(err)
 
-    @cached_property
+    @cached_attribute
     def h_names(self) -> tuple[str, ...]:
         return self.h.names()
 
-    @cached_property
+    @cached_attribute
     def c_names(self) -> tuple[str, ...]:
         return self.c.names()
 
@@ -388,13 +405,15 @@ def _verdict(agree: bool) -> str:
 def _check_degree_formula(ctx: InstanceContext) -> _CheckResult:
     g = ctx.group
     c_mask = ctx.c.mask
-    formula = []
-    for x in range(g.order):
-        if x in ctx.h:
-            formula.append(len(ctx.c))
-        else:
-            row = g.mul[g.inv[x]]
-            formula.append(sum(c_mask >> row[m] & 1 for m in ctx.h.members))
+    # outside H, deg(x) = |x^-1 H n C|, counted once per left coset x^-1 H;
+    # the coset H itself is overwritten with |C| below
+    formula = [0] * g.order
+    for coset in coset_partition(ctx.h, "left"):
+        count = (coset.mask & c_mask).bit_count()
+        for y in coset.members:
+            formula[g.inv[y]] = count
+    for x in ctx.h.members:
+        formula[x] = len(ctx.c)
     actual = list(ctx.graph.degrees)
     witness = None
     for x, (want, got) in enumerate(zip(formula, actual)):
@@ -405,7 +424,7 @@ def _check_degree_formula(ctx: InstanceContext) -> _CheckResult:
 
 
 def _check_edge_count(ctx: InstanceContext) -> _CheckResult:
-    inside = len(ctx.h.intersection(ctx.c))
+    inside = len(ctx.sets.inner)
     product = len(ctx.h) * (2 * len(ctx.c) - inside)
     predicted = product // 2
     observed = ctx.graph.edge_count
@@ -444,12 +463,14 @@ def _check_semi_regular(ctx: InstanceContext) -> _CheckResult:
 
 def _check_full_degree_coset(ctx: InstanceContext) -> _CheckResult:
     v = ctx.valency
-    predicted = sorted(x for x in v.full_degree_coset.members if x not in ctx.h)
+    h_mask = ctx.h.mask
+    predicted = bit_indices(v.full_degree_coset.mask & ~h_mask)
     degrees = ctx.graph.degrees
+    size = len(ctx.c)
     observed = [
         x
         for x in range(ctx.group.order)
-        if x not in ctx.h and degrees[x] == len(ctx.c)
+        if not h_mask >> x & 1 and degrees[x] == size
     ]
     ok = predicted == observed
     witness = None
@@ -460,8 +481,8 @@ def _check_full_degree_coset(ctx: InstanceContext) -> _CheckResult:
 
 
 def _check_isolated_vertex(ctx: InstanceContext) -> _CheckResult:
-    reach = product_set(ctx.h, ctx.c.with_identity())
-    claimed = [x for x in range(ctx.group.order) if x not in reach]
+    reach = ctx.sets.hc_star.mask
+    claimed = [x for x in range(ctx.group.order) if not reach >> x & 1]
     degrees = ctx.graph.degrees
     isolated = [x for x in range(ctx.group.order) if degrees[x] == 0]
     bad = [x for x in claimed if degrees[x] != 0]
@@ -589,7 +610,7 @@ def _check_beta_prime_edge_cover(ctx: InstanceContext) -> _CheckResult:
 
 
 def _check_class_one_coloring(ctx: InstanceContext) -> _CheckResult:
-    if not ctx.c.difference(ctx.h):
+    if not ctx.sets.outer:
         return len(ctx.c), None, NOT_APPLICABLE, None
     colors, failure = ctx.coloring_outcome
     ok = failure is None and colors <= len(ctx.c)
@@ -699,13 +720,24 @@ ALL_CHECKS = tuple(_CHECK_FNS)
 AUDITED_CHECKS = frozenset(check.name for check in CHECKS if check.audited)
 
 
-def _build_record(ctx: InstanceContext, check: str) -> AuditRecord:
+def _evaluate(ctx: InstanceContext, check: str) -> _CheckResult:
+    """One check's (predicted, observed, verdict, witness) on one instance.
+
+    The one place a check runs: the scan, ``evaluate_check`` and shrinking
+    all come through here.
+    """
     try:
-        predicted, observed, verdict, witness = _CHECK_FNS[check](ctx)
+        return _CHECK_FNS[check](ctx)
     except CapacityError as err:
         # an exact search ran past its node budget: no observed value
-        predicted = observed = None
-        verdict, witness = UNEVALUATED, {"capacity": str(err)}
+        return None, None, UNEVALUATED, {"capacity": str(err)}
+
+
+def _build_record(
+    ctx: InstanceContext, check: str, outcome: Optional[_CheckResult] = None
+) -> AuditRecord:
+    """The record of a check's outcome, evaluating the check if not given."""
+    predicted, observed, verdict, witness = outcome or _evaluate(ctx, check)
     return AuditRecord(
         group=ctx.group.spec,
         h=ctx.h_names,
@@ -857,10 +889,10 @@ def _scan_subgroup(args):
     errors: list[dict] = []
     for c in _connection_sets_for(group, h_members, limits):
         ctx = InstanceContext(group, h, c, limits)
-        instance_records = []
+        outcomes = []
         try:
             for check in checks:
-                instance_records.append(_build_record(ctx, check))
+                outcomes.append(_evaluate(ctx, check))
         except (RelCayError, RecursionError) as err:
             # one faulty instance is reported, not fatal to the scan
             errors.append(
@@ -873,12 +905,16 @@ def _scan_subgroup(args):
                 }
             )
             continue
-        for record in instance_records:
-            totals[(record.check, record.verdict)] += 1
-            if record.verdict == MISMATCH:
-                mismatches.append(record)
-            if keep_records:
-                records.append(record)
+        # verdicts are tallied directly; a record is built only to be kept
+        for check, outcome in zip(checks, outcomes):
+            verdict = outcome[2]
+            totals[check, verdict] += 1
+            if verdict == MISMATCH or keep_records:
+                record = _build_record(ctx, check, outcome)
+                if verdict == MISMATCH:
+                    mismatches.append(record)
+                if keep_records:
+                    records.append(record)
     sort_key = lambda r: (r.c_indices, r.check)
     mismatches.sort(key=sort_key)
     records.sort(key=sort_key)

@@ -9,7 +9,7 @@ that violates them cannot be observed from outside.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -23,6 +23,7 @@ from .group_core import (
     GroupTable,
     Subgroup,
     bit_indices,
+    cached_attribute,
     coset_partition,
 )
 
@@ -145,11 +146,11 @@ class RelCayGraph:
     def neighbors(self, x: int) -> tuple[int, ...]:
         return tuple(bit_indices(self.adjacency[x]))
 
-    @cached_property
+    @cached_attribute
     def degrees(self) -> tuple[int, ...]:
         return tuple(row.bit_count() for row in self.adjacency)
 
-    @cached_property
+    @cached_attribute
     def edge_count(self) -> int:
         counted = sum(self.degrees) // 2
         h_size = len(self.h)
@@ -162,7 +163,7 @@ class RelCayGraph:
             )
         return counted
 
-    @cached_property
+    @cached_attribute
     def degree_profile(self) -> DegreeProfile:
         g = self.group
         degrees = self.degrees
@@ -201,7 +202,7 @@ class RelCayGraph:
             max_degree=max(per_coset),
         )
 
-    @cached_property
+    @cached_attribute
     def induced(self) -> "InducedCayleyGraph":
         return InducedCayleyGraph._build(self)
 
@@ -283,7 +284,7 @@ class InducedCayleyGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    @cached_property
+    @cached_attribute
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
 

@@ -16,8 +16,9 @@ member); products, cosets, closures and subset tests are mask arithmetic.
 Each subgroup is built and closure-checked once per group: ``subgroup``,
 ``generated_subgroup`` and ``enumerate_subgroups`` hand out one shared
 object per member set, which also keeps the per-subgroup quantities (coset
-partitions, the A*B*A flag) once computed.  All objects here are immutable
-apart from these caches and safe to share across workers.
+partitions, the A*B*A flag) once computed, and each generator mask is
+closed once per group.  All objects here are immutable apart from these
+caches and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -60,6 +61,30 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 64
 ENV_MAX_ORDER = "RELCAY_MAX_ORDER"
+
+
+class cached_attribute:
+    """``functools.cached_property`` without its lock.
+
+    On Python before 3.12 the first read of a ``cached_property`` takes a
+    lock; on small objects built by the hundred thousand (element sets,
+    per-instance contexts) that costs more than most of the values it
+    guards.  Here the value is computed on first read and stored in the
+    instance dict, where later reads find it without calling the
+    descriptor.  Two threads reading at once may both compute it, which is
+    harmless: every cached value is a function of an immutable object.
+    """
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def default_max_order() -> int:
@@ -117,7 +142,7 @@ class GroupTable:
                     if row_ab[c] != row_a[row_b[c]]:
                         raise InternalConsistencyError("associativity fails")
 
-    @cached_property
+    @cached_attribute
     def name_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
 
@@ -133,7 +158,7 @@ class GroupTable:
     def element_set(self, members: Iterable[int] = ()) -> "ElementSet":
         return ElementSet(self, members)
 
-    @cached_property
+    @cached_attribute
     def all_elements(self) -> "ElementSet":
         return _from_mask(self, (1 << self.order) - 1)
 
@@ -145,8 +170,12 @@ class GroupTable:
         """
         return _shared_subgroup(self, ElementSet(self, members).mask)
 
-    @cached_property
+    @cached_attribute
     def _subgroups_by_mask(self) -> dict[int, "Subgroup"]:
+        return {}
+
+    @cached_attribute
+    def _generated_by_mask(self) -> dict[int, "Subgroup"]:
         return {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -199,7 +228,7 @@ class ElementSet:
         # frozen: the fields go straight into the instance dict
         self.__dict__.update(group=group, mask=mask)
 
-    @cached_property
+    @cached_attribute
     def members(self) -> tuple[int, ...]:
         return tuple(bit_indices(self.mask))
 
@@ -309,15 +338,15 @@ class Subgroup(ElementSet):
     def index(self) -> int:
         return self.group.order // len(self)
 
-    @cached_property
+    @cached_attribute
     def _left_cosets(self) -> tuple[ElementSet, ...]:
         return _build_cosets(self, left_coset)
 
-    @cached_property
+    @cached_attribute
     def _right_cosets(self) -> tuple[ElementSet, ...]:
         return _build_cosets(self, right_coset)
 
-    @cached_property
+    @cached_attribute
     def is_aba(self) -> bool:
         """Whether the subgroup factors as A*B*A for proper subgroups A, B
         of it."""
@@ -678,9 +707,21 @@ def _shared_subgroup(g: GroupTable, mask: int) -> Subgroup:
     return found
 
 
+def _generated(g: GroupTable, seed_mask: int) -> Subgroup:
+    shared = g._generated_by_mask
+    found = shared.get(seed_mask)
+    if found is None:
+        found = shared[seed_mask] = _shared_subgroup(g, _closure_mask(g, seed_mask))
+    return found
+
+
 def generated_subgroup(x: ElementSet) -> Subgroup:
-    """The smallest subgroup containing the given set."""
-    return _shared_subgroup(x.group, _closure_mask(x.group, x.mask))
+    """The smallest subgroup containing the given set.
+
+    Each generator mask is closed once per group; later requests for the
+    same set get the same object back.
+    """
+    return _generated(x.group, x.mask)
 
 
 def is_subgroup_set(x: ElementSet) -> bool:
@@ -710,7 +751,7 @@ def _all_subgroups(g: GroupTable) -> tuple[Subgroup, ...]:
             for x in range(g.order):
                 if s >> x & 1:
                     continue
-                t = _closure_mask(g, s | 1 << x)
+                t = _generated(g, s | 1 << x).mask
                 if t not in found:
                     found.add(t)
                     fresh.append(t)

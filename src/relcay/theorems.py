@@ -31,6 +31,7 @@ from .group_core import (
     GroupTable,
     Subgroup,
     bit_indices,
+    cached_attribute,
     conjugate_set,
     coset_partition,
     generated_subgroup,
@@ -55,6 +56,7 @@ __all__ = [
     "ChromaticPredictions",
     "ForbiddenPrediction",
     "EdgeColoring",
+    "InstanceSets",
     "PredictionSet",
     "predict_valencies",
     "predict_connectivity",
@@ -77,6 +79,47 @@ FORBIDDEN_KINDS = (
     "square_free_as_printed",
     "bipartite_sufficient",
 )
+
+
+# --------------------------------------------------------------------------
+# Derived sets shared by the predictors
+
+
+class InstanceSets:
+    """The derived sets of one (G, H, C) instance that several predictors read.
+
+    ``inner`` is H n C, ``outer`` is C minus H, ``c_squared`` is C*C,
+    ``outer_pairs`` is (C minus H)*(C minus H), and ``hc_star`` is
+    H*C* = H*(C u {e}).  Each is computed on first read and kept.  A caller
+    that runs several predictors on one instance builds one of these and
+    passes it to each as ``sets``; a predictor called without one builds
+    its own.
+    """
+
+    def __init__(self, group: GroupTable, h: Subgroup, c: ElementSet) -> None:
+        self.group = group
+        self.h = h
+        self.c = c
+
+    @cached_attribute
+    def inner(self) -> ElementSet:
+        return self.h.intersection(self.c)
+
+    @cached_attribute
+    def outer(self) -> ElementSet:
+        return self.c.difference(self.h)
+
+    @cached_attribute
+    def c_squared(self) -> ElementSet:
+        return product_set(self.c, self.c)
+
+    @cached_attribute
+    def outer_pairs(self) -> ElementSet:
+        return product_set(self.outer, self.outer)
+
+    @cached_attribute
+    def hc_star(self) -> ElementSet:
+        return product_set(self.h, self.c.with_identity())
 
 
 # --------------------------------------------------------------------------
@@ -105,12 +148,14 @@ class ValencyPredictions:
     full_degree_coset: ElementSet
 
 
-def predict_valencies(group: GroupTable, h: Subgroup, c: ElementSet) -> ValencyPredictions:
-    inner = h.intersection(c)
+def predict_valencies(
+    group: GroupTable, h: Subgroup, c: ElementSet, *, sets: Optional[InstanceSets] = None
+) -> ValencyPredictions:
+    sets = sets or InstanceSets(group, h, c)
     valency_bound = min(h.index, len(h) + 2)
     sqrt_bound = math.isqrt(group.order + 1) + 1
 
-    regular_condition = h.index == 2 and not inner
+    regular_condition = h.index == 2 and not sets.inner
 
     # same |C|-count in every left coset gH other than H itself
     outside_counts = {
@@ -126,9 +171,14 @@ def predict_valencies(group: GroupTable, h: Subgroup, c: ElementSet) -> ValencyP
         if group.identity not in coset
     )
 
+    # the intersection of the cosets Hm over m in C: right cosets are
+    # disjoint, so it is the one coset holding all of C, or else empty
     full = group.all_elements
-    for member in c.members:
-        full = full.intersection(right_coset(h, member))
+    if c:
+        full = next(
+            (coset for coset in coset_partition(h, "right") if not c.mask & ~coset.mask),
+            group.element_set(),
+        )
 
     return ValencyPredictions(
         valency_bound=valency_bound,
@@ -203,34 +253,38 @@ def is_aba_subgroup(h: Subgroup) -> bool:
 
 
 def predict_connectivity(
-    group: GroupTable, h: Subgroup, c: ElementSet
+    group: GroupTable, h: Subgroup, c: ElementSet, *, sets: Optional[InstanceSets] = None
 ) -> ConnectivityPredictions:
+    sets = sets or InstanceSets(group, h, c)
     identity = group.identity
-    inner = h.intersection(c)
-    outer = c.difference(h)
+    inner = sets.inner
 
-    hc_star_covers = len(product_set(h, c.with_identity())) == group.order
+    hc_star_covers = len(sets.hc_star) == group.order
 
     inner_span = generated_subgroup(inner)
-    outer_square = h.intersection(product_set(outer, outer))
+    outer_square = h.intersection(sets.outer_pairs)
     outer_square_span = generated_subgroup(outer_square)
 
+    # (H n gC)*A*B, with the product A*B shared by every vertex g
+    mul = group.mul
+    spans = product_set(inner_span, outer_square_span).members
     target = h.mask
     witnesses = []
     for g_elt in range(group.order):
-        if g_elt in h:
+        if target >> g_elt & 1:
             continue
-        reach = h.intersection(left_coset(c, g_elt))
-        if not reach:
-            continue
-        covered = product_set(product_set(reach, inner_span), outer_square_span)
-        if covered.mask == target:
+        covered = 0
+        for x in bit_indices(left_coset(c, g_elt).mask & target):
+            row = mul[x]
+            for y in spans:
+                covered |= 1 << row[y]
+        if covered == target:
             witnesses.append(g_elt)
 
     predicted_connected = bool(witnesses) and hc_star_covers
 
     disjoint_predicted = hc_star_covers and (
-        generated_subgroup(h.intersection(product_set(c, c))).mask == target
+        generated_subgroup(h.intersection(sets.c_squared)).mask == target
     )
     aba_predicted = hc_star_covers and (
         inner_span.mask == target or outer_square_span.mask == target
@@ -302,9 +356,11 @@ def predict_clique(
     c: ElementSet,
     *,
     verify_c_cubed: bool = True,
+    sets: Optional[InstanceSets] = None,
 ) -> CliquePredictions:
-    inner = h.intersection(c)
-    outer = c.difference(h)
+    sets = sets or InstanceSets(group, h, c)
+    inner = sets.inner
+    outer = sets.outer
 
     upper = len(inner) + 2
 
@@ -325,7 +381,7 @@ def predict_clique(
                 psi_plus = True
                 break
 
-    c_squared = product_set(c, c)
+    c_squared = sets.c_squared
     triple_closed = not product_set(c_squared, c).mask & ~c.mask
     case = None
     if triple_closed and c:
@@ -386,7 +442,7 @@ def predict_alpha_beta(
         alpha_prime=len(h),
         beta=len(h),
         beta_prime=outside,
-        hypothesis_ok=bool(c.difference(h)),
+        hypothesis_ok=bool(c.mask & ~h.mask),
     )
 
 
@@ -469,21 +525,22 @@ def predict_chromatic(
     c: ElementSet,
     *,
     partition_cap: int = DEFAULT_CHROMATIC_II_CAP,
+    sets: Optional[InstanceSets] = None,
 ) -> ChromaticPredictions:
+    sets = sets or InstanceSets(group, h, c)
     identity = group.identity
-    inner = h.intersection(c)
+    inner = sets.inner
     upper = len(inner) + 2
 
     applicable = bool(c) and generated_subgroup(inner).mask == h.mask
 
-    condition_i = False
-    if not h.mask & ~(1 << identity) & ~c.mask:
-        for g_elt in range(group.order):
-            if g_elt in h:
-                continue
-            if not left_coset(h, g_elt).mask & ~c.mask:
-                condition_i = True
-                break
+    # H minus the identity inside C, and some left coset gH other than H
+    # inside C
+    condition_i = not h.mask & ~(1 << identity) & ~c.mask and any(
+        not coset.mask & ~c.mask
+        for coset in coset_partition(h, "left")
+        if not coset.mask >> identity & 1
+    )
 
     condition_ii: Optional[bool] = False
     if 1 <= len(inner) <= 2:
@@ -521,13 +578,12 @@ class ForbiddenPrediction:
     details: tuple[tuple[str, object], ...] = ()
 
 
-def _claw_free_condition(
-    group: GroupTable, h: Subgroup, c: ElementSet
-) -> tuple[bool, str]:
+def _claw_free_condition(sets: InstanceSets) -> tuple[bool, str]:
+    group, h, c = sets.group, sets.h, sets.c
     if len(c) <= 2:
         return True, "small"
-    inner = h.intersection(c)
-    outer = c.difference(h)
+    inner = sets.inner
+    outer = sets.outer
     mul = group.mul
     inv = group.inv
     if len(c) <= 4:
@@ -555,11 +611,11 @@ def _claw_free_condition(
     return False, "none"
 
 
-def _forest_condition(group: GroupTable, h: Subgroup, c: ElementSet) -> bool:
-    squares = h.intersection(product_set(c, c))
-    if squares.mask & ~(1 << group.identity):
+def _forest_condition(sets: InstanceSets) -> bool:
+    group = sets.group
+    if sets.h.mask & sets.c_squared.mask & ~(1 << group.identity):
         return False
-    inner = h.intersection(c)
+    inner = sets.inner
     if not inner:
         return True
     return (
@@ -568,14 +624,15 @@ def _forest_condition(group: GroupTable, h: Subgroup, c: ElementSet) -> bool:
     )
 
 
-def _tree_condition(group: GroupTable, h: Subgroup, c: ElementSet) -> bool:
+def _tree_condition(sets: InstanceSets) -> bool:
+    group, h, c = sets.group, sets.h, sets.c
     if len(h) == 1:
         return len(c) == group.order - 1
     if len(h) != 2:
         return False
     # a tree is a connected forest; the factorization below only supplies
     # the connectedness half
-    if not _forest_condition(group, h, c):
+    if not _forest_condition(sets):
         return False
     flip = next(x for x in h.members if x != group.identity)
     # the factor set is forced: C = D*flip pins D to C*flip
@@ -586,12 +643,13 @@ def _tree_condition(group: GroupTable, h: Subgroup, c: ElementSet) -> bool:
 
 
 def _square_free_details(
-    group: GroupTable, h: Subgroup, c: ElementSet
+    sets: InstanceSets,
 ) -> tuple[bool, tuple[tuple[str, object], ...]]:
+    group, h, c = sets.group, sets.h, sets.c
     identity = group.identity
     mul = group.mul
-    inner = h.intersection(c)
-    outer = c.difference(h)
+    inner = sets.inner
+    outer = sets.outer
 
     # four-cycle through the identity in the induced Cayley graph; vertex
     # transitivity makes the anchored search exhaustive
@@ -615,7 +673,7 @@ def _square_free_details(
             break
 
     inner_pairs = product_set(inner, inner)
-    outer_pairs = product_set(outer, outer)
+    outer_pairs = sets.outer_pairs
     overlap = inner_pairs.intersection(outer_pairs)
     pair_condition = overlap.mask == 1 << identity
 
@@ -639,28 +697,32 @@ def _square_free_details(
 
 
 def predict_forbidden(
-    group: GroupTable, h: Subgroup, c: ElementSet, kind: str
+    group: GroupTable,
+    h: Subgroup,
+    c: ElementSet,
+    kind: str,
+    *,
+    sets: Optional[InstanceSets] = None,
 ) -> ForbiddenPrediction:
     """Evaluate one printed forbidden-structure condition, literally."""
+    sets = sets or InstanceSets(group, h, c)
     if kind == "claw_free":
-        value, which = _claw_free_condition(group, h, c)
+        value, which = _claw_free_condition(sets)
         return ForbiddenPrediction(
             kind, True, value, (("condition", which),)
         )
     if kind == "forest":
-        return ForbiddenPrediction(kind, True, _forest_condition(group, h, c))
+        return ForbiddenPrediction(kind, True, _forest_condition(sets))
     if kind == "tree":
-        return ForbiddenPrediction(kind, True, _tree_condition(group, h, c))
+        return ForbiddenPrediction(kind, True, _tree_condition(sets))
     if kind == "triangle_free":
-        inner = h.intersection(c)
-        value = not inner.intersection(product_set(c, c))
+        value = not sets.inner.mask & sets.c_squared.mask
         return ForbiddenPrediction(kind, True, value)
     if kind == "square_free_as_printed":
-        value, details = _square_free_details(group, h, c)
+        value, details = _square_free_details(sets)
         return ForbiddenPrediction(kind, True, value, details)
     if kind == "bipartite_sufficient":
-        disjoint = not h.intersection(c)
-        return ForbiddenPrediction(kind, disjoint, True)
+        return ForbiddenPrediction(kind, not sets.inner, True)
     raise UnknownCheckError(f"unknown forbidden-structure kind {kind!r}")
 
 
@@ -897,13 +959,19 @@ def predict_all(
     partition_cap: int = DEFAULT_CHROMATIC_II_CAP,
     verify_c_cubed: bool = True,
 ) -> PredictionSet:
+    sets = InstanceSets(group, h, c)
     return PredictionSet(
-        valency=predict_valencies(group, h, c),
-        connectivity=predict_connectivity(group, h, c),
-        clique=predict_clique(group, h, c, verify_c_cubed=verify_c_cubed),
+        valency=predict_valencies(group, h, c, sets=sets),
+        connectivity=predict_connectivity(group, h, c, sets=sets),
+        clique=predict_clique(
+            group, h, c, verify_c_cubed=verify_c_cubed, sets=sets
+        ),
         alpha_beta=predict_alpha_beta(group, h, c),
-        chromatic=predict_chromatic(group, h, c, partition_cap=partition_cap),
+        chromatic=predict_chromatic(
+            group, h, c, partition_cap=partition_cap, sets=sets
+        ),
         forbidden=tuple(
-            predict_forbidden(group, h, c, kind) for kind in FORBIDDEN_KINDS
+            predict_forbidden(group, h, c, kind, sets=sets)
+            for kind in FORBIDDEN_KINDS
         ),
     )

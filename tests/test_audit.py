@@ -1,11 +1,17 @@
 """Audit harness tests: tallies, determinism, sampling, and shrinking."""
+import hashlib
 import json
+import random
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 import relcay.audit
 import relcay.group_core
 import relcay.oracles
+import relcay.theorems
 from relcay.audit import (
     AGREE,
     ALL_CHECKS,
@@ -14,6 +20,7 @@ from relcay.audit import (
     DEFAULT_CATALOG,
     MISMATCH,
     NOT_APPLICABLE,
+    VERDICTS,
     InstanceContext,
     Limits,
     catalog_up_to,
@@ -22,8 +29,22 @@ from relcay.audit import (
 )
 from relcay.cli import execute_command
 from relcay.errors import InternalConsistencyError, PreconditionError, UnknownCheckError
-from relcay.graphs import ConnectionSet, inverse_orbits
-from relcay.group_core import Subgroup, enumerate_subgroups, generated_subgroup, make_group
+from relcay.graphs import ConnectionSet, enumerate_connection_sets, inverse_orbits
+from relcay.group_core import (
+    ElementSet,
+    Subgroup,
+    conjugate_set,
+    enumerate_subgroups,
+    generated_subgroup,
+    make_group,
+)
+from relcay.theorems import (
+    FORBIDDEN_KINDS,
+    InstanceSets,
+    predict_connectivity,
+    predict_forbidden,
+    predict_valencies,
+)
 
 NON_AUDITED = tuple(c for c in ALL_CHECKS if c not in AUDITED_CHECKS)
 
@@ -358,3 +379,175 @@ def test_exhausted_search_budget_makes_checks_unevaluated(monkeypatch):
     }
     # five clique checks read the clique number, but each instance searches once
     assert calls == [4] * 8
+
+
+# --------------------------------------------------------------------------
+# Verdict-first scan and per-instance / per-group sharing
+
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+
+
+def test_audit_wide_json_matches_the_benchmark_golden():
+    # the byte-identity contract, checked in tier-1 and not only by the
+    # benchmark: the digest is read from the benchmark's own golden file
+    golden = json.loads(GOLDEN.read_text())["audit_wide"]
+    text = run_audit(catalog_up_to(10)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
+
+
+def test_totals_only_scan_agrees_with_the_records_it_skips():
+    catalog = catalog_up_to(8)
+    bare = run_audit(catalog, shrink=False)
+    full = run_audit(catalog, keep_records=True, shrink=False)
+    tallies = Counter((r.check, r.verdict) for r in full.records)
+    derived = {
+        check: {verdict: tallies[check, verdict] for verdict in VERDICTS}
+        for check in ALL_CHECKS
+    }
+    assert bare.totals == full.totals == derived
+    kept = [r for r in full.records if r.verdict == MISMATCH]
+    assert [e.original for e in bare.mismatches] == kept
+    assert [e.original for e in full.mismatches] == kept
+
+
+def test_records_are_built_only_for_mismatches(monkeypatch):
+    built = []
+    real = relcay.audit.AuditRecord
+
+    def counted(**fields):
+        built.append(fields["check"])
+        return real(**fields)
+
+    monkeypatch.setattr(relcay.audit, "AuditRecord", counted)
+    report = run_audit(("D4",), shrink=False)
+    assert report.mismatches
+    assert len(built) == len(report.mismatches)
+
+
+def _fresh_group(monkeypatch, spec):
+    """A newly built table for the spec, with none of the per-group caches
+    that earlier tests filled; make_group hands it out until the test ends."""
+    build = relcay.group_core._build_group
+    monkeypatch.setattr(
+        relcay.group_core, "_build_group", lru_cache(maxsize=None)(build.__wrapped__)
+    )
+    g = make_group(spec)
+    assert g is not build(g.spec)
+    return g
+
+
+def _count_closures(monkeypatch) -> Counter:
+    closures: Counter = Counter()
+    real = relcay.group_core._closure_mask
+
+    def counted(g, seed_mask):
+        closures[id(g), seed_mask] += 1
+        return real(g, seed_mask)
+
+    monkeypatch.setattr(relcay.group_core, "_closure_mask", counted)
+    return closures
+
+
+def test_generated_subgroup_is_shared_per_generator_mask(monkeypatch):
+    g = _fresh_group(monkeypatch, "S3")
+    closures = _count_closures(monkeypatch)
+    x = g.element_set([g.element("(12)"), g.element("(123)")])
+    y = ElementSet(g, reversed(x.members))
+    assert x is not y and x.mask == y.mask
+    assert generated_subgroup(x) is generated_subgroup(y)
+    assert len(generated_subgroup(x)) == 6
+    assert list(closures.values()) == [1]
+
+
+def test_each_generator_mask_is_closed_once_per_audit(monkeypatch):
+    _fresh_group(monkeypatch, "D4")
+    closures = _count_closures(monkeypatch)
+    run_audit(("D4",), shrink=False)
+    assert closures and max(closures.values()) == 1
+
+
+def test_one_hc_star_per_instance(monkeypatch):
+    g = make_group("D5")
+    h = generated_subgroup(g.element_set([g.element("a")]))
+    c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
+    star = c.with_identity()
+    calls = []
+    real = relcay.theorems.product_set
+
+    def counted(a, b):
+        if a == h and b == star:
+            calls.append(1)
+        return real(a, b)
+
+    # wherever HC* might be built from: the shared sets or the audit itself
+    monkeypatch.setattr(relcay.theorems, "product_set", counted)
+    monkeypatch.setattr(relcay.audit, "product_set", counted, raising=False)
+    ctx = InstanceContext(g, h, c, Limits())
+    for check in CHECKS:
+        check.fn(ctx)
+    assert ctx.connectivity.hc_star_covers
+    assert calls == [1]
+
+
+def test_predictors_give_the_same_answers_with_shared_sets():
+    for spec in ("D4", "Q8", "C2xC4"):
+        g = make_group(spec)
+        for h in enumerate_subgroups(g):
+            if not h.is_proper:
+                continue
+            for c in enumerate_connection_sets(g):
+                sets = InstanceSets(g, h, c)
+                for kind in FORBIDDEN_KINDS:
+                    alone = predict_forbidden(g, h, c, kind)
+                    assert predict_forbidden(g, h, c, kind, sets=sets) == alone
+                assert predict_connectivity(g, h, c, sets=sets) == predict_connectivity(g, h, c)
+                assert predict_valencies(g, h, c, sets=sets) == predict_valencies(g, h, c)
+
+
+# --------------------------------------------------------------------------
+# Metamorphic: conjugating an instance relabels the graph by an automorphism
+
+
+def _comparable(value) -> bool:
+    return value is None or isinstance(value, (bool, int, float))
+
+
+# The non-abelian groups of order at most 8 but Q8, where conjugation fixes
+# every subgroup and every inverse-closed set; in an abelian group it fixes
+# everything.
+@pytest.mark.parametrize("spec", ["D3", "S3", "D4"])
+def test_conjugate_instances_get_the_same_verdicts(spec):
+    # x -> g^-1 x g maps the graph of (H, C) onto that of (g^-1 H g, g^-1 C g),
+    # so every check must reach the same verdict on both, and the same
+    # numbers wherever its values are plain numbers, booleans or None.  One
+    # seeded g per instance, drawn from those that move (H, C).
+    g = make_group(spec)
+    limits = Limits()
+    draw = random.Random(spec)
+    compared = 0
+    for h in enumerate_subgroups(g):
+        if not h.is_proper:
+            continue
+        for c in enumerate_connection_sets(g):
+            movers = [
+                x
+                for x in range(g.order)
+                if conjugate_set(h, x) != h or conjugate_set(c, x) != c
+            ]
+            if not movers:
+                continue
+            x = draw.choice(movers)
+            h2 = g.subgroup(conjugate_set(h, x).members)
+            c2 = ConnectionSet(g, conjugate_set(c, x).members)
+            one = InstanceContext(g, h, c, limits)
+            two = InstanceContext(g, h2, c2, limits)
+            for name in ALL_CHECKS:
+                first = relcay.audit._evaluate(one, name)
+                second = relcay.audit._evaluate(two, name)
+                where = (name, h.names(), c.names(), g.names[x])
+                assert first[2] == second[2], where
+                for a, b in zip(first[:2], second[:2]):
+                    if _comparable(a) and _comparable(b):
+                        assert a == b, where
+                compared += 1
+    assert compared > 0
