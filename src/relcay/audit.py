@@ -17,11 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .errors import (
@@ -87,6 +89,7 @@ __all__ = [
     "MismatchEntry",
     "AuditReport",
     "catalog_up_to",
+    "compact_json",
     "evaluate_check",
     "jsonable",
     "run_audit",
@@ -145,18 +148,6 @@ class AuditRecord:
     h_indices: tuple[int, ...] = field(default=(), repr=False)
     c_indices: tuple[int, ...] = field(default=(), repr=False)
 
-    def as_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "h": list(self.h),
-            "c": list(self.c),
-            "check": self.check,
-            "predicted": jsonable(self.predicted),
-            "observed": jsonable(self.observed),
-            "verdict": self.verdict,
-            "witness": jsonable(self.witness),
-        }
-
 
 @dataclass(frozen=True)
 class MismatchEntry:
@@ -180,21 +171,38 @@ class AuditReport:
         )
 
     def to_json(self) -> str:
-        # wall time is excluded: reports must be byte-identical across runs
-        payload = {
-            "config": self.config,
-            "catalog": list(self.catalog),
-            "totals": self.totals,
-            "mismatches": [
-                {"original": e.original.as_dict(), "shrunk": e.shrunk.as_dict()}
-                for e in self.mismatches
-            ],
-        }
-        if self.records is not None:
-            payload["records"] = [r.as_dict() for r in self.records]
+        """The report as ``json.dumps(report, indent=2, sort_keys=True)``
+        plus a newline, where a record is the object of its fields
+        ``group``, ``h``, ``c``, ``check``, ``predicted``, ``observed``,
+        ``verdict`` and ``witness`` (``predicted``, ``observed`` and
+        ``witness`` through ``jsonable``); ``records`` appears only when
+        kept and ``errors`` only when non-empty.
+
+        The records go through ``_RecordWriter``, not the encoder, because
+        ``json`` has no C path for indented output."""
+        # wall time is excluded: reports must be byte-identical across runs.
+        # The top-level keys are written in sorted order, as sort_keys does;
+        # the pieces are joined once, so the report exists in one copy.
+        out = [
+            '{\n  "catalog": ', _indented(list(self.catalog), 1),
+            ',\n  "config": ', _indented(self.config, 1),
+        ]
         if self.errors:
-            payload["errors"] = list(self.errors)
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            out += [',\n  "errors": ', _indented(list(self.errors), 1)]
+        # a mismatch is an object at depth 2 holding two records at depth 3
+        writer = _RecordWriter(4)
+        mismatches = [
+            '{\n      "original": ' + writer.record(entry.original)
+            + ',\n      "shrunk": ' + writer.record(entry.shrunk) + "\n    }"
+            for entry in self.mismatches
+        ]
+        out += [',\n  "mismatches": ', *_json_array(mismatches, 2)]
+        if self.records is not None:
+            writer = _RecordWriter(3)
+            records = _json_array(list(map(writer.record, self.records)), 2)
+            out += [',\n  "records": ', *records]
+        out += [',\n  "totals": ', _indented(self.totals, 1), "\n}\n"]
+        return "".join(out)
 
     def to_csv(self) -> str:
         if self.records is None:
@@ -219,8 +227,8 @@ class AuditReport:
                     ",".join(record.h),
                     ",".join(record.c),
                     record.check,
-                    json.dumps(jsonable(record.predicted), sort_keys=True),
-                    json.dumps(jsonable(record.observed), sort_keys=True),
+                    compact_json(record.predicted),
+                    compact_json(record.observed),
                     record.verdict,
                 ]
             )
@@ -240,6 +248,95 @@ def jsonable(value):
             items = sorted(items, key=repr)
         return [jsonable(v) for v in items]
     return repr(value)
+
+
+# indent=None keeps this encoder on the C fast path
+_COMPACT_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def compact_json(value) -> str:
+    """A check value as one line of JSON: ``json.dumps(jsonable(value),
+    sort_keys=True)``, the form CSV export and ``relcay check`` print."""
+    return _COMPACT_ENCODER.encode(jsonable(value))
+
+
+def _indented(value, depth: int) -> str:
+    """A JSON-ready value as ``json.dumps(value, indent=2, sort_keys=True)``
+    writes it when it starts at the given depth of an enclosing document."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _json_array(items: list[str], depth: int) -> list[str]:
+    """The pieces of an indent-2 array of already rendered items that sit
+    at the given depth."""
+    if not items:
+        return ["[]"]
+    pad = "\n" + "  " * depth
+    return ["[" + pad, ("," + pad).join(items), pad[:-2] + "]"]
+
+
+# An AuditRecord's keys in sorted order, as sort_keys writes them
+_RECORD_KEYS = ("c", "check", "group", "h", "observed", "predicted", "verdict", "witness")
+
+
+class _RecordWriter:
+    """Writes ``AuditRecord``s as indent-2 JSON objects whose keys sit at a
+    fixed depth, byte for byte as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes the record's fields.
+
+    Strings, None, booleans, ints and finite floats are formatted the way
+    ``json`` formats them.  Every other value (a container, or a float that
+    ``json`` spells NaN or Infinity) is rendered by ``json.dumps`` once per
+    distinct value and re-indented.  That memo is keyed by the value's
+    compact JSON, never by the value itself: ``True == 1`` and
+    ``0.0 == -0.0`` would collide as dict keys.  The ``h`` and ``c`` name
+    tuples, shared by every record of an instance, are memoised per tuple.
+    """
+
+    def __init__(self, depth: int):
+        self._depth = depth
+        pad = "\n" + "  " * depth
+        fields = ",".join(f'{pad}"{key}": %s' for key in _RECORD_KEYS)
+        self._template = "{" + fields + pad[:-2] + "}"
+        self._values: dict[str, str] = {}
+        self._names: dict[tuple[str, ...], str] = {}
+
+    def _value(self, value) -> str:
+        if value is None:
+            return "null"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float) and math.isfinite(value):
+            return float.__repr__(value)
+        key = compact_json(value)
+        text = self._values.get(key)
+        if text is None:
+            text = self._values[key] = _indented(jsonable(value), self._depth)
+        return text
+
+    def _name_list(self, names: tuple[str, ...]) -> str:
+        text = self._names.get(names)
+        if text is None:
+            text = self._names[names] = _indented(list(names), self._depth)
+        return text
+
+    def record(self, record: AuditRecord) -> str:
+        return self._template % (
+            self._name_list(record.c),
+            encode_basestring_ascii(record.check),
+            encode_basestring_ascii(record.group),
+            self._name_list(record.h),
+            self._value(record.observed),
+            self._value(record.predicted),
+            encode_basestring_ascii(record.verdict),
+            self._value(record.witness),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -270,11 +367,11 @@ class InstanceContext:
         self._forbidden = {}
         self._exhausted = {}
 
-    def _exact(self, search) -> int:
+    def _exact(self, search, *args) -> int:
         message = self._exhausted.get(search)
         if message is None:
             try:
-                return search(self.graph.n, self.graph.adjacency)
+                return search(self.graph.n, self.graph.adjacency, *args)
             except CapacityError as err:
                 message = self._exhausted[search] = str(err)
         raise CapacityError(message)
@@ -323,7 +420,10 @@ class InstanceContext:
 
     @cached_attribute
     def chromatic(self) -> int:
-        return self._exact(chromatic_number)
+        # the clique number is the coloring search's lower bound; an
+        # edgeless graph is 1-colorable without either search
+        clique = self.clique_number if self.graph.edge_count else None
+        return self._exact(chromatic_number, clique)
 
     @cached_attribute
     def valency(self):

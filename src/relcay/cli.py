@@ -8,7 +8,6 @@ a mismatch on any check that is not marked audited.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ from .audit import (
     DEFAULT_CATALOG,
     MISMATCH,
     Limits,
+    compact_json,
     evaluate_check,
-    jsonable,
     run_audit,
 )
 from .errors import RelCayError, GroupSpecError, PreconditionError, UnknownCheckError
@@ -218,8 +217,8 @@ def _cmd_check(args, config: CliConfig) -> int:
     blocking = False
     for check in _resolve_theorem(args.theorem):
         record = evaluate_check(group.spec, h.members, c.members, check, limits)
-        predicted = json.dumps(jsonable(record.predicted), sort_keys=True)
-        observed = json.dumps(jsonable(record.observed), sort_keys=True)
+        predicted = compact_json(record.predicted)
+        observed = compact_json(record.observed)
         print(f"{check}: predicted={predicted} observed={observed} verdict={record.verdict}")
         if record.verdict == MISMATCH and check not in AUDITED_CHECKS:
             blocking = True

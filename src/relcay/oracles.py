@@ -432,12 +432,20 @@ def _k_colorable(n: int, adj: Sequence[int], k: int, search: str) -> bool:
     return place(0)
 
 
-def chromatic_number(n: int, adj: Sequence[int]) -> int:
+def chromatic_number(
+    n: int, adj: Sequence[int], clique_number: Optional[int] = None
+) -> int:
+    """Chromatic number: k-colorability tests from the clique number up to
+    a greedy coloring's count.  A caller that already has the clique number
+    passes it and saves a second clique search; an edgeless graph needs no
+    search at all."""
     if n == 0:
         return 0
     if all(row == 0 for row in adj):
         return 1
-    low = _clique_search(n, adj, (1 << n) - 1, "chromatic_number")
+    low = clique_number
+    if low is None:
+        low = _clique_search(n, adj, (1 << n) - 1, "chromatic_number")
     high = _greedy_coloring_bound(n, adj)
     for k in range(low, high):
         if _k_colorable(n, adj, k, "chromatic_number"):
@@ -657,14 +665,15 @@ def invariant_report(
         raise CapacityError(f"oracle graph has {n} vertices, above the cap {cap}")
     comps, diameter = diameter_components(graph)
     matching = matching_edges(n, adj)
+    clique = max_clique(n, adj)
     report = InvariantReport(
-        clique_number=max_clique(n, adj),
+        clique_number=clique,
         independence_number=max_independent_set(n, adj),
         matching_number=len(matching),
         domination_number=min_dominating_set(n, adj),
         vertex_cover_number=min_vertex_cover(n, adj),
         edge_cover_number=edge_cover_from_matching(n, adj, matching),
-        chromatic_number=chromatic_number(n, adj),
+        chromatic_number=chromatic_number(n, adj, clique),
         edge_chromatic_number=edge_chromatic_number(n, adj, edge_color_cutoff),
         diameter=diameter,
         component_count=len(comps),

@@ -7,6 +7,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import relcay.audit
 import relcay.group_core
@@ -21,9 +23,13 @@ from relcay.audit import (
     MISMATCH,
     NOT_APPLICABLE,
     VERDICTS,
+    AuditRecord,
+    AuditReport,
     InstanceContext,
     Limits,
+    MismatchEntry,
     catalog_up_to,
+    jsonable,
     run_audit,
     shrink_counterexample,
 )
@@ -395,6 +401,28 @@ def test_audit_wide_json_matches_the_benchmark_golden():
     assert hashlib.sha256(text.encode()).hexdigest() == golden
 
 
+def test_full_records_json_matches_the_benchmark_golden():
+    # the audit_full_par2 workload's output: 2 workers, every record kept
+    golden = json.loads(GOLDEN.read_text())["audit_full_records"]
+    text = run_audit(catalog_up_to(10), parallelism=2, keep_records=True).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
+
+
+def test_each_graph_is_clique_searched_once(monkeypatch):
+    searches: Counter = Counter()
+    real = relcay.oracles._clique_search
+
+    def counted(n, adj, start, search):
+        searches[search] += 1
+        return real(n, adj, start, search)
+
+    monkeypatch.setattr(relcay.oracles, "_clique_search", counted)
+    report = run_audit(("D4",), shrink=False)
+    instances = report.catalog[0]["instances"]
+    # the chromatic search starts from the clique number the context has
+    assert searches == {"max_clique": instances, "max_independent_set": instances}
+
+
 def test_totals_only_scan_agrees_with_the_records_it_skips():
     catalog = catalog_up_to(8)
     bare = run_audit(catalog, shrink=False)
@@ -551,3 +579,139 @@ def test_conjugate_instances_get_the_same_verdicts(spec):
                         assert a == b, where
                 compared += 1
     assert compared > 0
+
+
+# --------------------------------------------------------------------------
+# The report writer against the plain encoder
+
+
+def _reference_json(report: AuditReport) -> str:
+    """The report as ``json.dumps`` writes it from a payload of plain dicts,
+    one per record: the definition ``AuditReport.to_json`` must match."""
+
+    def record(r):
+        return {
+            "group": r.group,
+            "h": list(r.h),
+            "c": list(r.c),
+            "check": r.check,
+            "predicted": jsonable(r.predicted),
+            "observed": jsonable(r.observed),
+            "verdict": r.verdict,
+            "witness": jsonable(r.witness),
+        }
+
+    payload = {
+        "config": report.config,
+        "catalog": list(report.catalog),
+        "totals": report.totals,
+        "mismatches": [
+            {"original": record(e.original), "shrunk": record(e.shrunk)}
+            for e in report.mismatches
+        ],
+    }
+    if report.records is not None:
+        payload["records"] = [record(r) for r in report.records]
+    if report.errors:
+        payload["errors"] = list(report.errors)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class _Opaque:
+    """A value ``jsonable`` knows nothing about, so it writes its repr."""
+
+    def __repr__(self):
+        return '<opaque "q" \\ \u00e9>'
+
+
+# Values that compare equal but encode differently, and the strings and
+# containers the encoder treats specially.  Drawing from a fixed pool makes
+# records repeat values, so the writer's memo is hit across them.
+_EDGE_SCALARS = [
+    True, 1, 1.0, False, 0, 0.0, -0.0,
+    float("nan"), float("inf"), float("-inf"),
+    "", '"', "\\", "\u00e9", "\u2603 \U0001f600", "\n\t\x00",
+]
+_EDGE_VALUES = _EDGE_SCALARS + [
+    [], {}, (), [True], [1], [1.0], [0.0], [-0.0], (True,), (1,), (-0.0,),
+    {"k": True}, {"k": 1},
+    {1: "int key", 2: [None]}, {"w": {"vertex": "a\"2", "formula": 3}},
+    {True, 1.5, "x"}, frozenset({(), "\u00e9"}), [float("nan")], _Opaque(),
+]
+_scalars = st.one_of(
+    st.sampled_from(_EDGE_SCALARS),
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.just(_Opaque()),
+)
+_hashables = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers()), inner, max_size=3),
+        st.sets(_hashables, max_size=3),
+        st.frozensets(_hashables, max_size=3),
+    ),
+    max_leaves=8,
+) | st.sampled_from(_EDGE_VALUES)
+_names = st.sampled_from([(), ("1",), ("1", "a2"), ('a"', "\\b", "\u00e9")]) | st.lists(
+    st.text(max_size=3), max_size=3
+).map(tuple)
+_records = st.builds(
+    AuditRecord,
+    group=st.sampled_from(["C4", "S3"]) | st.text(max_size=3),
+    h=_names,
+    c=_names,
+    check=st.sampled_from(ALL_CHECKS) | st.text(max_size=3),
+    predicted=_values,
+    observed=_values,
+    verdict=st.sampled_from(VERDICTS),
+    witness=st.none() | _values,
+)
+
+
+def _report(records, mismatches=(), errors=()) -> AuditReport:
+    return AuditReport(
+        config={"catalog": ["C4"], "checks": ["edge_count"], "shrink": True},
+        catalog=({"spec": "C4", "order": 4, "sampled": False},),
+        totals={"edge_count": dict.fromkeys(VERDICTS, 0)},
+        mismatches=tuple(mismatches),
+        records=records,
+        wall_time_seconds=1.5,
+        errors=tuple(errors),
+    )
+
+
+_reports = st.builds(
+    _report,
+    records=st.none() | st.lists(_records, max_size=6).map(tuple),
+    mismatches=st.lists(st.builds(MismatchEntry, _records, _records), max_size=2),
+    errors=st.lists(
+        st.fixed_dictionaries({"group": st.text(max_size=3), "error": st.text()}),
+        max_size=2,
+    ),
+)
+_ONE = AuditRecord("C4", ("1",), ("a", "a3"), "tree", True, 1, MISMATCH, {"k": -0.0})
+# every edge value in one report, so equal-but-different values meet
+_EVERY_EDGE = tuple(
+    AuditRecord("C4", ("1",), ("a", "a3"), "tree", v, v, AGREE, v) for v in _EDGE_VALUES
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_reports)
+@example(_report(None))
+@example(_report((), errors=[{"group": "C4", "error": "E: \u00e9"}]))
+@example(_report((_ONE,) * 2, [MismatchEntry(_ONE, _ONE)]))
+@example(_report(_EVERY_EDGE, [MismatchEntry(r, r) for r in _EVERY_EDGE]))
+def test_to_json_writes_the_bytes_of_the_plain_encoder(report):
+    assert report.to_json() == _reference_json(report)
+
+
+def test_to_json_of_a_real_audit_is_the_plain_encoding(c4_report):
+    assert c4_report.mismatches and c4_report.records
+    assert c4_report.to_json() == _reference_json(c4_report)

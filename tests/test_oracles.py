@@ -89,6 +89,20 @@ def test_edgeless_graph_invariants():
     assert report.component_count == 6
 
 
+def test_invariant_report_searches_for_the_clique_number_once(monkeypatch):
+    searches = []
+    real = relcay.oracles._clique_search
+
+    def counted(n, adj, start, search):
+        searches.append(search)
+        return real(n, adj, start, search)
+
+    monkeypatch.setattr(relcay.oracles, "_clique_search", counted)
+    report = invariant_report(instance("D5", ["a"], ["a", "a4", "b", "ab", "a4b"]))
+    assert report.chromatic_number == 4
+    assert sorted(searches) == ["max_clique", "max_independent_set"]
+
+
 def test_induced_chromatic_numbers_of_the_two_d5_instances():
     fig1 = instance("D5", ["a"], ["a", "a4", "b"])
     fig2 = instance("D5", ["a"], ["a", "a4", "b", "ab", "a4b"])
@@ -351,7 +365,9 @@ def test_oracles_match_brutes_everywhere(spec):
         assert min_vertex_cover(n, adj) == brute.brute_min_vertex_cover(n, edges)
         assert max_matching(n, adj) == brute.brute_max_matching(n, edges)
         assert min_dominating_set(n, adj) == brute.brute_min_dominating(n, edges)
-        assert chromatic_number(n, adj) == brute.brute_chromatic(n, edges)
+        chi = brute.brute_chromatic(n, edges)
+        assert chromatic_number(n, adj) == chi
+        assert chromatic_number(n, adj, max_clique(n, adj)) == chi
         if len(edges) <= 10:
             assert min_edge_cover(n, adj) == brute.brute_min_edge_cover(n, edges)
             assert edge_chromatic_number(n, adj) == brute.brute_edge_chromatic(
