@@ -220,6 +220,24 @@ class AuditReport:
                 "verdict",
             ]
         )
+        texts: dict = {}
+
+        def text(value) -> str:
+            # memoised for scalars keyed by exact type and value, floats by
+            # their repr, because True == 1 and 0.0 == -0.0; containers are
+            # not, since (True,) == (1,) whatever the key's type
+            cls = value.__class__
+            if cls is float:
+                key = (cls, float.__repr__(value))
+            elif cls in _CSV_MEMO_TYPES:
+                key = (cls, value)
+            else:
+                return compact_json(value)
+            found = texts.get(key)
+            if found is None:
+                found = texts[key] = compact_json(value)
+            return found
+
         for record in self.records:
             writer.writerow(
                 [
@@ -227,12 +245,16 @@ class AuditReport:
                     ",".join(record.h),
                     ",".join(record.c),
                     record.check,
-                    compact_json(record.predicted),
-                    compact_json(record.observed),
+                    text(record.predicted),
+                    text(record.observed),
                     record.verdict,
                 ]
             )
         return out.getvalue()
+
+
+# Scalar types whose equal values of one exact type print alike in JSON
+_CSV_MEMO_TYPES = (type(None), bool, int, str)
 
 
 def jsonable(value):

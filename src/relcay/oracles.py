@@ -10,9 +10,12 @@ branch-and-bound cliques, covers and dominating sets, Edmonds' blossom
 matching, backtracking colorings, and plain BFS.  Ties always break toward
 the lowest vertex index, so results are reproducible bit for bit.
 
-The domination search prunes with a counting lower bound and a dominance
-rule between branch candidates (see ``min_dominating_set``).  Every
-exponential search -- the clique search behind ``max_clique``,
+The clique search bounds each branch by a greedy coloring of its
+candidates, computed on the bitmask in index order with no vertex
+relabelling (see ``_clique_search``); the same coloring gives
+``chromatic_number`` its upper bound.  The domination search prunes with a
+counting lower bound and a dominance rule between branch candidates (see
+``min_dominating_set``).  Every exponential search -- the clique search behind ``max_clique``,
 ``max_independent_set`` and ``chromatic_number``, ``min_vertex_cover``,
 ``min_dominating_set``, and the k-colorability test behind
 ``chromatic_number`` and ``edge_chromatic_number`` -- counts the nodes it
@@ -99,7 +102,15 @@ def max_independent_set(n: int, adj: Sequence[int]) -> int:
 
 def _clique_search(n: int, adj: Sequence[int], start: int, search: str) -> int:
     """The clique number inside the vertex mask ``start``, by branch and
-    bound; ``search`` names the caller in the budget error."""
+    bound; ``search`` names the caller in the budget error.
+
+    Each node colors its candidates greedily (``_color_classes``, in index
+    order, with no relabelling of the vertices), since a clique takes at
+    most one vertex per color class.  It branches on the vertices from the
+    last class to the first, highest index first within a class, dropping
+    each from the candidates once it has been tried, and stops at the first
+    vertex of color k with ``size + k <= best`` (Tomita & Seki's MCQ, on
+    bitmasks as in San Segundo et al.'s BBMC)."""
     budget = SEARCH_NODE_BUDGET
     best = 0
     nodes = 0
@@ -109,19 +120,43 @@ def _clique_search(n: int, adj: Sequence[int], start: int, search: str) -> int:
         nodes += 1
         if nodes > budget:
             raise _over_budget(search, budget, n)
-        if size + cand.bit_count() <= best:
-            return
         if not cand:
-            best = size
+            if size > best:
+                best = size
             return
-        v = (cand & -cand).bit_length() - 1
-        expand(cand & adj[v], size + 1)
-        rest = cand & ~(1 << v)
-        if size + rest.bit_count() > best:
-            expand(rest, size)
+        classes = _color_classes(cand, adj)
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if size + k <= best:
+                    return
+                v = cls.bit_length() - 1
+                expand(cand & adj[v], size + 1)
+                cand &= ~(1 << v)
+                cls &= ~(1 << v)
 
     expand(start, 0)
     return best
+
+
+def _color_classes(cand: int, adj: Sequence[int]) -> list[int]:
+    """The color classes, as masks, of the sequential greedy coloring of the
+    vertex mask ``cand`` in index order.
+
+    Built class by class: class k is the lowest-index-first independent set
+    of what classes 1..k-1 left, which gives each vertex the least color
+    that none of its lower-index neighbors has."""
+    classes = []
+    while cand:
+        q = cand
+        cls = 0
+        while q:
+            low = q & -q
+            cls |= low
+            q &= ~adj[low.bit_length() - 1] & ~low
+        cand &= ~cls
+        classes.append(cls)
+    return classes
 
 
 def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
@@ -373,19 +408,6 @@ def edge_cover_from_matching(
 # Colorings
 
 
-def _greedy_coloring_bound(n: int, adj: Sequence[int]) -> int:
-    colors: dict[int, int] = {}
-    used = 0
-    for v in range(n):
-        taken = {colors[u] for u in bit_indices(adj[v]) if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c + 1)
-    return max(used, 1)
-
-
 def _k_colorable(n: int, adj: Sequence[int], k: int, search: str) -> bool:
     """Whether a proper k-coloring exists, by backtracking; ``search``
     names the caller in the budget error."""
@@ -436,9 +458,9 @@ def chromatic_number(
     n: int, adj: Sequence[int], clique_number: Optional[int] = None
 ) -> int:
     """Chromatic number: k-colorability tests from the clique number up to
-    a greedy coloring's count.  A caller that already has the clique number
-    passes it and saves a second clique search; an edgeless graph needs no
-    search at all."""
+    the color count of the greedy coloring in index order.  A caller that
+    already has the clique number passes it and saves a second clique
+    search; an edgeless graph needs no search at all."""
     if n == 0:
         return 0
     if all(row == 0 for row in adj):
@@ -446,7 +468,7 @@ def chromatic_number(
     low = clique_number
     if low is None:
         low = _clique_search(n, adj, (1 << n) - 1, "chromatic_number")
-    high = _greedy_coloring_bound(n, adj)
+    high = len(_color_classes((1 << n) - 1, adj))
     for k in range(low, high):
         if _k_colorable(n, adj, k, "chromatic_number"):
             return k

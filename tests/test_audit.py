@@ -1,5 +1,7 @@
 """Audit harness tests: tallies, determinism, sampling, and shrinking."""
+import csv
 import hashlib
+import io
 import json
 import random
 from collections import Counter
@@ -29,6 +31,7 @@ from relcay.audit import (
     Limits,
     MismatchEntry,
     catalog_up_to,
+    compact_json,
     jsonable,
     run_audit,
     shrink_counterexample,
@@ -715,3 +718,35 @@ def test_to_json_writes_the_bytes_of_the_plain_encoder(report):
 def test_to_json_of_a_real_audit_is_the_plain_encoding(c4_report):
     assert c4_report.mismatches and c4_report.records
     assert c4_report.to_json() == _reference_json(c4_report)
+
+
+def _reference_csv(report: AuditReport) -> str:
+    """``to_csv`` with every value formatted on its own, no memo."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["instance_group", "instance_H", "instance_C", "check", "predicted", "observed", "verdict"]
+    )
+    for r in report.records:
+        writer.writerow(
+            [
+                r.group, ",".join(r.h), ",".join(r.c), r.check,
+                compact_json(r.predicted), compact_json(r.observed), r.verdict,
+            ]
+        )
+    return out.getvalue()
+
+
+def test_to_csv_of_a_real_audit_formats_each_value_on_its_own():
+    report = run_audit(["C4", "S3"], keep_records=True)
+    kinds = {type(v) for r in report.records for v in (r.predicted, r.observed)}
+    assert {bool, int, float, dict} <= kinds
+    assert report.to_csv() == _reference_csv(report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_records, max_size=6).map(tuple))
+@example(_EVERY_EDGE)
+def test_to_csv_memo_keeps_equal_but_different_values_apart(records):
+    report = _report(records)
+    assert report.to_csv() == _reference_csv(report)

@@ -1,7 +1,6 @@
 """CLI tests: parsing, output shapes, exit codes, and figure reproduction."""
 import json
 import os
-import re
 import subprocess
 import sys
 
@@ -171,7 +170,9 @@ def test_invariants_keeps_default_cap_without_flag(monkeypatch, capsys):
     [("C64", "a2", "a,a63", 22), ("D32", "a", "a,a31,b", 32)],
 )
 def test_invariants_at_the_order_cap_ends_quickly(spec, subgroup, conn, gamma):
-    # each ran past 120 s before the searches had pruning and a node budget
+    # each ran past 120 s before the searches had pruning and a node budget,
+    # and the C64 independence search ran out of budget before the clique
+    # search had its colouring bound
     src = os.path.dirname(os.path.dirname(relcay.oracles.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("RELCAY_MAX_ORDER", None)
@@ -183,16 +184,9 @@ def test_invariants_at_the_order_cap_ends_quickly(spec, subgroup, conn, gamma):
         env=env,
         timeout=5,
     )
-    if done.returncode == 0:
-        assert f"domination_number: {gamma}\n" in done.stdout
-    else:
-        assert done.returncode == 1
-        assert re.fullmatch(
-            r"CapacityError: (max_clique|max_independent_set|min_vertex_cover"
-            r"|min_dominating_set|chromatic_number|edge_chromatic_number) search "
-            r"exceeded the budget of \d+ nodes on a graph with 64 vertices\n",
-            done.stderr,
-        )
+    assert done.returncode == 0, done.stderr
+    assert "independence_number: 32\n" in done.stdout
+    assert f"domination_number: {gamma}\n" in done.stdout
 
 
 def test_help_exits_zero(capsys):

@@ -232,6 +232,67 @@ def test_edge_cover_self_check_rejects_a_short_matching(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# The color-bounded clique search
+
+
+def test_clique_and_independence_match_brute_on_random_graphs():
+    rng = random.Random(2003)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        adj = random_graph(rng, n, rng.random())
+        edges = brute_edges(n, adj)
+        assert max_clique(n, adj) == brute.brute_max_clique(n, edges)
+        assert max_independent_set(n, adj) == brute.brute_max_independent(n, edges)
+
+
+def test_clique_matches_networkx_up_to_the_order_cap():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2011)
+    for _ in range(100):
+        n = rng.randint(1, 64)
+        adj = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(
+            (v, u) for v in range(n) for u in range(v + 1, n) if adj[v] >> u & 1
+        )
+        _, size = nx.max_weight_clique(graph, weight=None)
+        assert max_clique(n, adj) == size
+
+
+def test_color_classes_are_the_sequential_greedy_coloring():
+    # the clique bound and chromatic_number's upper bound: each vertex of
+    # the mask gets the least color none of its lower-index neighbors has
+    rng = random.Random(1979)
+    for _ in range(200):
+        n = rng.randint(0, 24)
+        adj = random_graph(rng, n, rng.random())
+        cand = rng.getrandbits(n) if n else 0
+        classes = relcay.oracles._color_classes(cand, adj)
+        color = {v: k for k, cls in enumerate(classes, 1) for v in bit_indices(cls)}
+        assert sorted(color) == bit_indices(cand)
+        for v, k in color.items():
+            lower = {color[u] for u in bit_indices(adj[v] & cand) if u < v}
+            least = 1
+            while least in lower:
+                least += 1
+            assert k == least
+
+
+@pytest.mark.parametrize(
+    "spec, h_names, c_names, alpha",
+    [("C36", ["a2"], ["a", "a35"], 18), ("C64", ["a2"], ["a", "a63"], 32)],
+)
+def test_independence_of_cycles_fits_a_small_budget(monkeypatch, spec, h_names, c_names, alpha):
+    # a cycle has no vertex of degree at most one to take first; bounded by
+    # candidate counts alone, the search visits 294,912 nodes on C36 and
+    # over 1,000,000 on C64, and with the color bound 19 and 33
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 1_000)
+    graph = instance(spec, h_names, c_names)
+    assert max_independent_set(graph.n, graph.adjacency) == alpha
+
+
+# --------------------------------------------------------------------------
 # Domination and the search budget
 
 
