@@ -6,7 +6,8 @@ small groups, evaluates every registered check on both the prediction side
 classifies each pair as agree, mismatch, not-applicable, or unevaluated.
 The scan tallies each verdict as it comes; it builds an ``AuditRecord``
 only for a mismatch, or for every pair when ``keep_records`` is set.
-Mismatches are shrunk to smaller witnesses before reporting.
+Mismatches are shrunk to smaller witnesses inside the work item that found
+them, so a pooled audit shrinks in its workers.
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -20,7 +21,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -1002,7 +1002,10 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 
 
 def _scan_subgroup(args):
-    catalog_index, spec, h_members, checks, limits, keep_records = args
+    """Scan one (group, subgroup) work item; its mismatches come back as
+    ``MismatchEntry``s, shrunk here when ``shrink`` is set, so a pooled
+    audit shrinks in its workers."""
+    catalog_index, spec, h_members, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     h = group.subgroup(h_members)
     totals: Counter = Counter()
@@ -1040,7 +1043,14 @@ def _scan_subgroup(args):
     sort_key = lambda r: (r.c_indices, r.check)
     mismatches.sort(key=sort_key)
     records.sort(key=sort_key)
-    return catalog_index, h_members, dict(totals), mismatches, records, errors
+    entries = [
+        MismatchEntry(
+            original=record,
+            shrunk=shrink_counterexample(record, limits) if shrink else record,
+        )
+        for record in mismatches
+    ]
+    return catalog_index, h_members, dict(totals), entries, records, errors
 
 
 def run_audit(
@@ -1088,22 +1098,24 @@ def run_audit(
         )
         for s in subgroups:
             work_items.append(
-                (index, group.spec, s.members, checks, limits, keep_records)
+                (index, group.spec, s.members, checks, limits, keep_records, shrink)
             )
 
     if parallelism == 1:
         results = [_scan_subgroup(item) for item in work_items]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             results = list(pool.map(_scan_subgroup, work_items))
 
     totals_counter: Counter = Counter()
-    raw_mismatches: list[AuditRecord] = []
+    mismatch_entries: list[MismatchEntry] = []
     all_records: list[AuditRecord] = []
     errors: list[dict] = []
     for _, _, item_totals, item_mismatches, item_records, item_errors in results:
         totals_counter.update(item_totals)
-        raw_mismatches.extend(item_mismatches)
+        mismatch_entries.extend(item_mismatches)
         all_records.extend(item_records)
         errors.extend(item_errors)
 
@@ -1111,14 +1123,6 @@ def run_audit(
         check: {verdict: totals_counter.get((check, verdict), 0) for verdict in VERDICTS}
         for check in checks
     }
-
-    mismatch_entries = tuple(
-        MismatchEntry(
-            original=record,
-            shrunk=shrink_counterexample(record, limits) if shrink else record,
-        )
-        for record in raw_mismatches
-    )
 
     config = {
         "catalog": [entry["spec"] for entry in catalog_entries],
@@ -1133,7 +1137,7 @@ def run_audit(
         config=config,
         catalog=tuple(catalog_entries),
         totals=totals,
-        mismatches=mismatch_entries,
+        mismatches=tuple(mismatch_entries),
         records=tuple(all_records) if keep_records else None,
         wall_time_seconds=time.monotonic() - started,
         errors=tuple(errors),

@@ -8,22 +8,15 @@ a mismatch on any check that is not marked audited.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .audit import (
-    ALL_CHECKS,
-    AUDITED_CHECKS,
-    CHECKS,
-    DEFAULT_CATALOG,
-    MISMATCH,
-    Limits,
-    compact_json,
-    evaluate_check,
-    run_audit,
-)
+# build, invariants and figures need only groups, graphs and oracles;
+# relcay.audit (and through it the predictors and the JSON and CSV writers)
+# is imported inside the functions that use it.
 from .errors import RelCayError, GroupSpecError, PreconditionError, UnknownCheckError
 from .graphs import ConnectionSet, RelCayGraph, build_relcay, export_dot
 from .group_core import ElementSet, default_max_order, generated_subgroup, make_group
@@ -33,7 +26,6 @@ from .oracles import (
     invariant_report,
     structure_flags,
 )
-from .theorems import DEFAULT_CHROMATIC_II_CAP
 
 __all__ = ["CliConfig", "execute_command", "console_main"]
 
@@ -41,10 +33,16 @@ OUTPUT_FORMATS = ("text", "json", "csv", "dot")
 
 @dataclass(frozen=True)
 class CliConfig:
+    """The caps and output settings of one command.
+
+    An audit cap left as None was not given; ``limits`` then takes its
+    default from ``audit.Limits``, where each default lives.
+    """
+
     max_order: int
     edge_color_cutoff: int = DEFAULT_EDGE_COLOR_CUTOFF
-    chromatic_ii_cap: int = DEFAULT_CHROMATIC_II_CAP
-    max_connection_sets: int = 512
+    chromatic_ii_cap: Optional[int] = None
+    max_connection_sets: Optional[int] = None
     parallelism: int = 1
     format: str = "text"
     full: bool = False
@@ -57,17 +55,23 @@ class CliConfig:
             self.max_connection_sets,
             self.parallelism,
         )
-        if any(value < 1 for value in caps):
+        if any(value is not None and value < 1 for value in caps):
             raise PreconditionError("all CLI caps must be positive")
         if self.format not in OUTPUT_FORMATS:
             raise PreconditionError(f"unknown output format {self.format!r}")
 
-    def limits(self) -> Limits:
-        return Limits(
+    def limits(self):
+        """The ``audit.Limits`` of these caps."""
+        from . import audit
+
+        given = {
+            "chromatic_ii_cap": self.chromatic_ii_cap,
+            "max_connection_sets": self.max_connection_sets,
+        }
+        return audit.Limits(
             max_order=self.max_order,
             edge_color_cutoff=self.edge_color_cutoff,
-            chromatic_ii_cap=self.chromatic_ii_cap,
-            max_connection_sets=self.max_connection_sets,
+            **{name: cap for name, cap in given.items() if cap is not None},
         )
 
 
@@ -197,35 +201,41 @@ def _cmd_invariants(args, config: CliConfig) -> int:
 
 
 def _resolve_theorem(name: Optional[str]) -> tuple[str, ...]:
+    from . import audit
+
     if name is None:
-        return ALL_CHECKS
-    family = tuple(check.name for check in CHECKS if check.family == name)
+        return audit.ALL_CHECKS
+    family = tuple(check.name for check in audit.CHECKS if check.family == name)
     if family:
         return family
-    if name in ALL_CHECKS:
+    if name in audit.ALL_CHECKS:
         return (name,)
     raise UnknownCheckError(
         f"unknown theorem or check {name!r}; families: "
-        + ", ".join(sorted({check.family for check in CHECKS}))
+        + ", ".join(sorted({check.family for check in audit.CHECKS}))
     )
 
 
 def _cmd_check(args, config: CliConfig) -> int:
+    from . import audit
+
     group = make_group(args.spec, max_order=config.max_order)
     h, c = _instance(group, args.subgroup, args.conn)
     limits = config.limits()
     blocking = False
     for check in _resolve_theorem(args.theorem):
-        record = evaluate_check(group.spec, h.members, c.members, check, limits)
-        predicted = compact_json(record.predicted)
-        observed = compact_json(record.observed)
+        record = audit.evaluate_check(group.spec, h.members, c.members, check, limits)
+        predicted = audit.compact_json(record.predicted)
+        observed = audit.compact_json(record.observed)
         print(f"{check}: predicted={predicted} observed={observed} verdict={record.verdict}")
-        if record.verdict == MISMATCH and check not in AUDITED_CHECKS:
+        if record.verdict == audit.MISMATCH and check not in audit.AUDITED_CHECKS:
             blocking = True
     return 2 if blocking else 0
 
 
 def _format_audit_text(report) -> str:
+    from . import audit
+
     lines = []
     specs = ", ".join(entry["spec"] for entry in report.catalog)
     instance_total = sum(entry["instances"] for entry in report.catalog)
@@ -239,7 +249,7 @@ def _format_audit_text(report) -> str:
             f"{tally['not-applicable']:14d}  {tally['unevaluated']:11d}"
         )
     blocking = sum(
-        1 for e in report.mismatches if e.original.check not in AUDITED_CHECKS
+        1 for e in report.mismatches if e.original.check not in audit.AUDITED_CHECKS
     )
     lines.append(f"mismatches: {len(report.mismatches)} (blocking {blocking})")
     if report.errors:
@@ -249,9 +259,11 @@ def _format_audit_text(report) -> str:
 
 
 def _cmd_audit(args, config: CliConfig) -> int:
+    from . import audit
+
     keep_records = config.full or config.format == "csv"
-    report = run_audit(
-        args.catalog,
+    report = audit.run_audit(
+        audit.DEFAULT_CATALOG if args.catalog is None else args.catalog,
         args.checks,
         config.limits(),
         parallelism=config.parallelism,
@@ -344,7 +356,10 @@ def _cmd_figures(args, config: CliConfig) -> int:
 # Parser assembly and dispatch
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process; it holds no mutable
+    default, so one parse cannot leak into the next."""
     parser = _Parser(prog="relcay", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument(
@@ -392,10 +407,11 @@ def _build_parser() -> _Parser:
     )
 
     p_audit = sub.add_parser("audit", parents=[common], help="scan a catalog")
-    p_audit.add_argument("--catalog", nargs="+", default=list(DEFAULT_CATALOG))
+    # None leaves a default to audit.DEFAULT_CATALOG and audit.Limits
+    p_audit.add_argument("--catalog", nargs="+", default=None)
     p_audit.add_argument("--checks", nargs="+", default=None)
-    p_audit.add_argument("--max-connection-sets", type=int, default=512)
-    p_audit.add_argument("--chromatic-ii-cap", type=int, default=DEFAULT_CHROMATIC_II_CAP)
+    p_audit.add_argument("--max-connection-sets", type=int, default=None)
+    p_audit.add_argument("--chromatic-ii-cap", type=int, default=None)
     p_audit.add_argument("--edge-color-cutoff", type=int, default=DEFAULT_EDGE_COLOR_CUTOFF)
     p_audit.add_argument("--parallelism", type=int, default=1)
     p_audit.add_argument("--full", action="store_true", help="keep per-instance records")
@@ -414,8 +430,8 @@ def _config_from(args) -> CliConfig:
     return CliConfig(
         max_order=args.max_order if args.max_order else default_max_order(),
         edge_color_cutoff=getattr(args, "edge_color_cutoff", DEFAULT_EDGE_COLOR_CUTOFF),
-        chromatic_ii_cap=getattr(args, "chromatic_ii_cap", DEFAULT_CHROMATIC_II_CAP),
-        max_connection_sets=getattr(args, "max_connection_sets", 512),
+        chromatic_ii_cap=getattr(args, "chromatic_ii_cap", None),
+        max_connection_sets=getattr(args, "max_connection_sets", None),
         parallelism=getattr(args, "parallelism", 1),
         format=getattr(args, "format", "text"),
         full=getattr(args, "full", False),

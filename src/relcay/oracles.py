@@ -162,12 +162,32 @@ def _color_classes(cand: int, adj: Sequence[int]) -> list[int]:
 def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
     """Exact minimum vertex cover via edge branching.
 
+    Each node first applies the pendant rule: some minimum cover of a graph
+    holds the neighbor of any vertex of degree one, so that neighbor is
+    taken, and vertices of degree zero are dropped, until neither is left.
+
     Deliberately not derived from the independence number, so the Gallai
     identity stays a real cross-check.
     """
     budget = SEARCH_NODE_BUDGET
     best = n
     nodes = 0
+
+    def pendant_rule(remaining: int, size: int) -> tuple[int, int]:
+        changed = True
+        while changed:
+            changed = False
+            for v in bit_indices(remaining):
+                if not remaining >> v & 1:
+                    continue  # an earlier step of this pass removed it
+                nb = adj[v] & remaining
+                if not nb:
+                    remaining &= ~(1 << v)
+                elif not nb & (nb - 1):
+                    remaining &= ~(nb | 1 << v)
+                    size += 1
+                    changed = True
+        return remaining, size
 
     def matching_lower_bound(remaining: int) -> int:
         used = 0
@@ -186,6 +206,7 @@ def min_vertex_cover(n: int, adj: Sequence[int]) -> int:
         nodes += 1
         if nodes > budget:
             raise _over_budget("min_vertex_cover", budget, n)
+        remaining, size = pendant_rule(remaining, size)
         if size >= best:
             return
         pick = -1

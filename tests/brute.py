@@ -44,6 +44,19 @@ def brute_closure(g, seed) -> frozenset[int]:
         current = frozenset(grown)
 
 
+def brute_is_group(mul, identity, inv) -> bool:
+    """The group laws on a table, checked at every element, pair and triple:
+    identity, inverses, and associativity over all n^3 triples."""
+    elems = range(len(mul))
+    if any(mul[identity][x] != x or mul[x][identity] != x for x in elems):
+        return False
+    if any(mul[x][inv[x]] != identity or mul[inv[x]][x] != identity for x in elems):
+        return False
+    return all(
+        mul[mul[x][y]][z] == mul[x][mul[y][z]] for x in elems for y in elems for z in elems
+    )
+
+
 # --------------------------------------------------------------------------
 # Graph-side brutes; graphs are (n, edges) with edges a set of frozensets
 

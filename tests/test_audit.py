@@ -151,6 +151,24 @@ def test_reports_byte_identical_across_parallelism():
     assert serial.to_csv() == parallel.to_csv()
 
 
+def test_pooled_audit_shrinks_in_its_workers(monkeypatch):
+    shrinks = Counter()
+    shrink = relcay.audit.shrink_counterexample
+
+    def counted(record, limits=None):
+        shrinks["calls"] += 1  # counted only in the process that shrinks
+        return shrink(record, limits)
+
+    monkeypatch.setattr(relcay.audit, "shrink_counterexample", counted)
+    serial = run_audit(["C4"])
+    assert shrinks["calls"] == len(serial.mismatches) == 7
+    assert any(entry.shrunk != entry.original for entry in serial.mismatches)
+    shrinks.clear()
+    parallel = run_audit(["C4"], parallelism=2)
+    assert shrinks["calls"] == 0
+    assert parallel.to_json() == serial.to_json()
+
+
 def test_sampling_is_deterministic_and_stratified():
     limits = Limits(max_connection_sets=8)
     first = run_audit(["D4"], ["edge_count"], limits, keep_records=True, shrink=False)

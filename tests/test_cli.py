@@ -1,4 +1,5 @@
 """CLI tests: parsing, output shapes, exit codes, and figure reproduction."""
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,8 @@ import sys
 import pytest
 
 import relcay.oracles
-from relcay.audit import AuditRecord, AuditReport, MismatchEntry
-from relcay.cli import execute_command, parse_elements, split_elements
+from relcay.audit import DEFAULT_CATALOG, AuditRecord, AuditReport, Limits, MismatchEntry
+from relcay.cli import _build_parser, execute_command, parse_elements, split_elements
 from relcay.errors import GroupSpecError
 from relcay.group_core import make_group
 
@@ -252,6 +253,41 @@ def test_audit_csv_format(capsys):
     assert len(out) == 9
 
 
+def test_audit_caps_default_to_limits_and_flags_override_them(capsys):
+    base = ["audit", "--catalog", "C4", "--checks", "edge_count", "--format", "json"]
+    assert execute_command(base) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    defaults = Limits()
+    assert config["chromatic_ii_cap"] == defaults.chromatic_ii_cap
+    assert config["max_connection_sets"] == defaults.max_connection_sets
+    flags = ["--chromatic-ii-cap", "3", "--max-connection-sets", "5"]
+    assert execute_command(base + flags) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["chromatic_ii_cap"], config["max_connection_sets"]) == (3, 5)
+
+
+def test_audit_scans_the_default_catalog_without_catalog_flag(monkeypatch, capsys):
+    calls = []
+
+    def recorded(catalog, *args, **kwargs):
+        calls.append(catalog)
+        return _fake_blocking_report()
+
+    monkeypatch.setattr("relcay.audit.run_audit", recorded)
+    execute_command(["audit"])
+    capsys.readouterr()
+    assert calls == [DEFAULT_CATALOG]
+
+
+def test_parser_is_built_once_and_holds_no_mutable_default():
+    parser = _build_parser()
+    assert _build_parser() is parser
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for sub in commands.choices.values():
+        for action in sub._actions:
+            assert not isinstance(action.default, (list, dict, set)), action.dest
+
+
 def _fake_blocking_report() -> AuditReport:
     record = AuditRecord(
         group="C4",
@@ -274,7 +310,7 @@ def _fake_blocking_report() -> AuditReport:
 
 def test_audit_blocking_mismatch_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(
-        "relcay.cli.run_audit", lambda *args, **kwargs: _fake_blocking_report()
+        "relcay.audit.run_audit", lambda *args, **kwargs: _fake_blocking_report()
     )
     status = execute_command(["audit", "--catalog", "C4"])
     assert status == 2
@@ -285,7 +321,7 @@ def test_check_blocking_mismatch_exits_two(monkeypatch, capsys):
     record = _fake_blocking_report().mismatches[0].original
 
     monkeypatch.setattr(
-        "relcay.cli.evaluate_check", lambda *args, **kwargs: record
+        "relcay.audit.evaluate_check", lambda *args, **kwargs: record
     )
     status = execute_command(
         ["check", "C4", "--subgroup", "a", "--conn", "a,a3", "--theorem", "edge_count"]

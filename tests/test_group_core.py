@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from relcay.audit import DEFAULT_CATALOG
 from relcay.errors import (
     CapacityError,
     GroupMismatchError,
@@ -137,6 +139,99 @@ def test_associativity_checked_above_default_cap():
             names=c65.names,
             spec="C65",
         )
+
+
+def table_error(mul, inv):
+    """The message with which ``GroupTable`` rejects a table with identity
+    0 and these inverses, or None if it accepts it."""
+    n = len(mul)
+    try:
+        GroupTable(
+            order=n,
+            mul=tuple(map(tuple, mul)),
+            identity=0,
+            inv=tuple(inv),
+            names=tuple(map(str, range(n))),
+            spec="T",
+        )
+    except InternalConsistencyError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
+def test_every_catalog_group_passes_the_full_group_law_check(spec):
+    g = make_group(spec)
+    assert g.identity == 0
+    assert brute.brute_is_group(g.mul, g.identity, g.inv)
+    assert table_error(g.mul, g.inv) is None
+
+
+def off_law_entry(rng, mul, inv):
+    """A random (x, y) off the identity row and column and off the inverse
+    pairs: changing it can break associativity and nothing else."""
+    n = len(mul)
+    return rng.choice([(x, y) for x in range(1, n) for y in range(1, n) if y != inv[x]])
+
+
+def corrupted_table(rng, g, small):
+    """g's table (identity 0) under one seeded change:
+    0. a relabelling that fixes the identity (still a group);
+    1. one entry changed where only associativity can break;
+    2. two entries of a row swapped;
+    3. any one entry changed;
+    4. the direct product of ``small`` (first in index order) with g under
+       change 1, so the products with the first generators are all
+       associative and only a later generator shows the fault."""
+    n = g.order
+    mul = [list(row) for row in g.mul]
+    inv = list(g.inv)
+    kind = rng.randrange(5)
+    if kind == 0:
+        label = [0] + rng.sample(range(1, n), n - 1)
+        for x in range(n):
+            for y in range(n):
+                mul[label[x]][label[y]] = label[g.mul[x][y]]
+            inv[label[x]] = label[g.inv[x]]
+    elif kind in (1, 4):
+        x, y = off_law_entry(rng, mul, inv)
+        mul[x][y] = rng.randrange(n)
+    elif kind == 2:
+        x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        mul[x][y], mul[x][z] = mul[x][z], mul[x][y]
+    else:
+        mul[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+    if kind == 4:
+        # element (a, b) of small x g has index b * |small| + a
+        k = small.order
+        mul = [
+            [mul[b][d] * k + small.mul[a][c] for d in range(n) for c in range(k)]
+            for b in range(n)
+            for a in range(k)
+        ]
+        inv = [inv[b] * k + small.inv[a] for b in range(n) for a in range(k)]
+    return kind, mul, inv
+
+
+def test_group_table_raises_exactly_when_the_full_group_law_check_fails():
+    rng = random.Random(1965)
+    specs = [spec for spec in DEFAULT_CATALOG if 3 <= make_group(spec).order <= 8]
+    smalls = [make_group(spec) for spec in ("C2", "C3")]
+    outcomes = Counter()
+    for _ in range(400):
+        g = make_group(rng.choice(specs))
+        kind, mul, inv = corrupted_table(rng, g, rng.choice(smalls))
+        is_group = brute.brute_is_group(mul, 0, inv)
+        error = table_error(mul, inv)
+        assert (error is None) == is_group
+        if kind in (1, 4) and not is_group:
+            assert error == "associativity fails"
+        outcomes[kind, is_group] += 1
+    # every kind of change occurs, and both verdicts with them
+    assert {kind for kind, _ in outcomes} == {0, 1, 2, 3, 4}
+    assert outcomes[0, True] > 0 and outcomes[1, False] > 0 and outcomes[4, False] > 0
+    assert sum(n for (_, ok), n in outcomes.items() if ok) >= 50
+    assert sum(n for (_, ok), n in outcomes.items() if not ok) >= 200
 
 
 def test_element_name_round_trip():

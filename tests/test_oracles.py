@@ -293,6 +293,49 @@ def test_independence_of_cycles_fits_a_small_budget(monkeypatch, spec, h_names, 
 
 
 # --------------------------------------------------------------------------
+# Vertex cover and its pendant rule
+
+
+def corona(rng, k):
+    """A k-cycle with one pendant vertex on each cycle vertex, relabelled at
+    random, so pendants and their neighbors sit anywhere in index order."""
+    n = 2 * k
+    label = list(range(n))
+    rng.shuffle(label)
+    adj = [0] * n
+    pairs = [(v, (v + 1) % k) for v in range(k)] + [(v, k + v) for v in range(k)]
+    for v, u in pairs:
+        adj[label[v]] |= 1 << label[u]
+        adj[label[u]] |= 1 << label[v]
+    return adj
+
+
+def test_vertex_cover_matches_brute_on_random_graphs_and_coronas():
+    rng = random.Random(1960)
+    graphs = [corona(rng, k) for k in range(3, 7) for _ in range(10)]
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        graphs.append(graph_with_pendants_and_twins(rng, n))
+    for adj in graphs:
+        n = len(adj)
+        assert min_vertex_cover(n, adj) == brute.brute_min_vertex_cover(n, brute_edges(n, adj))
+
+
+@pytest.mark.parametrize(
+    "spec, h_names, c_names, beta",
+    [("D32", ["a"], ["a", "a31", "b"], 32), ("C64", ["a2"], ["a", "a63"], 32)],
+)
+def test_vertex_cover_at_the_order_cap_fits_a_small_budget(
+    monkeypatch, spec, h_names, c_names, beta
+):
+    # D32/a is a corona of a 32-cycle: the pendant rule solves it at the
+    # root, where edge branching alone took about 0.6 s
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 100)
+    graph = instance(spec, h_names, c_names)
+    assert min_vertex_cover(graph.n, graph.adjacency) == beta
+
+
+# --------------------------------------------------------------------------
 # Domination and the search budget
 
 

@@ -1,8 +1,14 @@
 """Package surface tests."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import relcay
+import relcay.audit
 
 SOURCE_DIR = Path(relcay.__file__).parent
 
@@ -18,3 +24,40 @@ def test_no_module_imports_a_private_name_from_another():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_invariants_imports_no_audit_layer():
+    # a fresh interpreter, so nothing another test imported is counted
+    script = (
+        "import contextlib, io, sys\n"
+        "import relcay, relcay.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = relcay.cli.execute_command(\n"
+        "        ['invariants', 'C64', '--subgroup', 'a2', '--conn', 'a,a63'])\n"
+        "assert status == 0, status\n"
+        "unused = ('relcay.audit', 'relcay.theorems', 'concurrent.futures',\n"
+        "          'multiprocessing', 'csv', 'json')\n"
+        "print(','.join(name for name in unused if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SOURCE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
+def test_every_public_name_resolves():
+    for name in relcay.__all__:
+        assert getattr(relcay, name) is not None
+    assert dir(relcay) == sorted(relcay.__all__)
+    with pytest.raises(AttributeError):
+        relcay.no_such_name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from relcay import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(relcay.__all__)
+    assert namespace["run_audit"] is relcay.audit.run_audit
