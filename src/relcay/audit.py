@@ -1012,6 +1012,7 @@ def _scan_subgroup(args):
     mismatches: list[AuditRecord] = []
     records: list[AuditRecord] = []
     errors: list[dict] = []
+    scanned = _ScanVerdicts(h_members, set(), {})
     for c in _connection_sets_for(group, h_members, limits):
         ctx = InstanceContext(group, h, c, limits)
         outcomes = []
@@ -1030,6 +1031,7 @@ def _scan_subgroup(args):
                 }
             )
             continue
+        scanned.evaluated.add(c.members)
         # verdicts are tallied directly; a record is built only to be kept
         for check, outcome in zip(checks, outcomes):
             verdict = outcome[2]
@@ -1038,6 +1040,7 @@ def _scan_subgroup(args):
                 record = _build_record(ctx, check, outcome)
                 if verdict == MISMATCH:
                     mismatches.append(record)
+                    scanned.mismatches[c.members, check] = record
                 if keep_records:
                     records.append(record)
     sort_key = lambda r: (r.c_indices, r.check)
@@ -1046,7 +1049,7 @@ def _scan_subgroup(args):
     entries = [
         MismatchEntry(
             original=record,
-            shrunk=shrink_counterexample(record, limits) if shrink else record,
+            shrunk=shrink_counterexample(record, limits, scanned) if shrink else record,
         )
         for record in mismatches
     ]
@@ -1166,11 +1169,36 @@ def evaluate_check(
     return _build_record(InstanceContext(group, h, c, limits), check)
 
 
+@dataclass(frozen=True)
+class _ScanVerdicts:
+    """What a work item's scan found on its subgroup: the connection sets
+    (member tuples) whose every check ran, and the record of each
+    (connection set, check) pair among them that mismatched.  It lives as
+    long as its work item and is never returned from it."""
+
+    h_members: tuple[int, ...]
+    evaluated: set[tuple[int, ...]]
+    mismatches: dict[tuple[tuple[int, ...], str], AuditRecord]
+
+    def lookup(self, h_members, c_members, check: str):
+        """The scan's verdict on one candidate, as its mismatch record, or
+        ``False`` when the scan saw it agree or not apply; None when the
+        scan did not evaluate the candidate."""
+        if h_members != self.h_members or c_members not in self.evaluated:
+            return None
+        return self.mismatches.get((c_members, check), False)
+
+
 def shrink_counterexample(
-    record: AuditRecord, limits: Optional[Limits] = None
+    record: AuditRecord,
+    limits: Optional[Limits] = None,
+    scanned: Optional[_ScanVerdicts] = None,
 ) -> AuditRecord:
     """Greedily minimize a mismatch: drop connection-set orbits, then move to
     smaller subgroups, as long as the same check still mismatches.
+
+    ``scanned`` is the table of the scan that found the record; a candidate
+    it covers takes its verdict from there instead of being evaluated.
 
     Idempotent: shrinking an already-minimal record returns it unchanged.
     """
@@ -1183,7 +1211,13 @@ def shrink_counterexample(
     c_members = record.c_indices
     check = record.check
 
+    def scan_verdict(h_m, c_m):
+        return None if scanned is None else scanned.lookup(h_m, c_m, check)
+
     def still_mismatch(h_m, c_m):
+        found = scan_verdict(h_m, c_m)
+        if found is not None:
+            return bool(found)
         try:
             record = evaluate_check(spec, h_m, c_m, check, limits)
         except (RelCayError, RecursionError):
@@ -1211,4 +1245,6 @@ def shrink_counterexample(
                 h_members = cand_members
                 changed = True
                 break
-    return evaluate_check(spec, h_members, c_members, check, limits)
+    return scan_verdict(h_members, c_members) or evaluate_check(
+        spec, h_members, c_members, check, limits
+    )

@@ -8,7 +8,7 @@ that violates them cannot be observed from outside.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -122,19 +122,27 @@ class RelCayGraph:
     c: ConnectionSet
     adjacency: tuple[int, ...]
     h_mask: int
+    # each vertex's neighbors, ascending; filled in by the validation
+    neighbor_lists: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.group.order
-        for x in range(n):
-            if self.adjacency[x] >> x & 1:
+        adjacency = self.adjacency
+        h_mask = self.h_mask
+        lists = []
+        for x, row in enumerate(adjacency):
+            if row >> x & 1:
                 raise InternalConsistencyError("adjacency has a self loop")
-            for y in bit_indices(self.adjacency[x]):
-                if not self.adjacency[y] >> x & 1:
+            nbrs = tuple(bit_indices(row))
+            for y in nbrs:
+                if not adjacency[y] >> x & 1:
                     raise InternalConsistencyError("adjacency is not symmetric")
-            if not self.h_mask >> x & 1 and self.adjacency[x] & ~self.h_mask:
+            if not h_mask >> x & 1 and row & ~h_mask:
                 raise InternalConsistencyError(
                     "vertices outside the subgroup must form an independent set"
                 )
+            lists.append(nbrs)
+        # the symmetry check walks every row once; its lists are kept
+        object.__setattr__(self, "neighbor_lists", tuple(lists))
 
     @property
     def n(self) -> int:
@@ -144,7 +152,7 @@ class RelCayGraph:
         return bool(self.adjacency[x] >> y & 1)
 
     def neighbors(self, x: int) -> tuple[int, ...]:
-        return tuple(bit_indices(self.adjacency[x]))
+        return self.neighbor_lists[x]
 
     @cached_attribute
     def degrees(self) -> tuple[int, ...]:
@@ -223,19 +231,15 @@ def build_relcay(group: GroupTable, h: Subgroup, c: ConnectionSet) -> RelCayGrap
     n = group.order
     mul = group.mul
     h_mask = h.mask
+    members = c.members
     rows = []
     for x in range(n):
         row = 0
         mul_x = mul[x]
-        if h_mask >> x & 1:
-            for cc in c.members:
-                row |= 1 << mul_x[cc]
-        else:
-            for cc in c.members:
-                y = mul_x[cc]
-                if h_mask >> y & 1:
-                    row |= 1 << y
-        rows.append(row)
+        for cc in members:
+            row |= 1 << mul_x[cc]
+        # a vertex outside H keeps only its neighbors inside H
+        rows.append(row if h_mask >> x & 1 else row & h_mask)
     return RelCayGraph(group=group, h=h, c=c, adjacency=tuple(rows), h_mask=h_mask)
 
 
@@ -260,10 +264,12 @@ class InducedCayleyGraph:
         pos = {v: i for i, v in enumerate(vertices)}
         generators = parent.h.intersection(parent.c)
         rows = []
+        h_mask = parent.h_mask
         for v in vertices:
             row = 0
-            for u in bit_indices(parent.adjacency[v] & parent.h_mask):
-                row |= 1 << pos[u]
+            for u in parent.neighbor_lists[v]:
+                if h_mask >> u & 1:
+                    row |= 1 << pos[u]
             expected = 0
             for gen in generators.members:
                 expected |= 1 << pos[g.mul[v][gen]]
@@ -309,8 +315,8 @@ def export_dot(graph: RelCayGraph) -> str:
             lines.append(f'  "{names[x]}" [style=filled];')
         else:
             lines.append(f'  "{names[x]}";')
-    for u in range(graph.n):
-        for v in bit_indices(graph.adjacency[u]):
+    for u, nbrs in enumerate(graph.neighbor_lists):
+        for v in nbrs:
             if v > u:
                 lines.append(f'  "{names[u]}" -- "{names[v]}";')
     lines.append("}")

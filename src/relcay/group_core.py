@@ -342,7 +342,9 @@ class Subgroup(ElementSet):
     Quantities that depend on the subgroup alone (its coset partitions and
     its A*B*A flag) are computed on first use and kept on the object, so a
     subgroup shared through ``GroupTable.subgroup``, ``generated_subgroup``
-    or ``enumerate_subgroups`` computes each of them once.
+    or ``enumerate_subgroups`` computes each of them once.  So is the edge
+    coloring of its Cayley graph on each generating set H n C, which
+    ``theorems.build_class_one_coloring`` keeps in ``induced_colorings``.
     """
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
@@ -380,6 +382,12 @@ class Subgroup(ElementSet):
     @cached_attribute
     def _right_cosets(self) -> tuple[ElementSet, ...]:
         return _build_cosets(self, right_coset)
+
+    @cached_attribute
+    def induced_colorings(self) -> dict:
+        """Edge colorings of the Cayley graph Cay(H, S), keyed by the mask
+        of S; filled in by ``theorems.build_class_one_coloring``."""
+        return {}
 
     @cached_attribute
     def is_aba(self) -> bool:

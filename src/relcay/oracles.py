@@ -1,14 +1,17 @@
 """Theorem-independent exact computation of graph invariants and flags.
 
-Everything here reads only vertex count and bitset adjacency rows, so the
-functions accept either a full relative Cayley graph or the induced subgroup
-graph.  These values are the ground truth that the prediction layer is
-audited against; none of them consult group structure.
+Everything here reads only vertex count and bitset adjacency rows (and the
+neighbor lists of those rows, which a ``RelCayGraph`` keeps from its
+validation), so the functions accept either a full relative Cayley graph or
+the induced subgroup graph.  These values are the ground truth that the
+prediction layer is audited against; none of them consult group structure.
 
 Algorithms are exact searches sized for graphs of at most 64 vertices:
 branch-and-bound cliques, covers and dominating sets, Edmonds' blossom
-matching, backtracking colorings, and plain BFS.  Ties always break toward
-the lowest vertex index, so results are reproducible bit for bit.
+matching, backtracking colorings, and a bit-parallel breadth-first search
+from all sources at once (as in Akiba, Iwata & Yoshida, SIGMOD 2013).  Ties
+always break toward the lowest vertex index, so results are reproducible
+bit for bit.
 
 The clique search bounds each branch by a greedy coloring of its
 candidates, computed on the bitmask in index order with no vertex
@@ -527,38 +530,57 @@ def edge_chromatic_number(
 # Distances and flags
 
 
-def _bfs_mask_distances(n: int, adj: Sequence[int], source: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
-    step = 0
-    while frontier:
-        step += 1
-        reach = 0
-        for v in bit_indices(frontier):
-            reach |= adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-        for v in bit_indices(frontier):
-            dist[v] = step
-    return dist
+def _neighbor_lists(graph) -> Sequence[Sequence[int]]:
+    """The graph's neighbor lists, ascending: the ones it keeps, or else
+    built from its adjacency rows."""
+    lists = getattr(graph, "neighbor_lists", None)
+    if lists is None:
+        lists = [bit_indices(row) for row in graph.adjacency]
+    return lists
 
 
-def _components(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _components(n: int, nbrs: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     comps: list[tuple[int, ...]] = []
-    unassigned = (1 << n) - 1
-    while unassigned:
-        seen = frontier = unassigned & -unassigned
-        while frontier:
-            reach = 0
-            for v in bit_indices(frontier):
-                reach |= adj[v]
-            frontier = reach & ~seen
-            seen |= frontier
-        comps.append(tuple(bit_indices(seen)))
-        unassigned &= ~seen
+    found = [False] * n
+    for start in range(n):
+        if found[start]:
+            continue
+        found[start] = True
+        comp = [start]
+        for v in comp:
+            for u in nbrs[v]:
+                if not found[u]:
+                    found[u] = True
+                    comp.append(u)
+        comps.append(tuple(sorted(comp)))
     return tuple(comps)
+
+
+def _diameter(n: int, adj: Sequence[int], nbrs: Sequence[Sequence[int]]) -> int:
+    """The diameter of a connected graph, by one breadth-first search from
+    every source at once.
+
+    Row v of ``reach`` is the ball of radius r around v; one round ORs
+    each row with its neighbors' rows of the previous round, which makes
+    it the ball of radius r + 1.  The diameter is the least r at which
+    every ball is the whole vertex set.  A row that is full stays full and
+    is no longer updated."""
+    if n <= 1:
+        return 0
+    full = (1 << n) - 1
+    reach = [row | 1 << v for v, row in enumerate(adj)]
+    radius = 1
+    growing = [v for v in range(n) if reach[v] != full]
+    while growing:
+        previous = reach[:]
+        for v in growing:
+            row = previous[v]
+            for u in nbrs[v]:
+                row |= previous[u]
+            reach[v] = row
+        growing = [v for v in growing if reach[v] != full]
+        radius += 1
+    return radius
 
 
 def diameter_components(graph) -> tuple[tuple[tuple[int, ...], ...], Optional[int]]:
@@ -567,17 +589,14 @@ def diameter_components(graph) -> tuple[tuple[tuple[int, ...], ...], Optional[in
     The diameter is None when the graph is disconnected.
     """
     n, adj = graph.n, graph.adjacency
-    comps = _components(n, adj)
+    nbrs = _neighbor_lists(graph)
+    comps = _components(n, nbrs)
     if len(comps) > 1:
         return comps, None
-    diameter = 0
-    for v in range(n):
-        dist = _bfs_mask_distances(n, adj, v)
-        diameter = max(diameter, max(dist))
-    return comps, diameter
+    return comps, _diameter(n, adj, nbrs)
 
 
-def _is_bipartite(n: int, adj: Sequence[int]) -> bool:
+def _is_bipartite(n: int, nbrs: Sequence[Sequence[int]]) -> bool:
     side = [-1] * n
     for start in range(n):
         if side[start] >= 0:
@@ -586,7 +605,7 @@ def _is_bipartite(n: int, adj: Sequence[int]) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in bit_indices(adj[v]):
+            for u in nbrs[v]:
                 if side[u] < 0:
                     side[u] = side[v] ^ 1
                     stack.append(u)
@@ -595,25 +614,30 @@ def _is_bipartite(n: int, adj: Sequence[int]) -> bool:
     return True
 
 
-def _has_triangle(n: int, adj: Sequence[int]) -> bool:
-    for v, u in _edge_list(n, adj):
-        if adj[v] & adj[u]:
-            return True
-    return False
-
-
-def _has_square_subgraph(n: int, adj: Sequence[int]) -> bool:
-    # a 4-cycle exists iff two vertices share at least two neighbors
-    for v in range(n):
-        for u in range(v + 1, n):
-            if (adj[v] & adj[u] & ~(1 << v) & ~(1 << u)).bit_count() >= 2:
+def _has_triangle(adj: Sequence[int], nbrs: Sequence[Sequence[int]]) -> bool:
+    for v, row in enumerate(adj):
+        for u in nbrs[v]:
+            if row & adj[u]:
                 return True
     return False
 
 
-def _has_induced_claw(n: int, adj: Sequence[int]) -> bool:
-    for v in range(n):
-        nb = bit_indices(adj[v])
+def _has_square_subgraph(nbrs: Sequence[Sequence[int]]) -> bool:
+    # a 4-cycle exists iff two vertices share at least two neighbors, that
+    # is, iff some vertex v reaches some w != v by two paths of length two
+    for v, nb in enumerate(nbrs):
+        seen = 0
+        for u in nb:
+            for w in nbrs[u]:
+                if w != v:
+                    if seen >> w & 1:
+                        return True
+                    seen |= 1 << w
+    return False
+
+
+def _has_induced_claw(adj: Sequence[int], nbrs: Sequence[Sequence[int]]) -> bool:
+    for v, nb in enumerate(nbrs):
         if len(nb) < 3:
             continue
         for i, a in enumerate(nb):
@@ -651,20 +675,21 @@ def structure_flags(graph, component_count=None) -> StructureFlags:
     """Structural flags of a graph.  ``component_count`` may pass in the
     number of connected components when the caller already has it."""
     n, adj = graph.n, graph.adjacency
+    nbrs = _neighbor_lists(graph)
     if component_count is None:
-        component_count = len(_components(n, adj))
+        component_count = len(_components(n, nbrs))
     edge_total = sum(row.bit_count() for row in adj) // 2
     degrees = sorted({row.bit_count() for row in adj})
     connected = component_count == 1
     forest = edge_total == n - component_count
     return StructureFlags(
         connected=connected,
-        bipartite=_is_bipartite(n, adj),
+        bipartite=_is_bipartite(n, nbrs),
         forest=forest,
         tree=forest and connected,
-        triangle_free=not _has_triangle(n, adj),
-        square_subgraph_free=not _has_square_subgraph(n, adj),
-        claw_free=not _has_induced_claw(n, adj),
+        triangle_free=not _has_triangle(adj, nbrs),
+        square_subgraph_free=not _has_square_subgraph(nbrs),
+        claw_free=not _has_induced_claw(adj, nbrs),
         regular=len(degrees) == 1,
         semi_regular=len(degrees) == 2,
     )

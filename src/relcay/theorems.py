@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
     UnknownCheckError,
 )
-from .graphs import RelCayGraph
+from .graphs import InducedCayleyGraph, RelCayGraph
 from .group_core import (
     ElementSet,
     GroupTable,
@@ -36,7 +36,6 @@ from .group_core import (
     coset_partition,
     generated_subgroup,
     is_subgroup_set,
-    left_coset,
     product_set,
     psi,
     right_coset,
@@ -265,19 +264,28 @@ def predict_connectivity(
     outer_square = h.intersection(sets.outer_pairs)
     outer_square_span = generated_subgroup(outer_square)
 
-    # (H n gC)*A*B, with the product A*B shared by every vertex g
+    # (H n gC)*A*B for each vertex g outside H, as the union of x*(A*B)
+    # over x in H n gC; each x*(A*B) is built once, when first met
     mul = group.mul
     spans = product_set(inner_span, outer_square_span).members
     target = h.mask
+    shifted: dict[int, int] = {}
     witnesses = []
     for g_elt in range(group.order):
         if target >> g_elt & 1:
             continue
         covered = 0
-        for x in bit_indices(left_coset(c, g_elt).mask & target):
-            row = mul[x]
-            for y in spans:
-                covered |= 1 << row[y]
+        row = mul[g_elt]
+        for m in c.members:
+            x = row[m]
+            if target >> x & 1:
+                part = shifted.get(x)
+                if part is None:
+                    part = 0
+                    for y in spans:
+                        part |= 1 << mul[x][y]
+                    shifted[x] = part
+                covered |= part
         if covered == target:
             witnesses.append(g_elt)
 
@@ -363,26 +371,32 @@ def predict_clique(
     outer = sets.outer
 
     upper = len(inner) + 2
+    mul = group.mul
+    c_mask = c.mask
+    # the translate member*C of C by each member outside H, as a mask
+    shifted = []
+    for member in outer.members:
+        row = mul[member]
+        mask = 0
+        for x in c.members:
+            mask |= 1 << row[x]
+        shifted.append(mask)
 
-    equality = False
-    if is_subgroup_set(inner.with_identity()):
-        for member in outer.members:
-            if not inner.mask & ~left_coset(c, member).mask:
-                equality = True
-                break
+    equality = is_subgroup_set(inner.with_identity()) and any(
+        not inner.mask & ~mask for mask in shifted
+    )
 
     lower_psi = psi(inner)
     psi_plus = False
     if outer:
         carriers = [k.mask for k in subgroups_within(inner) if len(k) == lower_psi]
-        for member in outer.members:
-            shifted = left_coset(c, member).mask
-            if any(not k & ~shifted for k in carriers):
-                psi_plus = True
-                break
+        psi_plus = any(not k & ~mask for mask in shifted for k in carriers)
 
+    # C*C*C inside C, decided at the first product that escapes
     c_squared = sets.c_squared
-    triple_closed = not product_set(c_squared, c).mask & ~c.mask
+    triple_closed = all(
+        c_mask >> mul[x][y] & 1 for x in c_squared.members for y in c.members
+    )
     case = None
     if triple_closed and c:
         chosen = c.members[0]
@@ -677,8 +691,10 @@ def _square_free_details(
     overlap = inner_pairs.intersection(outer_pairs)
     pair_condition = overlap.mask == 1 << identity
 
+    # the sum over members m outside H of |Hm n C|, one right coset at a time
     degree_sum = sum(
-        (right_coset(h, member).mask & c.mask).bit_count() for member in outer.members
+        (coset.mask & outer.mask).bit_count() * (coset.mask & c.mask).bit_count()
+        for coset in coset_partition(h, "right")
     )
     degree_required = len(h.intersection(outer_pairs)) + len(outer)
 
@@ -846,6 +862,41 @@ def _misra_gries(
     return coloring
 
 
+def _induced_coloring(
+    h: Subgroup, inner: ElementSet, induced: InducedCayleyGraph
+) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """The fan coloring of Cay(H, H n C), labelled by the identity and the
+    elements of H n C, and the one label each vertex of H leaves unused.
+
+    Edges and vertices are parent indices.  ``induced`` is an instance's
+    subgraph on H, whose rows were checked against the Cayley construction,
+    so both results depend on H and H n C alone: each pair is colored once
+    and kept on the subgroup, keyed by the mask of H n C.
+    """
+    found = h.induced_colorings.get(inner.mask)
+    if found is None:
+        labels = (h.group.identity,) + inner.members
+        local = _misra_gries(induced.n, induced.adjacency, len(labels))
+        vertices = induced.vertices
+        edges = {}
+        used_at = [0] * len(vertices)
+        for (i, j), color_index in local.items():
+            edges[vertices[i], vertices[j]] = labels[color_index]
+            used_at[i] |= 1 << color_index
+            used_at[j] |= 1 << color_index
+        spare = {}
+        every = (1 << len(labels)) - 1
+        for i, member in enumerate(vertices):
+            unused = every & ~used_at[i]
+            if not unused or unused & (unused - 1):
+                raise InternalConsistencyError(
+                    "expected exactly one spare color at a subgroup vertex"
+                )
+            spare[member] = labels[unused.bit_length() - 1]
+        found = h.induced_colorings[inner.mask] = (edges, spare)
+    return found
+
+
 def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
     """Construct a proper edge coloring of the graph with at most |C| colors.
 
@@ -853,6 +904,9 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
     colored with the identity plus its own generators; each cross edge takes
     its defining quotient as its color, except the edge for the special
     element, which absorbs the one palette color missing at its H endpoint.
+    The coloring of the induced subgraph is shared by every instance with
+    the same H and H n C (see ``_induced_coloring``); the whole coloring is
+    verified on every call.
     """
     group = graph.group
     h, c = graph.h, graph.c
@@ -862,37 +916,16 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
             "class-one construction needs a connection element outside the subgroup"
         )
     special = outer.members[0]
-    inner = h.intersection(c)
-    identity = group.identity
+    edges, spare = _induced_coloring(h, h.intersection(c), graph.induced)
 
-    induced = graph.induced
-    sub_palette = (identity,) + inner.members
-    local = _misra_gries(induced.n, induced.adjacency, len(sub_palette))
-
-    assignments: dict[tuple[int, int], int] = {}
-    used_at: dict[int, set[int]] = {member: set() for member in h.members}
-    for (i, j), color_index in local.items():
-        u, v = induced.vertices[i], induced.vertices[j]
-        label = sub_palette[color_index]
-        assignments[(u, v) if u < v else (v, u)] = label
-        used_at[u].add(label)
-        used_at[v].add(label)
-
+    assignments = dict(edges)
+    mul = group.mul
     for member in h.members:
+        row = mul[member]
         for quotient in outer.members:
-            other = group.mul[member][quotient]
+            other = row[quotient]
             edge = (member, other) if member < other else (other, member)
-            if quotient != special:
-                assignments[edge] = quotient
-            else:
-                missing = [
-                    label for label in sub_palette if label not in used_at[member]
-                ]
-                if len(missing) != 1:
-                    raise InternalConsistencyError(
-                        "expected exactly one spare color at a subgroup vertex"
-                    )
-                assignments[edge] = missing[0]
+            assignments[edge] = quotient if quotient != special else spare[member]
 
     palette = c.difference((special,)).with_identity().members
     coloring = EdgeColoring(
@@ -908,27 +941,35 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
 
 
 def _verify_coloring(coloring: EdgeColoring) -> None:
+    """Check that the coloring covers exactly the graph's edges, stays in
+    its palette, is proper, and uses at most |C| colors.
+
+    The colored edges are rebuilt as adjacency rows and compared with the
+    graph's; the colors seen at each vertex are kept as a mask.
+    """
     graph = coloring.graph
-    expected = {
-        (u, v)
-        for u in range(graph.n)
-        for v in bit_indices(graph.adjacency[u])
-        if v > u
-    }
-    colored = {(u, v) for u, v, _ in coloring.assignments}
-    if colored != expected:
+    n = graph.n
+    rows = [0] * n
+    for u, v, _ in coloring.assignments:
+        if not 0 <= u < v < n:
+            raise InternalConsistencyError("edge coloring misses or invents edges")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if tuple(rows) != graph.adjacency:
         raise InternalConsistencyError("edge coloring misses or invents edges")
-    palette = set(coloring.palette)
-    at_vertex: dict[int, set[int]] = {}
+    palette = frozenset(coloring.palette)
+    at_vertex = [0] * n
+    used = 0
     for u, v, color in coloring.assignments:
         if color not in palette:
             raise InternalConsistencyError("edge coloring leaves the palette")
-        for endpoint in (u, v):
-            seen = at_vertex.setdefault(endpoint, set())
-            if color in seen:
-                raise InternalConsistencyError("edge coloring is not proper")
-            seen.add(color)
-    if len({color for _, _, color in coloring.assignments}) > len(coloring.graph.c):
+        bit = 1 << color
+        if (at_vertex[u] | at_vertex[v]) & bit:
+            raise InternalConsistencyError("edge coloring is not proper")
+        at_vertex[u] |= bit
+        at_vertex[v] |= bit
+        used |= bit
+    if used.bit_count() > len(graph.c):
         raise InternalConsistencyError("edge coloring uses too many colors")
 
 

@@ -155,9 +155,9 @@ def test_pooled_audit_shrinks_in_its_workers(monkeypatch):
     shrinks = Counter()
     shrink = relcay.audit.shrink_counterexample
 
-    def counted(record, limits=None):
+    def counted(record, limits=None, scanned=None):
         shrinks["calls"] += 1  # counted only in the process that shrinks
-        return shrink(record, limits)
+        return shrink(record, limits, scanned)
 
     monkeypatch.setattr(relcay.audit, "shrink_counterexample", counted)
     serial = run_audit(["C4"])
@@ -167,6 +167,63 @@ def test_pooled_audit_shrinks_in_its_workers(monkeypatch):
     parallel = run_audit(["C4"], parallelism=2)
     assert shrinks["calls"] == 0
     assert parallel.to_json() == serial.to_json()
+
+
+def test_shrinking_reads_the_scans_own_verdicts(monkeypatch, request):
+    # no candidate may come from another test's cached evaluations
+    relcay.audit.evaluate_check.cache_clear()
+    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
+    shrinking: list[AuditRecord] = []
+    built = []
+
+    class RecordedContext(InstanceContext):
+        def __init__(self, group, h, c, limits):
+            super().__init__(group, h, c, limits)
+            if shrinking:
+                built.append((h.members, shrinking[-1].h_indices))
+
+    shrink = relcay.audit.shrink_counterexample
+
+    def tracked(record, *args):
+        shrinking.append(record)
+        try:
+            return shrink(record, *args)
+        finally:
+            shrinking.pop()
+
+    monkeypatch.setattr(relcay.audit, "InstanceContext", RecordedContext)
+    monkeypatch.setattr(relcay.audit, "shrink_counterexample", tracked)
+    report = run_audit(catalog_up_to(8))
+    # every group of order <= 8 is scanned exhaustively, so the scan of a
+    # record's subgroup evaluated every candidate on that subgroup
+    assert not any(entry["sampled"] for entry in report.catalog)
+    assert report.mismatches and not report.errors
+    assert [h for h, own in built if h == own] == []
+    # candidates on smaller subgroups are still evaluated afresh
+    assert built
+
+
+def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypatch):
+    group = relcay.group_core.make_group("D4")
+    subgroups = [s for s in relcay.group_core.enumerate_subgroups(group) if s.is_proper]
+    for s in subgroups:
+        s.__dict__.pop("induced_colorings", None)  # forget colorings kept earlier
+    fans = Counter()
+    misra_gries = relcay.theorems._misra_gries
+
+    def counted(n, adjacency, n_colors):
+        fans["calls"] += 1
+        return misra_gries(n, adjacency, n_colors)
+
+    monkeypatch.setattr(relcay.theorems, "_misra_gries", counted)
+    run_audit(("D4",))
+    colored = [
+        (h.mask, h.mask & c.mask)
+        for h in subgroups
+        for c in enumerate_connection_sets(group)
+        if c.mask & ~h.mask
+    ]
+    assert fans["calls"] == len(set(colored)) < len(colored)
 
 
 def test_sampling_is_deterministic_and_stratified():

@@ -190,6 +190,12 @@ def test_invariants_at_the_order_cap_ends_quickly(spec, subgroup, conn, gamma):
     assert f"domination_number: {gamma}\n" in done.stdout
 
 
+def test_invariants_prints_the_diameter_of_the_64_cycle(capsys):
+    status = execute_command(["invariants", "C64", "--subgroup", "a2", "--conn", "a,a63"])
+    assert status == 0
+    assert "diameter: 32\n" in capsys.readouterr().out
+
+
 def test_help_exits_zero(capsys):
     assert execute_command(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True

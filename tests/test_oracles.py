@@ -7,6 +7,7 @@ what lets the audit treat the oracle side as ground truth.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -121,6 +122,55 @@ def test_diameter_components_examples():
     assert comps == ((0, 2), (1,), (3,))
     comps, diam = diameter_components(instance("D5", ["a"], ["a", "a4", "b"]))
     assert len(comps) == 1 and diam == 4
+
+
+def rows_graph(adj):
+    """A graph given by its adjacency rows alone, with no neighbor lists."""
+    return SimpleNamespace(n=len(adj), adjacency=tuple(adj))
+
+
+def edge_set(adj):
+    n = len(adj)
+    return {frozenset((v, u)) for v in range(n) for u in range(v) if adj[v] >> u & 1}
+
+
+def test_diameter_pinned_cases():
+    assert diameter_components(rows_graph([0])) == (((0,),), 0)
+    for n in range(2, 9):
+        complete = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+        assert diameter_components(rows_graph(complete))[1] == 1
+    path = [0b10, 0b101, 0b1010, 0b100]
+    assert diameter_components(rows_graph(path))[1] == 3
+
+
+def test_diameter_matches_brute_on_random_graphs():
+    rng = random.Random(2013)
+    disconnected = 0
+    for _ in range(320):
+        n = rng.randint(1, 12)
+        adj = random_graph(rng, n, rng.choice([0.1, 0.2, 0.3, 0.5, rng.random()]))
+        edges = edge_set(adj)
+        comps, diam = diameter_components(rows_graph(adj))
+        assert diam == brute.brute_diameter(n, edges)
+        assert {frozenset(c) for c in comps} == set(brute.brute_components(n, edges))
+        disconnected += diam is None
+    assert 50 < disconnected < 270
+
+
+def test_diameter_matches_networkx_up_to_the_order_cap():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2017)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(2, 64)
+        adj = random_graph(rng, n, rng.choice([0.05, 0.1, 0.2, 0.5]))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(tuple(e) for e in edge_set(adj))
+        if not nx.is_connected(graph):
+            continue
+        assert diameter_components(rows_graph(adj))[1] == nx.diameter(graph)
+        checked += 1
 
 
 def test_structure_flags_examples():

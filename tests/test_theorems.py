@@ -6,13 +6,19 @@ the brute-force oracles over every instance of several small groups.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
 from relcay.audit import MISMATCH, Limits, catalog_up_to, evaluate_check
-from relcay.errors import PreconditionError, UnknownCheckError
+from relcay.errors import (
+    InternalConsistencyError,
+    PreconditionError,
+    UnknownCheckError,
+)
 from relcay.graphs import (
     ConnectionSet,
     build_relcay,
@@ -40,6 +46,7 @@ from relcay.theorems import (
     predict_connectivity,
     predict_forbidden,
     predict_valencies,
+    _verify_coloring,
 )
 
 
@@ -394,6 +401,62 @@ def test_coloring_requires_outside_element():
     g, h, c = parts("C4", ["a2"], ["a2"])
     with pytest.raises(PreconditionError):
         build_class_one_coloring(build_relcay(g, h, c))
+
+
+def corrupted_colorings(coloring):
+    """The coloring broken in each way its self-check must catch, each with
+    the message the check must give."""
+    graph = coloring.graph
+    edges = list(coloring.assignments)
+    first_u, first_v, first_color = edges[0]
+    non_edge = next(
+        (u, v) for u in range(graph.n) for v in range(u + 1, graph.n)
+        if not graph.is_edge(u, v)
+    )
+
+    def colors_at(x, skip):
+        return {color for k, (u, v, color) in enumerate(edges) if x in (u, v) and k != skip}
+
+    # an edge (a, w) given the color of an earlier edge at w; preferably one
+    # whose color a does not see, so the repeat shows only at w
+    pairs = [
+        (edges[i][2] not in colors_at(a, j), i, j)
+        for j, (a, w, _) in enumerate(edges)
+        for i in range(j)
+        if w in edges[i][:2]
+    ]
+    _, i, j = max(pairs)
+    repeated = list(edges)
+    repeated[j] = (*edges[j][:2], edges[i][2])
+    off_palette = next(x for x in graph.c.members if x not in coloring.palette)
+    return [
+        (replace(coloring, assignments=tuple(edges[1:])),
+         "edge coloring misses or invents edges"),
+        (replace(coloring, assignments=tuple(sorted(edges + [(*non_edge, first_color)]))),
+         "edge coloring misses or invents edges"),
+        (replace(coloring, assignments=((first_u, first_v, off_palette), *edges[1:])),
+         "edge coloring leaves the palette"),
+        (replace(coloring, assignments=tuple(repeated)),
+         "edge coloring is not proper"),
+        (replace(
+            coloring,
+            palette=tuple(range(len(edges))),
+            assignments=tuple((u, v, k) for k, (u, v, _) in enumerate(edges)),
+        ), "edge coloring uses too many colors"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, h_names, c_names",
+    [("D5", ["a"], ["a", "a4", "b"]), ("C4", ["a2"], ["a", "a2", "a3"])],
+)
+def test_coloring_self_check_catches_each_corruption(spec, h_names, c_names):
+    coloring = build_class_one_coloring(build_relcay(*parts(spec, h_names, c_names)))
+    _verify_coloring(coloring)  # the intact coloring passes
+    for corrupted, message in corrupted_colorings(coloring):
+        with pytest.raises(InternalConsistencyError) as caught:
+            _verify_coloring(corrupted)
+        assert str(caught.value) == message
 
 
 def test_coloring_sweep_stays_within_max_degree():
