@@ -65,7 +65,6 @@ _EXPORTS = {
     "predict_chromatic": "theorems",
     "predict_forbidden": "theorems",
     "build_class_one_coloring": "theorems",
-    "is_aba_subgroup": "theorems",
     # audit
     "Limits": "audit",
     "AuditRecord": "audit",

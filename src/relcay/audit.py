@@ -45,7 +45,6 @@ from .group_core import (
     Subgroup,
     bit_indices,
     cached_attribute,
-    coset_partition,
     default_max_order,
     enumerate_subgroups,
     make_group,
@@ -456,22 +455,8 @@ class InstanceContext:
         return predict_connectivity(self.group, self.h, self.c, sets=self.sets)
 
     @cached_attribute
-    def _clique_bundle(self):
-        try:
-            return predict_clique(self.group, self.h, self.c, sets=self.sets), None
-        except InternalConsistencyError as err:
-            fallback = predict_clique(
-                self.group, self.h, self.c, verify_c_cubed=False, sets=self.sets
-            )
-            return fallback, str(err)
-
-    @property
     def clique_prediction(self):
-        return self._clique_bundle[0]
-
-    @property
-    def dc_failure(self) -> Optional[str]:
-        return self._clique_bundle[1]
+        return predict_clique(self.group, self.h, self.c, sets=self.sets)
 
     @cached_attribute
     def alpha_beta(self):
@@ -525,24 +510,13 @@ def _verdict(agree: bool) -> str:
 
 
 def _check_degree_formula(ctx: InstanceContext) -> _CheckResult:
-    g = ctx.group
-    c_mask = ctx.c.mask
-    # outside H, deg(x) = |x^-1 H n C|, counted once per left coset x^-1 H;
-    # the coset H itself is overwritten with |C| below
-    formula = [0] * g.order
-    for coset in coset_partition(ctx.h, "left"):
-        count = (coset.mask & c_mask).bit_count()
-        for y in coset.members:
-            formula[g.inv[y]] = count
-    for x in ctx.h.members:
-        formula[x] = len(ctx.c)
-    actual = list(ctx.graph.degrees)
-    witness = None
-    for x, (want, got) in enumerate(zip(formula, actual)):
-        if want != got:
-            witness = {"vertex": g.names[x], "formula": want, "adjacency": got}
-            break
-    return formula, actual, _verdict(witness is None), witness
+    formula = ctx.valency.degree_formula
+    actual = ctx.graph.degrees
+    if formula == actual:
+        return formula, actual, AGREE, None
+    x = next(x for x, (want, got) in enumerate(zip(formula, actual)) if want != got)
+    witness = {"vertex": ctx.group.names[x], "formula": formula[x], "adjacency": actual[x]}
+    return formula, actual, MISMATCH, witness
 
 
 def _check_edge_count(ctx: InstanceContext) -> _CheckResult:
@@ -694,8 +668,11 @@ def _check_clique_dc_decomposition(ctx: InstanceContext) -> _CheckResult:
     cp = ctx.clique_prediction
     if not cp.c_cubed_applicable or not ctx.c:
         return True, None, NOT_APPLICABLE, None
-    holds = ctx.dc_failure is None and cp.c_cubed_case is not None
-    witness = {"failure": ctx.dc_failure} if not holds else None
+    holds = not cp.c_cubed_failures
+    witness = None
+    if not holds:
+        failure = "triple-product decomposition fails: " + "; ".join(cp.c_cubed_failures)
+        witness = {"failure": failure}
     return True, holds, _verdict(holds), witness
 
 
@@ -1086,7 +1063,9 @@ def run_audit(
     work_items = []
     for index, requested_spec in enumerate(catalog):
         group = make_group(requested_spec, max_order=limits.max_order)
-        subgroups = [s for s in enumerate_subgroups(group) if s.is_proper]
+        subgroups = [
+            s for s in enumerate_subgroups(group, limits.max_order) if s.is_proper
+        ]
         scanned, sampled = _scanned_per_subgroup(group, limits)
         catalog_entries.append(
             {
@@ -1235,7 +1214,7 @@ def shrink_counterexample(
                 c_members = trial
                 changed = True
         current = set(h_members)
-        for candidate in enumerate_subgroups(group):
+        for candidate in enumerate_subgroups(group, limits.max_order):
             cand_members = candidate.members
             if len(cand_members) >= len(h_members):
                 continue

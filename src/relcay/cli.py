@@ -428,7 +428,7 @@ def _build_parser() -> _Parser:
 
 def _config_from(args) -> CliConfig:
     return CliConfig(
-        max_order=args.max_order if args.max_order else default_max_order(),
+        max_order=default_max_order() if args.max_order is None else args.max_order,
         edge_color_cutoff=getattr(args, "edge_color_cutoff", DEFAULT_EDGE_COLOR_CUTOFF),
         chromatic_ii_cap=getattr(args, "chromatic_ii_cap", None),
         max_connection_sets=getattr(args, "max_connection_sets", None),

@@ -2,9 +2,9 @@
 
 The graph on all of G in which {x, y} is an edge exactly when at least one
 endpoint lies in the subgroup H and the quotient x^-1 y lies in the
-connection set C.  Adjacency is stored as one bitset row per vertex, and the
-degree and edge-count formulas are asserted inside the accessors, so a graph
-that violates them cannot be observed from outside.
+connection set C.  Adjacency is stored as one bitset row per vertex.  The
+graph only observes: its degrees and edge count are read off the rows, and
+the formulas that predict them live in ``theorems`` and ``audit``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .group_core import (
     Subgroup,
     bit_indices,
     cached_attribute,
-    coset_partition,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "enumerate_connection_sets",
     "RelCayGraph",
     "build_relcay",
-    "DegreeProfile",
     "InducedCayleyGraph",
     "export_dot",
 ]
@@ -96,23 +94,6 @@ def enumerate_connection_sets(group: GroupTable) -> Iterator[ConnectionSet]:
         yield ConnectionSet(group, members)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Vertex degrees grouped by the cosets Hx, on which they are constant.
-
-    The coset of the identity is H itself, whose degree is |C|.
-    ``distinct_valencies`` is the set of distinct degrees over all vertices.
-    """
-
-    coset_representatives: tuple[int, ...]
-    coset_degrees: tuple[int, ...]
-    distinct_valencies: tuple[int, ...]
-    max_degree: int
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.coset_representatives, self.coset_degrees))
-
-
 @dataclass(frozen=True, eq=False)
 class RelCayGraph:
     """Immutable relative Cayley graph with bitset adjacency rows."""
@@ -160,55 +141,7 @@ class RelCayGraph:
 
     @cached_attribute
     def edge_count(self) -> int:
-        counted = sum(self.degrees) // 2
-        h_size = len(self.h)
-        overlap = len(self.h.intersection(self.c))
-        total = h_size * (2 * len(self.c) - overlap)
-        if total % 2 or counted != total // 2:
-            raise InternalConsistencyError(
-                f"edge total {counted} disagrees with the closed form "
-                f"|H|(2|C|-|H n C|)/2 = {total / 2}"
-            )
-        return counted
-
-    @cached_attribute
-    def degree_profile(self) -> DegreeProfile:
-        g = self.group
-        degrees = self.degrees
-        reps: list[int] = []
-        per_coset: list[int] = []
-        c_mask = self.c.mask
-        for coset in coset_partition(self.h, "right"):
-            first = coset.members[0]
-            reps.append(first)
-            deg = degrees[first]
-            for y in coset.members:
-                if degrees[y] != deg:
-                    raise InternalConsistencyError(
-                        f"degree not constant on coset of {g.names[first]}"
-                    )
-                if self.h_mask >> y & 1:
-                    formula = len(self.c)
-                else:
-                    # outside the subgroup, deg(y) = |y^-1 H n C|
-                    inv_y = g.inv[y]
-                    formula = sum(
-                        1 for h_elt in self.h.members
-                        if c_mask >> g.mul[inv_y][h_elt] & 1
-                    )
-                if formula != degrees[y]:
-                    raise InternalConsistencyError(
-                        f"degree formula fails at {g.names[y]}"
-                    )
-            per_coset.append(deg)
-        if per_coset[0] != len(self.c):
-            raise InternalConsistencyError("subgroup vertices must have degree |C|")
-        return DegreeProfile(
-            coset_representatives=tuple(reps),
-            coset_degrees=tuple(per_coset),
-            distinct_valencies=tuple(sorted(set(per_coset))),
-            max_degree=max(per_coset),
-        )
+        return sum(self.degrees) // 2
 
     @cached_attribute
     def induced(self) -> "InducedCayleyGraph":

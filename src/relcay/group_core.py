@@ -395,9 +395,10 @@ class Subgroup(ElementSet):
         of it."""
         target = self.mask
         size = len(self)
+        # the group was admitted under its caller's cap when it was built
         smaller = [
             s
-            for s in enumerate_subgroups(self.group)
+            for s in _all_subgroups(self.group)
             if len(s) < size and not s.mask & ~target
         ]
         for a in smaller:
@@ -818,40 +819,27 @@ def enumerate_subgroups(
     return _all_subgroups(g)
 
 
-def width(x: ElementSet, within: Optional[Subgroup] = None) -> int | float:
-    """Least n with the target subgroup covered by powers x^0 u x u ... u x^n.
+def width(x: ElementSet) -> int:
+    """Least n with <x> covered by the powers x^0 u x u ... u x^n.
 
-    The target defaults to the subgroup generated by the set, for which the
-    answer is always finite; passing a strictly larger ``within`` yields the
-    infinity marker ``math.inf``.
+    The loop ends: once the union stops growing it is closed under
+    multiplication by x, so it already holds all of <x>.
     """
-    g = x.group
-    if within is not None:
-        _require_same_group(x, within)
-        target = within.mask
-    else:
-        target = generated_subgroup(x).mask
-    covered = 1 << g.identity
-    if not target & ~covered:
-        return 0
-    mul = g.mul
+    mul = x.group.mul
     factors = x.members
-    current = x.mask
+    target = generated_subgroup(x).mask
+    covered = current = 1 << x.group.identity
     steps = 0
-    while True:
-        steps += 1
-        before = covered
-        covered |= current
-        if not target & ~covered:
-            return steps
-        if covered == before:
-            return math.inf
+    while target & ~covered:
         grown = 0
         for a in bit_indices(current):
             row = mul[a]
             for b in factors:
                 grown |= 1 << row[b]
         current = grown
+        covered |= current
+        steps += 1
+    return steps
 
 
 def psi(x: ElementSet) -> int:

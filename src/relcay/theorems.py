@@ -65,7 +65,6 @@ __all__ = [
     "predict_forbidden",
     "predict_all",
     "build_class_one_coloring",
-    "is_aba_subgroup",
 ]
 
 DEFAULT_CHROMATIC_II_CAP = 11
@@ -135,7 +134,9 @@ class ValencyPredictions:
     semi-regularity characterization additionally presumes the graph is not
     regular; the ``*_applicable`` flags carry those gates.
     ``full_degree_coset`` is the set of elements whose degree the membership
-    test predicts to be |C|, for vertices outside H.
+    test predicts to be |C|, for vertices outside H.  ``degree_formula`` is
+    the predicted degree of every vertex: |C| on H and |x^-1 H n C| for x
+    outside H.
     """
 
     valency_bound: int
@@ -145,6 +146,7 @@ class ValencyPredictions:
     semi_regular_applicable: bool
     predicted_semi_regular: bool
     full_degree_coset: ElementSet
+    degree_formula: tuple[int, ...]
 
 
 def predict_valencies(
@@ -156,12 +158,19 @@ def predict_valencies(
 
     regular_condition = h.index == 2 and not sets.inner
 
-    # same |C|-count in every left coset gH other than H itself
-    outside_counts = {
-        (coset.mask & c.mask).bit_count()
-        for coset in coset_partition(h, "left")
-        if group.identity not in coset
-    }
+    # deg(x) = |x^-1 H n C| outside H, counted once per left coset x^-1 H,
+    # and deg(h) = |C| on H itself; semi-regularity asks for the same count
+    # in every left coset gH other than H
+    inv = group.inv
+    degree_formula = [len(c)] * group.order
+    outside_counts = set()
+    for coset in coset_partition(h, "left"):
+        if group.identity in coset:
+            continue
+        count = (coset.mask & c.mask).bit_count()
+        outside_counts.add(count)
+        for y in coset.members:
+            degree_formula[inv[y]] = count
     same_left_counts = len(outside_counts) <= 1
     # C inside a single right coset Hx other than H
     in_one_right_coset = any(
@@ -187,6 +196,7 @@ def predict_valencies(
         semi_regular_applicable=bool(c) and not regular_condition,
         predicted_semi_regular=same_left_counts or in_one_right_coset,
         full_degree_coset=full,
+        degree_formula=tuple(degree_formula),
     )
 
 
@@ -241,14 +251,6 @@ class ConnectivityPredictions:
     aba_applicable: bool
     aba_predicted: bool
     diameter_bounds: tuple[DiameterBound, ...]
-
-
-def is_aba_subgroup(h: Subgroup) -> bool:
-    """Whether the subgroup factors as A*B*A for proper subgroups A, B of it.
-
-    Computed once per subgroup object (``Subgroup.is_aba``).
-    """
-    return h.is_aba
 
 
 def predict_connectivity(
@@ -347,7 +349,10 @@ class CliquePredictions:
     the hypothesis for the strengthened lower bound (psi + 1) is met.  When
     C is nonempty and closed under triple products, ``c_cubed_case`` carries
     the induced coset decomposition; ``c_cubed_applicable`` also covers the
-    empty set, for which the psi + 1 upper bound holds vacuously.
+    empty set, for which the psi + 1 upper bound holds vacuously.  The paper
+    proves that decomposition always exists; ``c_cubed_failures`` names each
+    step of it that failed instead, and is empty when the case was built or
+    does not apply.
     """
 
     upper: int
@@ -356,15 +361,11 @@ class CliquePredictions:
     psi_plus: bool
     c_cubed_applicable: bool
     c_cubed_case: Optional[DcCase]
+    c_cubed_failures: tuple[str, ...]
 
 
 def predict_clique(
-    group: GroupTable,
-    h: Subgroup,
-    c: ElementSet,
-    *,
-    verify_c_cubed: bool = True,
-    sets: Optional[InstanceSets] = None,
+    group: GroupTable, h: Subgroup, c: ElementSet, *, sets: Optional[InstanceSets] = None
 ) -> CliquePredictions:
     sets = sets or InstanceSets(group, h, c)
     inner = sets.inner
@@ -398,9 +399,9 @@ def predict_clique(
         c_mask >> mul[x][y] & 1 for x in c_squared.members for y in c.members
     )
     case = None
+    failures = []
     if triple_closed and c:
         chosen = c.members[0]
-        failures = []
         if not is_subgroup_set(c_squared):
             failures.append("square of the set is not a subgroup")
         if right_coset(c_squared, chosen) != c:
@@ -409,12 +410,7 @@ def predict_clique(
             failures.append("square of the chosen element escapes")
         if conjugate_set(c_squared, chosen) != c_squared:
             failures.append("square is not stable under conjugation")
-        if failures:
-            if verify_c_cubed:
-                raise InternalConsistencyError(
-                    "triple-product decomposition fails: " + "; ".join(failures)
-                )
-        else:
+        if not failures:
             case = DcCase(d=group.subgroup(c_squared.members), c_elt=chosen)
 
     return CliquePredictions(
@@ -424,6 +420,7 @@ def predict_clique(
         psi_plus=psi_plus,
         c_cubed_applicable=triple_closed,
         c_cubed_case=case,
+        c_cubed_failures=tuple(failures),
     )
 
 
@@ -998,15 +995,12 @@ def predict_all(
     c: ElementSet,
     *,
     partition_cap: int = DEFAULT_CHROMATIC_II_CAP,
-    verify_c_cubed: bool = True,
 ) -> PredictionSet:
     sets = InstanceSets(group, h, c)
     return PredictionSet(
         valency=predict_valencies(group, h, c, sets=sets),
         connectivity=predict_connectivity(group, h, c, sets=sets),
-        clique=predict_clique(
-            group, h, c, verify_c_cubed=verify_c_cubed, sets=sets
-        ),
+        clique=predict_clique(group, h, c, sets=sets),
         alpha_beta=predict_alpha_beta(group, h, c),
         chromatic=predict_chromatic(
             group, h, c, partition_cap=partition_cap, sets=sets

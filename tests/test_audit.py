@@ -38,7 +38,13 @@ from relcay.audit import (
 )
 from relcay.cli import execute_command
 from relcay.errors import InternalConsistencyError, PreconditionError, UnknownCheckError
-from relcay.graphs import ConnectionSet, enumerate_connection_sets, inverse_orbits
+from relcay.graphs import (
+    ConnectionSet,
+    RelCayGraph,
+    build_relcay,
+    enumerate_connection_sets,
+    inverse_orbits,
+)
 from relcay.group_core import (
     ElementSet,
     Subgroup,
@@ -268,6 +274,25 @@ def test_shrink_is_idempotent():
     assert once == twice
 
 
+def test_shrink_honours_max_order_above_default():
+    g = make_group("C66", max_order=70)
+    h = generated_subgroup(g.element_set([g.element("a33")]))
+    c = (g.element("a"), g.element("a65"))
+    record = AuditRecord(
+        group="C66",
+        h=h.names(),
+        c=("a", "a65"),
+        check="connectivity_aba",
+        predicted=True,
+        observed=False,
+        verdict=MISMATCH,
+        h_indices=h.members,
+        c_indices=c,
+    )
+    shrunk = shrink_counterexample(record, Limits(max_order=70))
+    assert shrunk.group == "C66" and shrunk.verdict != MISMATCH
+
+
 def test_shrink_rejects_non_mismatch():
     report = run_audit(["C4"], ["edge_count"], keep_records=True)
     record = report.records[0]
@@ -373,6 +398,27 @@ def test_per_subgroup_work_happens_once(monkeypatch):
     counts.update(subgroups=0, cosets=0)
     run_audit(("D4",), shrink=False)
     assert counts == {"subgroups": 0, "cosets": 0}
+
+
+def test_a_graph_breaking_the_closed_form_is_a_mismatch_not_an_error():
+    g = make_group("D5")
+    h = generated_subgroup(g.element_set([g.element("a")]))
+    c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
+    rows = list(build_relcay(g, h, c).adjacency)
+    one, b = g.identity, g.element("b")
+    assert rows[one] >> b & 1
+    rows[one] &= ~(1 << b)
+    rows[b] &= ~(1 << one)
+    broken = RelCayGraph(group=g, h=h, c=c, adjacency=tuple(rows), h_mask=h.mask)
+    assert broken.edge_count == 9
+    ctx = InstanceContext(g, h, c, Limits())
+    ctx.graph = broken
+    records = {name: relcay.audit._build_record(ctx, name) for name in ALL_CHECKS}
+    edges = records["edge_count"]
+    assert (edges.predicted, edges.observed, edges.verdict) == (10, 9, MISMATCH)
+    degrees = records["degree_formula"]
+    assert degrees.verdict == MISMATCH
+    assert degrees.witness == {"vertex": "1", "formula": 3, "adjacency": 2}
 
 
 def test_records_of_one_instance_share_name_tuples():

@@ -336,6 +336,38 @@ def test_check_blocking_mismatch_exits_two(monkeypatch, capsys):
     assert "verdict=mismatch" in capsys.readouterr().out
 
 
+def test_zero_max_order_is_rejected(capsys):
+    status = execute_command(
+        ["build", "C4", "--max-order", "0", "--subgroup", "a2", "--conn", "a,a3"]
+    )
+    assert status == 1
+    assert "all CLI caps must be positive" in capsys.readouterr().err
+
+
+def test_audit_honours_max_order_above_default(capsys):
+    status = execute_command(
+        ["audit", "--catalog", "C66", "--max-order", "70", "--max-connection-sets", "4",
+         "--checks", "edge_count", "connectivity_aba", "--format", "json"]
+    )
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    payload = json.loads(captured.out)
+    assert "errors" not in payload
+    assert payload["catalog"][0]["order"] == 66
+    assert payload["totals"]["connectivity_aba"]["unevaluated"] == 0
+
+
+def test_check_honours_max_order_above_default(capsys):
+    status = execute_command(
+        ["check", "C66", "--max-order", "70", "--subgroup", "a33", "--conn", "a,a65",
+         "--theorem", "connectivity_aba"]
+    )
+    assert status == 0
+    assert capsys.readouterr().out == (
+        "connectivity_aba: predicted=false observed=false verdict=agree\n"
+    )
+
+
 def test_figures_bundle(tmp_path, capsys):
     out_dir = tmp_path / "figs"
     status = execute_command(["figures", "--out-dir", str(out_dir)])

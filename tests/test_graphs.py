@@ -21,7 +21,7 @@ from relcay.graphs import (
     export_dot,
     inverse_orbits,
 )
-from relcay.group_core import Subgroup, generated_subgroup, make_group
+from relcay.group_core import Subgroup, coset_partition, generated_subgroup, make_group
 
 
 def instance(spec, h_names, c_names):
@@ -156,24 +156,42 @@ def test_outside_vertices_form_an_independent_set():
 
 
 # --------------------------------------------------------------------------
-# Degree profile and edge count
+# Degrees and edge count
 
 
-def test_degree_profile_d5():
-    profile = d5_corona().degree_profile
-    assert profile.coset_degrees[0] == 3
-    assert profile.distinct_valencies == (1, 3)
-    assert profile.max_degree == 3
+def distinct_degrees(graph):
+    return tuple(sorted(set(graph.degrees)))
 
 
-def test_degree_profile_c4_cycle_regular():
-    profile = c4_cycle().degree_profile
-    assert profile.distinct_valencies == (2,)
+def assert_degree_facts(graph):
+    """Degrees are constant on each right coset Hx, equal |C| on H and
+    |x^-1 H n C| at each x outside H."""
+    g = graph.group
+    degrees = graph.degrees
+    for coset in coset_partition(graph.h, "right"):
+        assert len({degrees[y] for y in coset.members}) == 1
+    for x in range(g.order):
+        if x in graph.h:
+            assert degrees[x] == len(graph.c)
+        else:
+            left = g.inv[x]
+            assert degrees[x] == sum(1 for y in graph.h.members if g.mul[left][y] in graph.c)
 
 
-def test_degree_profile_empty_connection_set():
-    profile = instance("C6", ["a2"], []).degree_profile
-    assert profile.distinct_valencies == (0,)
+def test_degrees_d5():
+    graph = d5_corona()
+    assert graph.degrees[graph.group.identity] == 3
+    assert distinct_degrees(graph) == (1, 3)
+    assert max(graph.degrees) == 3
+    assert_degree_facts(graph)
+
+
+def test_degrees_c4_cycle_regular():
+    assert distinct_degrees(c4_cycle()) == (2,)
+
+
+def test_degrees_empty_connection_set():
+    assert distinct_degrees(instance("C6", ["a2"], [])) == (0,)
 
 
 def test_degrees_constant_on_h_cosets_but_not_always_left_cosets():
@@ -184,8 +202,8 @@ def test_degrees_constant_on_h_cosets_but_not_always_left_cosets():
     x = g.element("(13)")
     left_partner = g.mul[x][g.element("(12)")]
     assert graph.degrees[x] != graph.degrees[left_partner]
-    profile = graph.degree_profile
-    assert profile.distinct_valencies == (0, 1)
+    assert distinct_degrees(graph) == (0, 1)
+    assert_degree_facts(graph)
 
 
 def test_subgroup_vertices_have_degree_c():
@@ -212,8 +230,9 @@ def test_valency_count_bound_holds_everywhere_small():
             if not h.is_proper:
                 continue
             for c in enumerate_connection_sets(g):
-                profile = build_relcay(g, h, c).degree_profile
-                count = len(profile.distinct_valencies)
+                graph = build_relcay(g, h, c)
+                assert_degree_facts(graph)
+                count = len(distinct_degrees(graph))
                 assert count <= min(g.order // len(h), len(h) + 2)
                 assert count <= math.isqrt(g.order + 1) + 1
 
@@ -333,7 +352,9 @@ def test_adjacency_symmetry_property(graph):
 @settings(max_examples=80, deadline=None)
 @given(random_instance())
 def test_edge_count_and_profile_self_checks_pass(graph):
-    assert graph.edge_count == len(brute.edges_of(graph))
-    profile = graph.degree_profile
-    assert profile.max_degree == max(graph.degrees)
-    assert set(profile.distinct_valencies) == set(graph.degrees)
+    edges = brute.edges_of(graph)
+    assert graph.edge_count == len(edges)
+    inner = len(graph.h.intersection(graph.c))
+    assert 2 * len(edges) == len(graph.h) * (2 * len(graph.c) - inner)
+    assert graph.degrees == tuple(sum(1 for e in edges if x in e) for x in range(graph.n))
+    assert_degree_facts(graph)

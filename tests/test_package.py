@@ -26,6 +26,40 @@ def test_no_module_imports_a_private_name_from_another():
     assert offenders == []
 
 
+def package_imports(path):
+    """The relcay modules a source file imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("relcay.")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "relcay":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_graphs_observe_and_theorems_predict_without_oracles():
+    # graphs and oracles observe, theorems predict, only the audit compares
+    forbidden = {
+        "graphs.py": {"theorems", "audit"},
+        "oracles.py": {"theorems", "audit"},
+        "theorems.py": {"oracles", "audit"},
+    }
+    for name, layers in forbidden.items():
+        assert package_imports(SOURCE_DIR / name) & layers == set(), name
+
+
 def test_invariants_imports_no_audit_layer():
     # a fresh interpreter, so nothing another test imported is counted
     script = (

@@ -38,7 +38,6 @@ from relcay.theorems import (
     FORBIDDEN_KINDS,
     build_class_one_coloring,
     cayley_adjacency,
-    is_aba_subgroup,
     predict_all,
     predict_alpha_beta,
     predict_chromatic,
@@ -94,6 +93,7 @@ def test_corona_valency_fields():
     assert v.semi_regular_applicable
     assert v.predicted_semi_regular
     assert len(v.full_degree_coset) == 0
+    assert v.degree_formula == (3,) * 5 + (1,) * 5
 
 
 def test_full_degree_coset_matches_actual_degrees():
@@ -116,6 +116,7 @@ def test_valency_bound_sweep():
             v = predict_valencies(g, h, c)
             distinct = len(set(graph.degrees))
             assert distinct <= v.valency_bound <= v.sqrt_bound
+            assert v.degree_formula == graph.degrees
 
 
 def test_regular_iff_sweep():
@@ -234,19 +235,17 @@ def test_aba_corollary_sweep():
             assert conn.aba_predicted == flags.connected
 
 
-def test_is_aba_subgroup_values():
+def test_is_aba_values():
     d4 = make_group("D4")
     klein = generated_subgroup(d4.element_set([d4.element("a2"), d4.element("b")]))
     ring = generated_subgroup(d4.element_set([d4.element("a")]))
-    assert is_aba_subgroup(klein)
-    assert not is_aba_subgroup(ring)
+    assert klein.is_aba
+    assert not ring.is_aba
     s3 = make_group("S3")
     rotations = generated_subgroup(s3.element_set([s3.element("(123)")]))
-    assert not is_aba_subgroup(rotations)
+    assert not rotations.is_aba
     c8 = make_group("C8")
-    assert not is_aba_subgroup(
-        generated_subgroup(c8.element_set([c8.element("a2")]))
-    )
+    assert not generated_subgroup(c8.element_set([c8.element("a2")])).is_aba
 
 
 def test_matching_only_instance_stays_disconnected():
@@ -315,6 +314,14 @@ def test_clique_bounds_sweep():
                 assert omega <= cl.lower_psi + 1
                 if c:
                     assert cl.c_cubed_case is not None
+
+
+def test_predict_clique_reports_c_cubed_failures_without_raising():
+    for spec in catalog_up_to(8):
+        for g, h, c in all_instances(spec):
+            cl = predict_clique(g, h, c)
+            assert cl.c_cubed_failures == ()
+            assert (cl.c_cubed_case is not None) == bool(c and cl.c_cubed_applicable)
 
 
 # --------------------------------------------------------------------------
