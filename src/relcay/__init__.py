@@ -70,6 +70,7 @@ _EXPORTS = {
     "AuditRecord": "audit",
     "MismatchEntry": "audit",
     "AuditReport": "audit",
+    "RecordTable": "audit",
     "ALL_CHECKS": "audit",
     "AUDITED_CHECKS": "audit",
     "DEFAULT_CATALOG": "audit",

@@ -4,8 +4,9 @@ Enumerates (group, subgroup, connection set) instances over a catalog of
 small groups, evaluates every registered check on both the prediction side
 (group arithmetic) and the oracle side (brute force on adjacency), and
 classifies each pair as agree, mismatch, not-applicable, or unevaluated.
-The scan tallies each verdict as it comes; it builds an ``AuditRecord``
-only for a mismatch, or for every pair when ``keep_records`` is set.
+The scan tallies each verdict as it comes and builds an ``AuditRecord``
+only for a mismatch.  When ``keep_records`` is set it also keeps one row
+per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 Mismatches are shrunk to smaller witnesses inside the work item that found
 them, so a pooled audit shrinks in its workers.
 
@@ -20,11 +21,14 @@ import io
 import json
 import math
 import time
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     CapacityError,
@@ -87,6 +91,7 @@ __all__ = [
     "AuditRecord",
     "MismatchEntry",
     "AuditReport",
+    "RecordTable",
     "catalog_up_to",
     "compact_json",
     "evaluate_check",
@@ -154,13 +159,68 @@ class MismatchEntry:
     shrunk: AuditRecord
 
 
+# One kept instance: its C indices and names, and one (predicted, observed,
+# verdict, witness) outcome per check of its block, in the block's order
+_Row = tuple[tuple[int, ...], tuple[str, ...], tuple[tuple[object, object, str, object], ...]]
+
+
+class _RecordBlock(NamedTuple):
+    """The kept records of one work item: its group and subgroup, its checks
+    in name order, and one row per evaluated instance, sorted by C indices."""
+
+    group: str
+    h: tuple[str, ...]
+    h_indices: tuple[int, ...]
+    checks: tuple[str, ...]
+    rows: tuple[_Row, ...]
+
+
+class RecordTable(Sequence):
+    """Every kept (instance, check) outcome of an audit, as a read-only
+    sequence of ``AuditRecord``s.
+
+    The outcomes are stored as one row per instance, in one block per work
+    item, and an ``AuditRecord`` is built each time one is read.  The order
+    is the scan's: by work item, then by C indices, then by check name.
+    """
+
+    __slots__ = ("blocks", "_ends")
+
+    def __init__(self, blocks) -> None:
+        self.blocks: tuple[_RecordBlock, ...] = tuple(blocks)
+        self._ends = list(accumulate(len(b.rows) * len(b.checks) for b in self.blocks))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        # a range indexes (and slices) as a tuple of the same length does
+        position = range(len(self))[index]
+        if isinstance(position, range):
+            return tuple(map(self.__getitem__, position))
+        b = bisect_right(self._ends, position)
+        block = self.blocks[b]
+        row, column = divmod(position - (self._ends[b - 1] if b else 0), len(block.checks))
+        c_indices, c, outcomes = block.rows[row]
+        return AuditRecord(
+            block.group, block.h, c, block.checks[column], *outcomes[column],
+            block.h_indices, c_indices,
+        )
+
+    def __iter__(self):
+        for group, h, h_indices, checks, rows in self.blocks:
+            for c_indices, c, outcomes in rows:
+                for check, outcome in zip(checks, outcomes):
+                    yield AuditRecord(group, h, c, check, *outcome, h_indices, c_indices)
+
+
 @dataclass(frozen=True)
 class AuditReport:
     config: dict
     catalog: tuple[dict, ...]
     totals: dict
     mismatches: tuple[MismatchEntry, ...]
-    records: Optional[tuple[AuditRecord, ...]]
+    records: Optional[RecordTable]
     wall_time_seconds: float
     errors: tuple[dict, ...] = ()
 
@@ -197,9 +257,11 @@ class AuditReport:
         ]
         out += [',\n  "mismatches": ', *_json_array(mismatches, 2)]
         if self.records is not None:
+            # one string per block: the records' own strings are freed block
+            # by block, and the report's pieces are joined only once
             writer = _RecordWriter(3)
-            records = _json_array(list(map(writer.record, self.records)), 2)
-            out += [',\n  "records": ', *records]
+            blocks = [text for text in map(writer.block, self.records.blocks) if text]
+            out += [',\n  "records": ', *_json_array(blocks, 2)]
         out += [',\n  "totals": ', _indented(self.totals, 1), "\n}\n"]
         return "".join(out)
 
@@ -237,18 +299,14 @@ class AuditReport:
                 found = texts[key] = compact_json(value)
             return found
 
-        for record in self.records:
-            writer.writerow(
-                [
-                    record.group,
-                    ",".join(record.h),
-                    ",".join(record.c),
-                    record.check,
-                    text(record.predicted),
-                    text(record.observed),
-                    record.verdict,
-                ]
-            )
+        for group, h, _, checks, rows in self.records.blocks:
+            h_text = ",".join(h)
+            for _, c, outcomes in rows:
+                c_text = ",".join(c)
+                writer.writerows(
+                    [group, h_text, c_text, check, text(predicted), text(observed), verdict]
+                    for check, (predicted, observed, verdict, _) in zip(checks, outcomes)
+                )
         return out.getvalue()
 
 
@@ -289,11 +347,16 @@ def _indented(value, depth: int) -> str:
 
 def _json_array(items: list[str], depth: int) -> list[str]:
     """The pieces of an indent-2 array of already rendered items that sit
-    at the given depth."""
+    at the given depth.  The items are pieces themselves, not joined into
+    a copy."""
     if not items:
         return ["[]"]
     pad = "\n" + "  " * depth
-    return ["[" + pad, ("," + pad).join(items), pad[:-2] + "]"]
+    pieces = ["[" + pad]
+    for item in items:
+        pieces += [item, "," + pad]
+    pieces[-1] = pad[:-2] + "]"
+    return pieces
 
 
 # An AuditRecord's keys in sorted order, as sort_keys writes them
@@ -311,14 +374,19 @@ class _RecordWriter:
     distinct value and re-indented.  That memo is keyed by the value's
     compact JSON, never by the value itself: ``True == 1`` and
     ``0.0 == -0.0`` would collide as dict keys.  The ``h`` and ``c`` name
-    tuples, shared by every record of an instance, are memoised per tuple.
+    tuples, shared by many records, are memoised per tuple.
     """
 
     def __init__(self, depth: int):
         self._depth = depth
-        pad = "\n" + "  " * depth
-        fields = ",".join(f'{pad}"{key}": %s' for key in _RECORD_KEYS)
+        self._pad = pad = "\n" + "  " * depth
+        # the "check" slot also holds "group" and "h", the keys that follow
+        # it: that piece is shared by the rows of a block
+        fields = ",".join(
+            f'{pad}"{key}": %s' for key in _RECORD_KEYS if key not in ("group", "h")
+        )
         self._template = "{" + fields + pad[:-2] + "}"
+        self._joints = (f',{pad}"group": ', f',{pad}"h": ')
         self._values: dict[str, str] = {}
         self._names: dict[tuple[str, ...], str] = {}
 
@@ -347,17 +415,45 @@ class _RecordWriter:
             text = self._names[names] = _indented(list(names), self._depth)
         return text
 
+    def _check_group_h(self, check: str, group: str, h: tuple[str, ...]) -> str:
+        to_group, to_h = self._joints
+        return (
+            encode_basestring_ascii(check) + to_group + encode_basestring_ascii(group)
+            + to_h + self._name_list(h)
+        )
+
     def record(self, record: AuditRecord) -> str:
+        value = self._value
         return self._template % (
             self._name_list(record.c),
-            encode_basestring_ascii(record.check),
-            encode_basestring_ascii(record.group),
-            self._name_list(record.h),
-            self._value(record.observed),
-            self._value(record.predicted),
+            self._check_group_h(record.check, record.group, record.h),
+            value(record.observed),
+            value(record.predicted),
             encode_basestring_ascii(record.verdict),
-            self._value(record.witness),
+            value(record.witness),
         )
+
+    def block(self, block: _RecordBlock) -> str:
+        """The records of one block, in order, as items of an array at the
+        writer's depth less one; its group, H and each check are formatted
+        once, and each C once per row."""
+        template, value = self._template, self._value
+        shared = [self._check_group_h(check, block.group, block.h) for check in block.checks]
+        texts = []
+        for _, c, outcomes in block.rows:
+            c_text = self._name_list(c)
+            texts += [
+                template % (
+                    c_text,
+                    middle,
+                    value(observed),
+                    value(predicted),
+                    encode_basestring_ascii(verdict),
+                    value(witness),
+                )
+                for middle, (predicted, observed, verdict, witness) in zip(shared, outcomes)
+            ]
+        return ("," + self._pad[:-2]).join(texts)
 
 
 # --------------------------------------------------------------------------
@@ -860,6 +956,9 @@ def _resolve_checks(checks) -> tuple[str, ...]:
         raise UnknownCheckError(
             f"unknown check name(s): {', '.join(sorted(unknown))}"
         )
+    repeated = sorted(name for name, count in Counter(resolved).items() if count > 1)
+    if repeated:
+        raise PreconditionError(f"check name(s) given more than once: {', '.join(repeated)}")
     return resolved
 
 
@@ -981,15 +1080,18 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 def _scan_subgroup(args):
     """Scan one (group, subgroup) work item; its mismatches come back as
     ``MismatchEntry``s, shrunk here when ``shrink`` is set, so a pooled
-    audit shrinks in its workers."""
+    audit shrinks in its workers.  With ``keep_records`` it also returns
+    its ``_RecordBlock``, else None."""
     catalog_index, spec, h_members, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     h = group.subgroup(h_members)
     totals: Counter = Counter()
     mismatches: list[AuditRecord] = []
-    records: list[AuditRecord] = []
+    rows: list[_Row] = []
     errors: list[dict] = []
     scanned = _ScanVerdicts(h_members, set(), {})
+    # a row holds its outcomes in check-name order
+    by_name = sorted(range(len(checks)), key=checks.__getitem__)
     for c in _connection_sets_for(group, h_members, limits):
         ctx = InstanceContext(group, h, c, limits)
         outcomes = []
@@ -1009,20 +1111,17 @@ def _scan_subgroup(args):
             )
             continue
         scanned.evaluated.add(c.members)
-        # verdicts are tallied directly; a record is built only to be kept
+        # verdicts are tallied directly; a record is built only for a mismatch
         for check, outcome in zip(checks, outcomes):
             verdict = outcome[2]
             totals[check, verdict] += 1
-            if verdict == MISMATCH or keep_records:
+            if verdict == MISMATCH:
                 record = _build_record(ctx, check, outcome)
-                if verdict == MISMATCH:
-                    mismatches.append(record)
-                    scanned.mismatches[c.members, check] = record
-                if keep_records:
-                    records.append(record)
-    sort_key = lambda r: (r.c_indices, r.check)
-    mismatches.sort(key=sort_key)
-    records.sort(key=sort_key)
+                mismatches.append(record)
+                scanned.mismatches[c.members, check] = record
+        if keep_records:
+            rows.append((c.members, ctx.c_names, tuple(outcomes[i] for i in by_name)))
+    mismatches.sort(key=lambda r: (r.c_indices, r.check))
     entries = [
         MismatchEntry(
             original=record,
@@ -1030,7 +1129,13 @@ def _scan_subgroup(args):
         )
         for record in mismatches
     ]
-    return catalog_index, h_members, dict(totals), entries, records, errors
+    block = None
+    if keep_records:
+        rows.sort(key=lambda row: row[0])
+        block = _RecordBlock(
+            group.spec, h.names(), h_members, tuple(checks[i] for i in by_name), tuple(rows)
+        )
+    return catalog_index, h_members, dict(totals), entries, block, errors
 
 
 def run_audit(
@@ -1093,12 +1198,12 @@ def run_audit(
 
     totals_counter: Counter = Counter()
     mismatch_entries: list[MismatchEntry] = []
-    all_records: list[AuditRecord] = []
+    blocks: list[_RecordBlock] = []
     errors: list[dict] = []
-    for _, _, item_totals, item_mismatches, item_records, item_errors in results:
+    for _, _, item_totals, item_mismatches, item_block, item_errors in results:
         totals_counter.update(item_totals)
         mismatch_entries.extend(item_mismatches)
-        all_records.extend(item_records)
+        blocks.append(item_block)
         errors.extend(item_errors)
 
     totals = {
@@ -1120,7 +1225,7 @@ def run_audit(
         catalog=tuple(catalog_entries),
         totals=totals,
         mismatches=tuple(mismatch_entries),
-        records=tuple(all_records) if keep_records else None,
+        records=RecordTable(blocks) if keep_records else None,
         wall_time_seconds=time.monotonic() - started,
         errors=tuple(errors),
     )

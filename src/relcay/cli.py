@@ -261,7 +261,8 @@ def _format_audit_text(report) -> str:
 def _cmd_audit(args, config: CliConfig) -> int:
     from . import audit
 
-    keep_records = config.full or config.format == "csv"
+    # only CSV and full JSON write records; the text summary reads totals
+    keep_records = config.format == "csv" or (config.full and config.format == "json")
     report = audit.run_audit(
         audit.DEFAULT_CATALOG if args.catalog is None else args.catalog,
         args.checks,

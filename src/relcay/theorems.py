@@ -88,7 +88,8 @@ class InstanceSets:
 
     ``inner`` is H n C, ``outer`` is C minus H, ``c_squared`` is C*C,
     ``outer_pairs`` is (C minus H)*(C minus H), and ``hc_star`` is
-    H*C* = H*(C u {e}).  Each is computed on first read and kept.  A caller
+    H*C* = H*(C u {e}).  ``degree_formula`` is the predicted degree of
+    every vertex.  Each is computed on first read and kept.  A caller
     that runs several predictors on one instance builds one of these and
     passes it to each as ``sets``; a predictor called without one builds
     its own.
@@ -118,6 +119,21 @@ class InstanceSets:
     @cached_attribute
     def hc_star(self) -> ElementSet:
         return product_set(self.h, self.c.with_identity())
+
+    @cached_attribute
+    def degree_formula(self) -> tuple[int, ...]:
+        """deg(h) = |C| on H and deg(x) = |x^-1 H n C| outside H, counted
+        once per left coset x^-1 H."""
+        group, c = self.group, self.c
+        inv = group.inv
+        formula = [len(c)] * group.order
+        for coset in coset_partition(self.h, "left"):
+            if group.identity in coset:
+                continue
+            count = (coset.mask & c.mask).bit_count()
+            for y in coset.members:
+                formula[inv[y]] = count
+        return tuple(formula)
 
 
 # --------------------------------------------------------------------------
@@ -158,20 +174,11 @@ def predict_valencies(
 
     regular_condition = h.index == 2 and not sets.inner
 
-    # deg(x) = |x^-1 H n C| outside H, counted once per left coset x^-1 H,
-    # and deg(h) = |C| on H itself; semi-regularity asks for the same count
-    # in every left coset gH other than H
-    inv = group.inv
-    degree_formula = [len(c)] * group.order
-    outside_counts = set()
-    for coset in coset_partition(h, "left"):
-        if group.identity in coset:
-            continue
-        count = (coset.mask & c.mask).bit_count()
-        outside_counts.add(count)
-        for y in coset.members:
-            degree_formula[inv[y]] = count
-    same_left_counts = len(outside_counts) <= 1
+    # semi-regularity asks for the same count |gH n C| in every left coset
+    # gH other than H, that is the same predicted degree outside H
+    degree_formula = sets.degree_formula
+    outside = {d for x, d in enumerate(degree_formula) if not h.mask >> x & 1}
+    same_left_counts = len(outside) <= 1
     # C inside a single right coset Hx other than H
     in_one_right_coset = any(
         not c.mask & ~coset.mask
@@ -196,7 +203,7 @@ def predict_valencies(
         semi_regular_applicable=bool(c) and not regular_condition,
         predicted_semi_regular=same_left_counts or in_one_right_coset,
         full_degree_coset=full,
-        degree_formula=tuple(degree_formula),
+        degree_formula=degree_formula,
     )
 
 
@@ -656,7 +663,7 @@ def _tree_condition(sets: InstanceSets) -> bool:
 def _square_free_details(
     sets: InstanceSets,
 ) -> tuple[bool, tuple[tuple[str, object], ...]]:
-    group, h, c = sets.group, sets.h, sets.c
+    group, h = sets.group, sets.h
     identity = group.identity
     mul = group.mul
     inner = sets.inner
@@ -688,11 +695,10 @@ def _square_free_details(
     overlap = inner_pairs.intersection(outer_pairs)
     pair_condition = overlap.mask == 1 << identity
 
-    # the sum over members m outside H of |Hm n C|, one right coset at a time
-    degree_sum = sum(
-        (coset.mask & outer.mask).bit_count() * (coset.mask & c.mask).bit_count()
-        for coset in coset_partition(h, "right")
-    )
+    # the sum over members m outside H of |Hm n C|, which is deg(m) since C
+    # is inverse-closed: |Hm n C| = |m^-1 H n C|
+    degree = sets.degree_formula
+    degree_sum = sum(degree[m] for m in outer.members)
     degree_required = len(h.intersection(outer_pairs)) + len(outer)
 
     predicted = (not induced_square) and pair_condition and (

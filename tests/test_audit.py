@@ -30,6 +30,7 @@ from relcay.audit import (
     InstanceContext,
     Limits,
     MismatchEntry,
+    RecordTable,
     catalog_up_to,
     compact_json,
     jsonable,
@@ -148,6 +149,14 @@ def test_totals_cover_every_requested_check_at_zero_instances():
 def test_unknown_check_name_rejected():
     with pytest.raises(UnknownCheckError):
         run_audit(["C4"], ["regular", "no_such_check"])
+
+
+def test_repeated_check_name_rejected(capsys):
+    with pytest.raises(PreconditionError, match="more than once: edge_count, regular"):
+        run_audit(["C4"], ["regular", "edge_count", "tree", "edge_count", "regular"])
+    argv = ["audit", "--catalog", "C4", "--checks", "edge_count", "edge_count"]
+    assert execute_command(argv) == 1
+    assert "edge_count" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_across_parallelism():
@@ -526,10 +535,13 @@ def test_audit_wide_json_matches_the_benchmark_golden():
 
 
 def test_full_records_json_matches_the_benchmark_golden():
-    # the audit_full_par2 workload's output: 2 workers, every record kept
+    # the audit_full_par2 workload's output (2 workers, every record kept),
+    # which the serial scan must write too
     golden = json.loads(GOLDEN.read_text())["audit_full_records"]
-    text = run_audit(catalog_up_to(10), parallelism=2, keep_records=True).to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == golden
+    for parallelism in (1, 2):
+        report = run_audit(catalog_up_to(10), parallelism=parallelism, keep_records=True)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == golden, f"parallelism {parallelism}"
 
 
 def test_each_graph_is_clique_searched_once(monkeypatch):
@@ -571,9 +583,62 @@ def test_records_are_built_only_for_mismatches(monkeypatch):
         return real(**fields)
 
     monkeypatch.setattr(relcay.audit, "AuditRecord", counted)
-    report = run_audit(("D4",), shrink=False)
-    assert report.mismatches
-    assert len(built) == len(report.mismatches)
+    # kept records stay rows until they are read
+    for keep_records in (False, True):
+        built.clear()
+        report = run_audit(("D4",), keep_records=keep_records, shrink=False)
+        assert report.mismatches
+        assert len(built) == len(report.mismatches), f"keep_records={keep_records}"
+
+
+# --------------------------------------------------------------------------
+# The record table
+
+OUT_OF_ORDER = ["regular", "edge_count", "clique_upper"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_record_table_reads_as_the_records_of_every_scanned_pair(parallelism):
+    report = run_audit(["C4", "S3"], OUT_OF_ORDER, keep_records=True, parallelism=parallelism)
+    limits = Limits()
+    expected = []
+    for spec in ("C4", "S3"):
+        g = make_group(spec)
+        for s in enumerate_subgroups(g):
+            if not s.is_proper:
+                continue
+            item = [
+                relcay.audit.evaluate_check(spec, s.members, c.members, check, limits)
+                for c in enumerate_connection_sets(g)
+                for check in OUT_OF_ORDER
+            ]
+            expected += sorted(item, key=lambda r: (r.c_indices, r.check))
+    assert len(report.records) == len(expected) == (2 * 4 + 5 * 16) * 3
+    assert list(report.records) == expected
+    assert [report.records[i] for i in range(len(expected))] == expected
+
+
+def test_record_table_indexes_like_a_tuple(c4_report):
+    table = c4_report.records
+    records = tuple(table)
+    assert len(table) == len(records) and table
+    assert table[0] == records[0] and table[-1] == records[-1]
+    assert table[-len(records)] == records[0]
+    assert table[3:40:7] == records[3:40:7]
+    assert table.index(records[5]) == 5 and records[5] in table
+    for bad in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            table[bad]
+    empty = RecordTable(())
+    assert not empty and len(empty) == 0 and list(empty) == []
+    with pytest.raises(IndexError):
+        empty[0]
+    # a work item whose instances all failed keeps a block without rows
+    hollow = RecordTable(
+        [relcay.audit._RecordBlock("C4", ("1",), (0,), ("tree",), ())]
+        + list(table.blocks)
+    )
+    assert hollow[0] == records[0] and hollow[-1] == records[-1]
 
 
 def _fresh_group(monkeypatch, spec):
@@ -798,6 +863,32 @@ _records = st.builds(
 )
 
 
+def _table(records) -> RecordTable:
+    """The records as a table of one-row, one-check blocks."""
+    return RecordTable(
+        relcay.audit._RecordBlock(
+            r.group, r.h, r.h_indices, (r.check,),
+            ((r.c_indices, r.c, ((r.predicted, r.observed, r.verdict, r.witness),)),),
+        )
+        for r in records
+    )
+
+
+@st.composite
+def _blocks(draw):
+    """A block of several rows and checks, as a work item keeps them."""
+    checks = sorted(draw(st.sets(st.sampled_from(ALL_CHECKS) | st.text(max_size=3), max_size=3)))
+    outcome = st.tuples(_values, _values, st.sampled_from(VERDICTS), st.none() | _values)
+    row = st.tuples(st.just(()), _names, st.tuples(*[outcome] * len(checks)))
+    return relcay.audit._RecordBlock(
+        draw(st.sampled_from(["C4", "S3"]) | st.text(max_size=3)),
+        draw(_names),
+        (),
+        tuple(checks),
+        tuple(draw(st.lists(row, max_size=3))),
+    )
+
+
 def _report(records, mismatches=(), errors=()) -> AuditReport:
     return AuditReport(
         config={"catalog": ["C4"], "checks": ["edge_count"], "shrink": True},
@@ -812,7 +903,9 @@ def _report(records, mismatches=(), errors=()) -> AuditReport:
 
 _reports = st.builds(
     _report,
-    records=st.none() | st.lists(_records, max_size=6).map(tuple),
+    records=st.none()
+    | st.lists(_records, max_size=6).map(_table)
+    | st.lists(_blocks(), max_size=3).map(RecordTable),
     mismatches=st.lists(st.builds(MismatchEntry, _records, _records), max_size=2),
     errors=st.lists(
         st.fixed_dictionaries({"group": st.text(max_size=3), "error": st.text()}),
@@ -829,9 +922,9 @@ _EVERY_EDGE = tuple(
 @settings(max_examples=100, deadline=None)
 @given(_reports)
 @example(_report(None))
-@example(_report((), errors=[{"group": "C4", "error": "E: \u00e9"}]))
-@example(_report((_ONE,) * 2, [MismatchEntry(_ONE, _ONE)]))
-@example(_report(_EVERY_EDGE, [MismatchEntry(r, r) for r in _EVERY_EDGE]))
+@example(_report(_table(()), errors=[{"group": "C4", "error": "E: \u00e9"}]))
+@example(_report(_table((_ONE,) * 2), [MismatchEntry(_ONE, _ONE)]))
+@example(_report(_table(_EVERY_EDGE), [MismatchEntry(r, r) for r in _EVERY_EDGE]))
 def test_to_json_writes_the_bytes_of_the_plain_encoder(report):
     assert report.to_json() == _reference_json(report)
 
@@ -839,6 +932,10 @@ def test_to_json_writes_the_bytes_of_the_plain_encoder(report):
 def test_to_json_of_a_real_audit_is_the_plain_encoding(c4_report):
     assert c4_report.mismatches and c4_report.records
     assert c4_report.to_json() == _reference_json(c4_report)
+    # a pooled report of a subset of the checks, given out of name order
+    pooled = run_audit(["C4", "S3"], OUT_OF_ORDER, keep_records=True, parallelism=2)
+    assert pooled.records and pooled.config["checks"] == OUT_OF_ORDER
+    assert pooled.to_json() == _reference_json(pooled)
 
 
 def _reference_csv(report: AuditReport) -> str:
@@ -869,5 +966,5 @@ def test_to_csv_of_a_real_audit_formats_each_value_on_its_own():
 @given(st.lists(_records, max_size=6).map(tuple))
 @example(_EVERY_EDGE)
 def test_to_csv_memo_keeps_equal_but_different_values_apart(records):
-    report = _report(records)
+    report = _report(_table(records))
     assert report.to_csv() == _reference_csv(report)

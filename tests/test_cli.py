@@ -249,6 +249,32 @@ def test_audit_full_json_includes_records(capsys):
     assert len(payload["records"]) == 8
 
 
+@pytest.mark.parametrize(
+    "options, kept",
+    [
+        ([], False),
+        (["--full"], False),
+        (["--format", "json"], False),
+        (["--full", "--format", "json"], True),
+        (["--format", "csv"], True),
+        (["--full", "--format", "csv"], True),
+    ],
+)
+def test_audit_keeps_records_only_when_it_writes_them(monkeypatch, capsys, options, kept):
+    seen = []
+    real = relcay.audit.run_audit
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["keep_records"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relcay.audit, "run_audit", spy)
+    argv = ["audit", "--catalog", "C4", "--checks", "edge_count", *options]
+    assert execute_command(argv) == 0
+    assert seen == [kept]
+    capsys.readouterr()
+
+
 def test_audit_csv_format(capsys):
     status = execute_command(
         ["audit", "--catalog", "C4", "--checks", "edge_count", "--format", "csv"]

@@ -36,6 +36,7 @@ from relcay.group_core import (
 from relcay.oracles import diameter_components, invariant_report, structure_flags
 from relcay.theorems import (
     FORBIDDEN_KINDS,
+    InstanceSets,
     build_class_one_coloring,
     cayley_adjacency,
     predict_all,
@@ -602,6 +603,21 @@ def test_square_condition_as_printed_disagrees_on_the_tree():
     assert detail["outside_degree_required"] == 3
     assert detail["degree_condition"] is False
     assert structure_flags(build_relcay(g, h, c)).square_subgraph_free
+
+
+def test_square_condition_sums_the_one_degree_formula():
+    for spec in SWEEP_SPECS:
+        for g, h, c in all_instances(spec):
+            sets = InstanceSets(g, h, c)
+            assert predict_valencies(g, h, c, sets=sets).degree_formula is sets.degree_formula
+            fb = predict_forbidden(g, h, c, "square_free_as_printed", sets=sets)
+            # the printed sum of |Hm n C| over m in C minus H
+            printed = sum(
+                len({g.mul[x][m] for x in h.members} & set(c.members))
+                for m in c.members
+                if m not in h
+            )
+            assert dict(fb.details)["outside_degree_sum"] == printed
 
 
 def test_bipartite_prediction_is_one_directional():
