@@ -122,7 +122,11 @@ def catalog_up_to(max_order: int, catalog: tuple[str, ...] = DEFAULT_CATALOG) ->
 @dataclass(frozen=True)
 class Limits:
     """Caps shared across the scan; all of them participate in sampling and
-    verdicts, so they are part of the report's configuration snapshot."""
+    verdicts, so they are part of the report's configuration snapshot.
+
+    ``chromatic_ii_cap`` is the largest |H| for which chromatic condition
+    (ii) is evaluated; its table of splits is built once per (H,
+    generator), see ``Subgroup.shift_avoiding_splits``."""
 
     max_order: int = field(default_factory=default_max_order)
     edge_color_cutoff: int = DEFAULT_EDGE_COLOR_CUTOFF
@@ -284,15 +288,8 @@ class AuditReport:
         texts: dict = {}
 
         def text(value) -> str:
-            # memoised for scalars keyed by exact type and value, floats by
-            # their repr, because True == 1 and 0.0 == -0.0; containers are
-            # not, since (True,) == (1,) whatever the key's type
-            cls = value.__class__
-            if cls is float:
-                key = (cls, float.__repr__(value))
-            elif cls in _CSV_MEMO_TYPES:
-                key = (cls, value)
-            else:
+            key = _memo_key(value)
+            if key is None:
                 return compact_json(value)
             found = texts.get(key)
             if found is None:
@@ -311,7 +308,41 @@ class AuditReport:
 
 
 # Scalar types whose equal values of one exact type print alike in JSON
-_CSV_MEMO_TYPES = (type(None), bool, int, str)
+_PLAIN_TYPES = frozenset((type(None), bool, int, str))
+
+
+def _memo_key(value):
+    """A hashable key under which a check value's printed form can be
+    memoised, or None if it has none.
+
+    Two values get equal keys only when they print alike through
+    ``jsonable``: the key holds the exact type of the value and of every
+    item inside it, and a float's repr, because ``True == 1``,
+    ``(True,) == (1,)`` and ``0.0 == -0.0`` though each pair prints
+    differently.  A tuple or list of plain scalars is keyed by its item
+    types and items without a call per item.  Values holding anything but
+    plain scalars, floats, tuples, lists, dicts and sets get None.
+    """
+    cls = value.__class__
+    if cls in _PLAIN_TYPES:
+        return cls, value
+    if cls is float:
+        return cls, float.__repr__(value)
+    if cls is tuple or cls is list:
+        types = tuple(map(type, value))
+        if _PLAIN_TYPES.issuperset(types):
+            return cls, types, tuple(value)
+        items = tuple(map(_memo_key, value))
+    elif cls is dict:
+        items = (_memo_key(tuple(value)), _memo_key(tuple(value.values())))
+    elif cls is set or cls is frozenset:
+        items = tuple(map(_memo_key, value))
+        if None not in items:
+            return cls, frozenset(items)
+        return None
+    else:
+        return None
+    return None if None in items else (cls, items)
 
 
 def jsonable(value):
@@ -370,11 +401,11 @@ class _RecordWriter:
 
     Strings, None, booleans, ints and finite floats are formatted the way
     ``json`` formats them.  Every other value (a container, or a float that
-    ``json`` spells NaN or Infinity) is rendered by ``json.dumps`` once per
-    distinct value and re-indented.  That memo is keyed by the value's
-    compact JSON, never by the value itself: ``True == 1`` and
-    ``0.0 == -0.0`` would collide as dict keys.  The ``h`` and ``c`` name
-    tuples, shared by many records, are memoised per tuple.
+    ``json`` spells NaN or Infinity) is rendered by ``json.dumps`` and
+    re-indented, once per distinct value under its ``_memo_key``, never
+    under the value itself: ``True == 1`` and ``0.0 == -0.0`` would collide
+    as dict keys.  The ``h`` and ``c`` name tuples, shared by many records,
+    are memoised per tuple.
     """
 
     def __init__(self, depth: int):
@@ -387,7 +418,7 @@ class _RecordWriter:
         )
         self._template = "{" + fields + pad[:-2] + "}"
         self._joints = (f',{pad}"group": ', f',{pad}"h": ')
-        self._values: dict[str, str] = {}
+        self._values: dict[tuple, str] = {}
         self._names: dict[tuple[str, ...], str] = {}
 
     def _value(self, value) -> str:
@@ -403,7 +434,9 @@ class _RecordWriter:
             return int.__repr__(value)
         if isinstance(value, float) and math.isfinite(value):
             return float.__repr__(value)
-        key = compact_json(value)
+        key = _memo_key(value)
+        if key is None:
+            return _indented(jsonable(value), self._depth)
         text = self._values.get(key)
         if text is None:
             text = self._values[key] = _indented(jsonable(value), self._depth)

@@ -412,7 +412,13 @@ def _build_parser() -> _Parser:
     p_audit.add_argument("--catalog", nargs="+", default=None)
     p_audit.add_argument("--checks", nargs="+", default=None)
     p_audit.add_argument("--max-connection-sets", type=int, default=None)
-    p_audit.add_argument("--chromatic-ii-cap", type=int, default=None)
+    p_audit.add_argument(
+        "--chromatic-ii-cap",
+        type=int,
+        default=None,
+        help="largest |H| for chromatic condition (ii), whose split table is "
+        "built once per (H, generator)",
+    )
     p_audit.add_argument("--edge-color-cutoff", type=int, default=DEFAULT_EDGE_COLOR_CUTOFF)
     p_audit.add_argument("--parallelism", type=int, default=1)
     p_audit.add_argument("--full", action="store_true", help="keep per-instance records")

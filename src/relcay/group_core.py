@@ -15,10 +15,11 @@ A set of elements is an integer bit mask (bit x set when element x is a
 member); products, cosets, closures and subset tests are mask arithmetic.
 Each subgroup is built and closure-checked once per group: ``subgroup``,
 ``generated_subgroup`` and ``enumerate_subgroups`` hand out one shared
-object per member set, which also keeps the per-subgroup quantities (coset
-partitions, the A*B*A flag) once computed, and each generator mask is
-closed once per group.  All objects here are immutable apart from these
-caches and safe to share across workers.
+object per member set, which also keeps the per-subgroup tables (coset
+partitions, the A*B*A flag, see ``Subgroup``) once computed.  Each
+generator mask is closed once per group, and ``width``, ``psi`` and
+``subgroups_within`` answer each mask once per group.  All objects here
+are immutable apart from these caches and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -185,6 +186,14 @@ class GroupTable:
     def _generated_by_mask(self) -> dict[int, "Subgroup"]:
         return {}
 
+    @cached_attribute
+    def _within_by_mask(self) -> dict[int, tuple["Subgroup", ...]]:
+        return {}
+
+    @cached_attribute
+    def _width_by_mask(self) -> dict[int, int]:
+        return {}
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"GroupTable({self.spec}, order={self.order})"
 
@@ -339,12 +348,20 @@ def _from_mask(group: GroupTable, mask: int) -> ElementSet:
 class Subgroup(ElementSet):
     """An ElementSet that is verified to be a subgroup at construction.
 
-    Quantities that depend on the subgroup alone (its coset partitions and
-    its A*B*A flag) are computed on first use and kept on the object, so a
-    subgroup shared through ``GroupTable.subgroup``, ``generated_subgroup``
-    or ``enumerate_subgroups`` computes each of them once.  So is the edge
-    coloring of its Cayley graph on each generating set H n C, which
-    ``theorems.build_class_one_coloring`` keeps in ``induced_colorings``.
+    Quantities that depend on the subgroup alone are computed on first use
+    and kept on the object, so a subgroup shared through
+    ``GroupTable.subgroup``, ``generated_subgroup`` or
+    ``enumerate_subgroups`` computes each of them once:
+
+    - its left and right coset partitions (``coset_partition``);
+    - ``right_coset_masks``, the mask of the right coset Hx for each
+      element x, which ``star_product`` reads;
+    - ``is_aba``, whether it factors as A*B*A into proper subgroups;
+    - the shift-avoiding 3-part splits for each generator
+      (``shift_avoiding_splits``);
+    - the edge coloring of its Cayley graph on each generating set H n C,
+      which ``theorems.build_class_one_coloring`` keeps in
+      ``induced_colorings``.
     """
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
@@ -382,6 +399,41 @@ class Subgroup(ElementSet):
     @cached_attribute
     def _right_cosets(self) -> tuple[ElementSet, ...]:
         return _build_cosets(self, right_coset)
+
+    @cached_attribute
+    def right_coset_masks(self) -> tuple[int, ...]:
+        """The mask of the right coset Hx, indexed by the element x."""
+        table = [0] * self.group.order
+        for coset in self._right_cosets:
+            for x in coset.members:
+                table[x] = coset.mask
+        return tuple(table)
+
+    def star_product(self, x: ElementSet) -> ElementSet:
+        """The product H*X* = H*(X u {e}), as H together with the right
+        cosets Hx over x in X."""
+        table = self.right_coset_masks
+        out = self.mask
+        for m in x.members:
+            out |= table[m]
+        return _from_mask(self.group, out)
+
+    @cached_attribute
+    def _splits(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        return {}
+
+    def shift_avoiding_splits(self, step: int) -> tuple[tuple[int, int, int], ...]:
+        """Every split of H into three parts, as member masks, with no part
+        holding both x and x*step; empty parts are allowed.
+
+        Each split is listed once, with its parts in the order in which
+        they first meet the members of H (so an empty part comes last).
+        The table is built on the first request for each step and kept.
+        """
+        found = self._splits.get(step)
+        if found is None:
+            found = self._splits[step] = _split_table(self, step)
+        return found
 
     @cached_attribute
     def induced_colorings(self) -> dict:
@@ -714,6 +766,39 @@ def _build_cosets(h: Subgroup, coset) -> tuple[ElementSet, ...]:
     return tuple(cosets)
 
 
+def _split_table(h: Subgroup, step: int) -> tuple[tuple[int, int, int], ...]:
+    """The splits that ``Subgroup.shift_avoiding_splits`` lists.
+
+    The members are placed in ascending order, each in a part holding
+    neither x*step nor x*step^-1 among the members already placed.  A
+    member may open a new part only when the parts before it are in use,
+    so each split is built once, with its parts in order of first use.
+    """
+    g = h.group
+    if step == g.identity:
+        return ()  # every x shares a part with x*step = x
+    mul = g.mul
+    back = g.inv[step]
+    members = h.members
+    apart = [1 << mul[x][step] | 1 << mul[x][back] for x in members]
+    parts = [0, 0, 0]
+    splits = []
+
+    def place(i: int, used: int) -> None:
+        if i == len(members):
+            splits.append(tuple(parts))
+            return
+        bit = 1 << members[i]
+        for k in range(min(used + 1, 3)):
+            if not parts[k] & apart[i]:
+                parts[k] |= bit
+                place(i + 1, max(used, k + 1))
+                parts[k] ^= bit
+
+    place(0, 0)
+    return tuple(splits)
+
+
 def coset_partition(h: Subgroup, side: str = "left") -> tuple[ElementSet, ...]:
     """All cosets of a subgroup, ordered by their smallest member.
 
@@ -822,13 +907,23 @@ def enumerate_subgroups(
 def width(x: ElementSet) -> int:
     """Least n with <x> covered by the powers x^0 u x u ... u x^n.
 
-    The loop ends: once the union stops growing it is closed under
-    multiplication by x, so it already holds all of <x>.
+    Each mask's width is computed once per group.
     """
-    mul = x.group.mul
-    factors = x.members
-    target = generated_subgroup(x).mask
-    covered = current = 1 << x.group.identity
+    g = x.group
+    shared = g._width_by_mask
+    found = shared.get(x.mask)
+    if found is None:
+        found = shared[x.mask] = _width(g, x.mask)
+    return found
+
+
+def _width(g: GroupTable, mask: int) -> int:
+    # the loop ends: once the union stops growing it is closed under
+    # multiplication by the set, so it already holds all of <x>
+    mul = g.mul
+    factors = bit_indices(mask)
+    target = _generated(g, mask).mask
+    covered = current = 1 << g.identity
     steps = 0
     while target & ~covered:
         grown = 0
@@ -844,18 +939,26 @@ def width(x: ElementSet) -> int:
 
 def psi(x: ElementSet) -> int:
     """Largest order of a subgroup contained in the starred set."""
-    star = x.with_identity().mask
-    best = 1
-    for s in _all_subgroups(x.group):
-        if len(s) > best and not s.mask & ~star:
-            best = len(s)
-    return best
+    # subgroups_within is sorted by size and holds at least {e}
+    return len(subgroups_within(x)[-1])
 
 
 def subgroups_within(x: ElementSet) -> tuple[Subgroup, ...]:
-    """All subgroups contained in the starred set, sorted by size then members."""
-    star = x.with_identity().mask
-    return tuple(s for s in _all_subgroups(x.group) if not s.mask & ~star)
+    """All subgroups contained in the starred set, sorted by size then members.
+
+    Each starred mask is looked up once per group.
+    """
+    g = x.group
+    star = x.mask | 1 << g.identity
+    shared = g._within_by_mask
+    found = shared.get(star)
+    if found is None:
+        found = shared[star] = _subgroups_within(g, star)
+    return found
+
+
+def _subgroups_within(g: GroupTable, star: int) -> tuple[Subgroup, ...]:
+    return tuple(s for s in _all_subgroups(g) if not s.mask & ~star)
 
 
 def element_order(g: GroupTable, x: int) -> int:

@@ -8,6 +8,13 @@ partial exception is the printed square condition, whose statement itself
 involves vertex degrees; those are taken from the degree formulas, not from
 an adjacency matrix.
 
+What depends on H alone is read from tables kept on the shared
+``Subgroup`` (cosets, the right coset of each element, the splits of
+chromatic condition (ii), induced colorings), and lattice answers (width,
+psi, subgroups within a set) from tables kept per group and mask.  Only
+what depends on C is computed per instance, in ``InstanceSets`` and the
+predictors themselves.
+
 The class-one edge coloring is constructive: it colors the induced subgraph
 on H with a Vizing-style fan procedure and extends across the cut edges,
 certifying that the edge chromatic number equals the maximum degree whenever
@@ -15,7 +22,6 @@ C has an element outside H.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -88,11 +94,11 @@ class InstanceSets:
 
     ``inner`` is H n C, ``outer`` is C minus H, ``c_squared`` is C*C,
     ``outer_pairs`` is (C minus H)*(C minus H), and ``hc_star`` is
-    H*C* = H*(C u {e}).  ``degree_formula`` is the predicted degree of
-    every vertex.  Each is computed on first read and kept.  A caller
-    that runs several predictors on one instance builds one of these and
-    passes it to each as ``sets``; a predictor called without one builds
-    its own.
+    H*C* = H*(C u {e}), a union of right cosets of H.  ``degree_formula``
+    is the predicted degree of every vertex.  Each is computed on first
+    read and kept.  A caller that runs several predictors on one instance
+    builds one of these and passes it to each as ``sets``; a predictor
+    called without one builds its own.
     """
 
     def __init__(self, group: GroupTable, h: Subgroup, c: ElementSet) -> None:
@@ -118,7 +124,7 @@ class InstanceSets:
 
     @cached_attribute
     def hc_star(self) -> ElementSet:
-        return product_set(self.h, self.c.with_identity())
+        return self.h.star_product(self.c)
 
     @cached_attribute
     def degree_formula(self) -> tuple[int, ...]:
@@ -273,30 +279,34 @@ def predict_connectivity(
     outer_square = h.intersection(sets.outer_pairs)
     outer_square_span = generated_subgroup(outer_square)
 
-    # (H n gC)*A*B for each vertex g outside H, as the union of x*(A*B)
-    # over x in H n gC; each x*(A*B) is built once, when first met
-    mul = group.mul
-    spans = product_set(inner_span, outer_square_span).members
-    target = h.mask
+    # (H n gC)*A*B for one vertex g of each right coset Hg other than H, as
+    # the union of x*(A*B) over x in H n gC; each x*(A*B) is built once,
+    # when first met.  H n (hg)C = h(H n gC), so the set for hg is h times
+    # the set for g: it covers H exactly when that one does, and a passing
+    # g makes its whole coset witnesses.  gm lies in H exactly when g lies
+    # in Hm^-1, so each m in C minus H adds gm to the set of the coset
+    # Hm^-1, taking its smallest member as g
+    mul, inv = group.mul, group.inv
+    cosets = h.right_coset_masks
+    spans = inner_span.star_product(outer_square_span).members
     shifted: dict[int, int] = {}
-    witnesses = []
-    for g_elt in range(group.order):
-        if target >> g_elt & 1:
-            continue
-        covered = 0
-        row = mul[g_elt]
-        for m in c.members:
-            x = row[m]
-            if target >> x & 1:
-                part = shifted.get(x)
-                if part is None:
-                    part = 0
-                    for y in spans:
-                        part |= 1 << mul[x][y]
-                    shifted[x] = part
-                covered |= part
-        if covered == target:
-            witnesses.append(g_elt)
+    covered: dict[int, int] = {}
+    for m in sets.outer.members:
+        coset = cosets[inv[m]]
+        x = mul[(coset & -coset).bit_length() - 1][m]
+        part = shifted.get(x)
+        if part is None:
+            row = mul[x]
+            part = 0
+            for y in spans:
+                part |= 1 << row[y]
+            shifted[x] = part
+        covered[coset] = covered.get(coset, 0) | part
+    target = h.mask
+    witnesses = 0
+    for coset, seen in covered.items():
+        if seen == target:
+            witnesses |= coset
 
     predicted_connected = bool(witnesses) and hc_star_covers
 
@@ -325,7 +335,7 @@ def predict_connectivity(
 
     return ConnectivityPredictions(
         hc_star_covers=hc_star_covers,
-        product_witnesses=tuple(witnesses),
+        product_witnesses=tuple(bit_indices(witnesses)),
         predicted_connected=predicted_connected,
         disjoint_applicable=not inner,
         disjoint_predicted=disjoint_predicted,
@@ -390,11 +400,14 @@ def predict_clique(
             mask |= 1 << row[x]
         shifted.append(mask)
 
-    equality = is_subgroup_set(inner.with_identity()) and any(
+    # (H n C)* is a subgroup exactly when the largest subgroup inside it
+    # is all of it
+    lower_psi = psi(inner)
+    star_size = (inner.mask | 1 << group.identity).bit_count()
+    equality = lower_psi == star_size and any(
         not inner.mask & ~mask for mask in shifted
     )
 
-    lower_psi = psi(inner)
     psi_plus = False
     if outer:
         carriers = [k.mask for k in subgroups_within(inner) if len(k) == lower_psi]
@@ -475,8 +488,8 @@ class ChromaticPredictions:
     The equality characterization presumes the subgraph induced on H is
     connected and spans H (C nonempty and H generated by H-interior
     connection elements); ``equality_applicable`` carries that gate.
-    ``equality_ii`` is None when the partition enumeration was skipped
-    because |H| exceeds the cap.
+    ``equality_ii`` is None when |H| exceeds the cap on the table of splits
+    that condition (ii) reads (``Subgroup.shift_avoiding_splits``).
     """
 
     upper: int
@@ -499,42 +512,32 @@ def _partition_condition(
     """Whether every shift-avoiding 3-part split of H is seen by some vertex.
 
     A split H = X1 u X2 u X3 qualifies when no part contains both x and
-    x*step; it is "seen" by g outside H when C meets every g*Xi.  Empty
-    parts are allowed; a split with an empty part can never be seen.
+    x*step; it is "seen" by g outside H when C meets every g*Xi, that is
+    when the window H n g^-1 C meets every Xi.  Empty parts are allowed; a
+    split with an empty part can never be seen.  The splits depend on H
+    and the step alone and are listed once per subgroup
+    (``Subgroup.shift_avoiding_splits``); only the windows are built here.
     """
-    members = h.members
-    count = len(members)
-    pos = {member: i for i, member in enumerate(members)}
-    shifted = [pos[group.mul[member][step]] for member in members]
-
-    # per outside vertex g: which positions x of H have g*x in C
-    c_mask = c.mask
+    mul, inv = group.mul, group.inv
     windows = set()
-    for g_elt in range(group.order):
-        if g_elt in h:
+    # g^-1 m lies in H exactly when m lies in gH, so the window of g is
+    # g^-1 (C n gH); it meets three disjoint parts only if it has three
+    # members
+    for coset in coset_partition(h, "left"):
+        meet = coset.mask & c.mask
+        if meet.bit_count() < 3 or coset.mask == h.mask:
             continue
-        row = group.mul[g_elt]
-        window = frozenset(
-            i for i, member in enumerate(members) if c_mask >> row[member] & 1
-        )
-        if len(window) >= 3:
+        members = bit_indices(meet)
+        for g_elt in coset.members:
+            row = mul[inv[g_elt]]
+            window = 0
+            for m in members:
+                window |= 1 << row[m]
             windows.add(window)
-    window_list = sorted(windows, key=sorted)
-
-    # class of the first member is pinned to 0; relabeling classes changes
-    # neither validity nor visibility
-    for rest in itertools.product((0, 1, 2), repeat=count - 1):
-        classes = (0,) + rest
-        if any(classes[i] == classes[shifted[i]] for i in range(count)):
-            continue
-        seen = False
-        for window in window_list:
-            if {classes[i] for i in window} == {0, 1, 2}:
-                seen = True
-                break
-        if not seen:
-            return False
-    return True
+    return all(
+        any(w & first and w & second and w & third for w in windows)
+        for first, second, third in h.shift_avoiding_splits(step)
+    )
 
 
 def predict_chromatic(

@@ -44,6 +44,49 @@ def brute_closure(g, seed) -> frozenset[int]:
         current = frozenset(grown)
 
 
+def brute_shift_avoiding_labellings(g, members, step) -> list[tuple[int, ...]]:
+    """Every labelling of the members (in the given order) by 0, 1 and 2,
+    with the first pinned to 0, that gives no x and x*step the same label:
+    all 3^(|H|-1) candidates are scanned."""
+    pos = {m: i for i, m in enumerate(members)}
+    shifted = [pos[g.mul[m][step]] for m in members]
+    out = []
+    for rest in itertools.product((0, 1, 2), repeat=len(members) - 1):
+        classes = (0,) + rest
+        if all(classes[i] != classes[shifted[i]] for i in range(len(members))):
+            out.append(classes)
+    return out
+
+
+def brute_partition_condition(g, members, c_members, labellings) -> bool:
+    """Chromatic condition (ii) read literally: each labelling is seen by
+    some g outside H, where the positions of the x in H with g*x in C
+    carry all three labels."""
+    c, h = set(c_members), set(members)
+    windows = [
+        {i for i, m in enumerate(members) if g.mul[x][m] in c}
+        for x in range(g.order)
+        if x not in h
+    ]
+    return all(
+        any({classes[i] for i in window} == {0, 1, 2} for window in windows)
+        for classes in labellings
+    )
+
+
+def brute_width(g, members) -> int:
+    """Least n with the closure of the members inside the union of their
+    powers 0..n, by growing the powers as sets."""
+    target = brute_closure(g, members)
+    covered = power = {g.identity}
+    steps = 0
+    while not target <= covered:
+        power = {g.mul[a][b] for a in power for b in members}
+        covered = covered | power
+        steps += 1
+    return steps
+
+
 def brute_is_group(mul, identity, inv) -> bool:
     """The group laws on a table, checked at every element, pair and triple:
     identity, inverses, and associativity over all n^3 triples."""

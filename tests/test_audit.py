@@ -683,22 +683,62 @@ def test_each_generator_mask_is_closed_once_per_audit(monkeypatch):
     assert closures and max(closures.values()) == 1
 
 
+def _count_calls(monkeypatch, name: str) -> Counter:
+    """Calls of a group_core worker, keyed by the identity of its first
+    argument (a group or a subgroup) and its second (a mask or a step)."""
+    calls: Counter = Counter()
+    real = getattr(relcay.group_core, name)
+
+    def counted(owner, key):
+        calls[id(owner), key] += 1
+        return real(owner, key)
+
+    monkeypatch.setattr(relcay.group_core, name, counted)
+    return calls
+
+
+def test_each_split_table_is_built_once_per_audit(monkeypatch):
+    _fresh_group(monkeypatch, "D5")
+    tables = _count_calls(monkeypatch, "_split_table")
+    report = run_audit(("D5",), shrink=False)
+    assert report.totals["chromatic_equality"]["agree"]
+    # C5 with the steps a (H n C = {a, a4}) and a2 (H n C = {a2, a3}), and
+    # each of the five C2 with its involution
+    assert len(tables) == 7 and max(tables.values()) == 1
+
+
+@pytest.mark.parametrize("worker", ["_width", "_subgroups_within"])
+def test_each_lattice_lookup_is_computed_once_per_mask(monkeypatch, worker):
+    _fresh_group(monkeypatch, "D4")
+    computed = _count_calls(monkeypatch, worker)
+    run_audit(("D4",), shrink=False)
+    assert computed and max(computed.values()) == 1
+
+
 def test_one_hc_star_per_instance(monkeypatch):
     g = make_group("D5")
     h = generated_subgroup(g.element_set([g.element("a")]))
     c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
     star = c.with_identity()
     calls = []
-    real = relcay.theorems.product_set
+    real_star = Subgroup.star_product
+    real_product = relcay.theorems.product_set
 
-    def counted(a, b):
+    def counted_star(self, x):
+        if self == h and x.with_identity() == star:
+            calls.append(1)
+        return real_star(self, x)
+
+    def counted_product(a, b):
         if a == h and b == star:
             calls.append(1)
-        return real(a, b)
+        return real_product(a, b)
 
-    # wherever HC* might be built from: the shared sets or the audit itself
-    monkeypatch.setattr(relcay.theorems, "product_set", counted)
-    monkeypatch.setattr(relcay.audit, "product_set", counted, raising=False)
+    # wherever HC* might be built: the subgroup's coset table, which the
+    # shared sets read, or a product set in the predictors or the audit
+    monkeypatch.setattr(Subgroup, "star_product", counted_star)
+    monkeypatch.setattr(relcay.theorems, "product_set", counted_product)
+    monkeypatch.setattr(relcay.audit, "product_set", counted_product, raising=False)
     ctx = InstanceContext(g, h, c, Limits())
     for check in CHECKS:
         check.fn(ctx)
@@ -968,3 +1008,16 @@ def test_to_csv_of_a_real_audit_formats_each_value_on_its_own():
 def test_to_csv_memo_keeps_equal_but_different_values_apart(records):
     report = _report(_table(records))
     assert report.to_csv() == _reference_csv(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values, _values)
+@example([True], [1])
+@example((0.0,), (-0.0,))
+@example({"k": True}, {"k": 1})
+@example({1: "x"}, {"1": "x"})
+@example(frozenset({(True,)}), frozenset({(1,)}))
+def test_memo_key_is_shared_only_by_values_that_print_alike(first, second):
+    key = relcay.audit._memo_key(first)
+    if key is not None and key == relcay.audit._memo_key(second):
+        assert compact_json(first) == compact_json(second)
