@@ -412,11 +412,12 @@ class Subgroup(ElementSet):
     def star_product(self, x: ElementSet) -> ElementSet:
         """The product H*X* = H*(X u {e}), as H together with the right
         cosets Hx over x in X."""
+        group = _require_same_group(self, x)
         table = self.right_coset_masks
         out = self.mask
         for m in x.members:
             out |= table[m]
-        return _from_mask(self.group, out)
+        return _from_mask(group, out)
 
     @cached_attribute
     def _splits(self) -> dict[int, tuple[tuple[int, int, int], ...]]:

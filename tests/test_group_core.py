@@ -323,6 +323,8 @@ def test_product_set_rejects_group_mismatch():
     s2 = make_group("C5").element_set([1])
     with pytest.raises(GroupMismatchError):
         product_set(s1, s2)
+    with pytest.raises(GroupMismatchError):
+        make_group("C4").subgroup([0, 2]).star_product(s2)
 
 
 # --------------------------------------------------------------------------
