@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from operator import eq, ge, le
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -632,10 +633,21 @@ class InstanceContext:
 # Checks
 
 _CheckResult = tuple[object, object, str, object]
+_CheckFn = Callable[["InstanceContext"], _CheckResult]
 
 
 def _verdict(agree: bool) -> str:
     return AGREE if agree else MISMATCH
+
+
+def _compared(predicted, observed, holds, applicable=True) -> _CheckResult:
+    """The audit's one verdict policy: not-applicable when the hypothesis
+    ``applicable`` fails, else agree exactly when ``holds(observed,
+    predicted)``, with ``holds`` one of ``operator.eq``, ``le`` and ``ge``.
+    Both values are recorded either way."""
+    if not applicable:
+        return predicted, observed, NOT_APPLICABLE, None
+    return predicted, observed, _verdict(holds(observed, predicted)), None
 
 
 def _check_degree_formula(ctx: InstanceContext) -> _CheckResult:
@@ -666,24 +678,12 @@ def _check_valency_bound(ctx: InstanceContext) -> _CheckResult:
 
 def _check_regular(ctx: InstanceContext) -> _CheckResult:
     v = ctx.valency
-    observed = ctx.flags.regular
-    if not v.regular_applicable:
-        return v.predicted_regular, observed, NOT_APPLICABLE, None
-    witness = None
-    ok = v.predicted_regular == observed
-    if ok and v.predicted_regular:
+    result = _compared(v.predicted_regular, ctx.flags.regular, eq, v.regular_applicable)
+    # the characterization says the graph is then the Cayley graph Cay(G, C)
+    if result[2] == AGREE and v.predicted_regular:
         if ctx.graph.adjacency != cayley_adjacency(ctx.group, ctx.c):
-            ok = False
-            witness = {"cayley_edge_set_equal": False}
-    return v.predicted_regular, observed, _verdict(ok), witness
-
-
-def _check_semi_regular(ctx: InstanceContext) -> _CheckResult:
-    v = ctx.valency
-    observed = ctx.flags.semi_regular
-    if not v.semi_regular_applicable:
-        return v.predicted_semi_regular, observed, NOT_APPLICABLE, None
-    return v.predicted_semi_regular, observed, _verdict(v.predicted_semi_regular == observed), None
+            return *result[:2], MISMATCH, {"cayley_edge_set_equal": False}
+    return result
 
 
 def _check_full_degree_coset(ctx: InstanceContext) -> _CheckResult:
@@ -717,80 +717,20 @@ def _check_isolated_vertex(ctx: InstanceContext) -> _CheckResult:
 
 def _check_connectivity(ctx: InstanceContext) -> _CheckResult:
     conn = ctx.connectivity
-    observed = ctx.flags.connected
-    ok = conn.predicted_connected == observed
-    witness = None
-    if not ok:
-        witness = {
-            "hc_star_covers": conn.hc_star_covers,
-            "product_witnesses": ctx.names(conn.product_witnesses),
-        }
-    return conn.predicted_connected, observed, _verdict(ok), witness
+    result = _compared(conn.predicted_connected, ctx.flags.connected, eq)
+    if result[2] == MISMATCH:
+        witnesses = ctx.names(conn.product_witnesses)
+        return *result[:3], {"hc_star_covers": conn.hc_star_covers, "product_witnesses": witnesses}
+    return result
 
 
-def _check_connectivity_disjoint(ctx: InstanceContext) -> _CheckResult:
-    conn = ctx.connectivity
-    observed = ctx.flags.connected
-    if not conn.disjoint_applicable:
-        return conn.disjoint_predicted, observed, NOT_APPLICABLE, None
-    return conn.disjoint_predicted, observed, _verdict(conn.disjoint_predicted == observed), None
-
-
-def _check_connectivity_aba(ctx: InstanceContext) -> _CheckResult:
-    conn = ctx.connectivity
-    observed = ctx.flags.connected
-    if not conn.aba_applicable:
-        return conn.aba_predicted, observed, NOT_APPLICABLE, None
-    return conn.aba_predicted, observed, _verdict(conn.aba_predicted == observed), None
-
-
-def _make_diameter_check(bound_name: str) -> Callable[[InstanceContext], _CheckResult]:
+def _diameter(bound_name: str) -> _CheckFn:
     def check(ctx: InstanceContext) -> _CheckResult:
-        bound = next(
-            b for b in ctx.connectivity.diameter_bounds if b.name == bound_name
-        )
-        observed = ctx.diameter
-        if not ctx.flags.connected or not bound.applicable:
-            return bound.value, observed, NOT_APPLICABLE, None
-        return bound.value, observed, _verdict(observed <= bound.value), None
+        bound = next(b for b in ctx.connectivity.diameter_bounds if b.name == bound_name)
+        # every bound presumes a connected graph: a disconnected one has diameter None
+        return _compared(bound.value, ctx.diameter, le, ctx.flags.connected and bound.applicable)
 
     return check
-
-
-def _check_clique_upper(ctx: InstanceContext) -> _CheckResult:
-    predicted = ctx.clique_prediction.upper
-    observed = ctx.clique_number
-    return predicted, observed, _verdict(observed <= predicted), None
-
-
-def _check_clique_equality(ctx: InstanceContext) -> _CheckResult:
-    cp = ctx.clique_prediction
-    observed = ctx.clique_number == cp.upper
-    return cp.upper_is_equality, observed, _verdict(cp.upper_is_equality == observed), None
-
-
-def _check_clique_psi_lower(ctx: InstanceContext) -> _CheckResult:
-    predicted = ctx.clique_prediction.lower_psi
-    observed = ctx.clique_number
-    return predicted, observed, _verdict(observed >= predicted), None
-
-
-def _check_clique_psi_plus(ctx: InstanceContext) -> _CheckResult:
-    cp = ctx.clique_prediction
-    predicted = cp.lower_psi + 1
-    observed = ctx.clique_number
-    if not cp.psi_plus:
-        return predicted, observed, NOT_APPLICABLE, None
-    return predicted, observed, _verdict(observed >= predicted), None
-
-
-def _check_clique_c3_upper(ctx: InstanceContext) -> _CheckResult:
-    cp = ctx.clique_prediction
-    predicted = cp.lower_psi + 1
-    observed = ctx.clique_number
-    if not cp.c_cubed_applicable:
-        return predicted, observed, NOT_APPLICABLE, None
-    return predicted, observed, _verdict(observed <= predicted), None
 
 
 def _check_clique_dc_decomposition(ctx: InstanceContext) -> _CheckResult:
@@ -805,36 +745,17 @@ def _check_clique_dc_decomposition(ctx: InstanceContext) -> _CheckResult:
     return True, holds, _verdict(holds), witness
 
 
-def _check_alpha_independence(ctx: InstanceContext) -> _CheckResult:
-    ab = ctx.alpha_beta
-    observed = ctx.independence_number
-    if not ab.hypothesis_ok:
-        return ab.alpha, observed, NOT_APPLICABLE, None
-    return ab.alpha, observed, _verdict(ab.alpha == observed), None
+def _alpha_beta(field_name: str, quantity: str) -> _CheckFn:
+    """One alpha/beta prediction against the oracle quantity of that name;
+    the edge cover's oracle answers None on a graph with an isolated vertex."""
 
+    def check(ctx: InstanceContext) -> _CheckResult:
+        ab = ctx.alpha_beta
+        observed = getattr(ctx, quantity)
+        applicable = ab.hypothesis_ok and observed is not None
+        return _compared(getattr(ab, field_name), observed, eq, applicable)
 
-def _check_alpha_prime_matching(ctx: InstanceContext) -> _CheckResult:
-    ab = ctx.alpha_beta
-    observed = ctx.matching_number
-    if not ab.hypothesis_ok:
-        return ab.alpha_prime, observed, NOT_APPLICABLE, None
-    return ab.alpha_prime, observed, _verdict(ab.alpha_prime == observed), None
-
-
-def _check_beta_cover(ctx: InstanceContext) -> _CheckResult:
-    ab = ctx.alpha_beta
-    observed = ctx.vertex_cover_number
-    if not ab.hypothesis_ok:
-        return ab.beta, observed, NOT_APPLICABLE, None
-    return ab.beta, observed, _verdict(ab.beta == observed), None
-
-
-def _check_beta_prime_edge_cover(ctx: InstanceContext) -> _CheckResult:
-    ab = ctx.alpha_beta
-    observed = ctx.edge_cover_number
-    if not ab.hypothesis_ok or min(ctx.graph.degrees) == 0:
-        return ab.beta_prime, observed, NOT_APPLICABLE, None
-    return ab.beta_prime, observed, _verdict(ab.beta_prime == observed), None
+    return check
 
 
 def _check_class_one_coloring(ctx: InstanceContext) -> _CheckResult:
@@ -846,40 +767,25 @@ def _check_class_one_coloring(ctx: InstanceContext) -> _CheckResult:
     return len(ctx.c), colors, _verdict(ok), witness
 
 
-def _check_chromatic_upper(ctx: InstanceContext) -> _CheckResult:
-    predicted = ctx.chromatic_prediction.upper
-    observed = ctx.chromatic
-    return predicted, observed, _verdict(observed <= predicted), None
-
-
 def _check_chromatic_equality(ctx: InstanceContext) -> _CheckResult:
     ch = ctx.chromatic_prediction
-    observed = ctx.chromatic == ch.upper
-    if not ch.equality_applicable:
-        return ch.predicted_equality, observed, NOT_APPLICABLE, None
     predicted = ch.predicted_equality
-    if predicted is None:
+    observed = ctx.chromatic == ch.upper
+    if predicted is None and ch.equality_applicable:
+        # condition (ii) was not evaluated: |H| is above the split-table cap
         return predicted, observed, UNEVALUATED, None
-    return predicted, observed, _verdict(predicted == observed), None
+    return _compared(predicted, observed, eq, ch.equality_applicable)
 
 
-def _make_forbidden_check(kind: str, flag_name: str) -> Callable[[InstanceContext], _CheckResult]:
+def _forbidden(kind: str, flag_name: Optional[str] = None) -> _CheckFn:
     def check(ctx: InstanceContext) -> _CheckResult:
         fb = ctx.forbidden(kind)
-        observed = getattr(ctx.flags, flag_name)
-        ok = fb.predicted == observed
-        witness = dict(fb.details) if (not ok and fb.details) else None
-        return fb.predicted, observed, _verdict(ok), witness
+        result = _compared(fb.predicted, getattr(ctx.flags, flag_name or kind), eq, fb.applicable)
+        if result[2] == MISMATCH and fb.details:
+            return *result[:3], dict(fb.details)
+        return result
 
     return check
-
-
-def _check_bipartite_sufficient(ctx: InstanceContext) -> _CheckResult:
-    fb = ctx.forbidden("bipartite_sufficient")
-    observed = ctx.flags.bipartite
-    if not fb.applicable:
-        return fb.predicted, observed, NOT_APPLICABLE, None
-    return fb.predicted, observed, _verdict(observed), None
 
 
 @dataclass(frozen=True)
@@ -893,54 +799,72 @@ class Check:
 
     name: str
     family: str
-    fn: Callable[[InstanceContext], _CheckResult]
+    fn: _CheckFn
     audited: bool = False
 
 
+# a check that only compares reads its prediction, observation and hypothesis in that order
 CHECKS: tuple[Check, ...] = (
     Check("degree_formula", "valency", _check_degree_formula),
     Check("edge_count", "valency", _check_edge_count),
     Check("valency_bound", "valency", _check_valency_bound),
     Check("regular", "valency", _check_regular),
-    Check("semi_regular", "valency", _check_semi_regular),
+    Check("semi_regular", "valency", lambda ctx: _compared(
+        ctx.valency.predicted_semi_regular, ctx.flags.semi_regular, eq,
+        ctx.valency.semi_regular_applicable,
+    )),
     Check("full_degree_coset", "valency", _check_full_degree_coset),
     Check("isolated_vertex", "valency", _check_isolated_vertex),
     Check("connectivity", "connectivity", _check_connectivity),
-    Check("connectivity_disjoint", "connectivity", _check_connectivity_disjoint),
-    Check("connectivity_aba", "connectivity", _check_connectivity_aba),
-    Check("diam_width", "diameter", _make_diameter_check("width")),
-    Check("diam_half_sum", "diameter", _make_diameter_check("half_sum")),
-    Check("diam_three_halves", "diameter", _make_diameter_check("three_halves")),
-    Check("diam_disjoint", "diameter", _make_diameter_check("disjoint")),
-    Check("diam_small_square", "diameter", _make_diameter_check("small_square")),
-    Check("clique_upper", "clique", _check_clique_upper),
-    Check("clique_equality", "clique", _check_clique_equality),
-    Check("clique_psi_lower", "clique", _check_clique_psi_lower),
-    Check("clique_psi_plus", "clique", _check_clique_psi_plus),
-    Check("clique_c3_upper", "clique", _check_clique_c3_upper),
+    Check("connectivity_disjoint", "connectivity", lambda ctx: _compared(
+        ctx.connectivity.disjoint_predicted, ctx.flags.connected, eq,
+        ctx.connectivity.disjoint_applicable,
+    )),
+    Check("connectivity_aba", "connectivity", lambda ctx: _compared(
+        ctx.connectivity.aba_predicted, ctx.flags.connected, eq, ctx.connectivity.aba_applicable
+    )),
+    Check("diam_width", "diameter", _diameter("width")),
+    Check("diam_half_sum", "diameter", _diameter("half_sum")),
+    Check("diam_three_halves", "diameter", _diameter("three_halves")),
+    Check("diam_disjoint", "diameter", _diameter("disjoint")),
+    Check("diam_small_square", "diameter", _diameter("small_square")),
+    Check("clique_upper", "clique", lambda ctx: _compared(
+        ctx.clique_prediction.upper, ctx.clique_number, le
+    )),
+    Check("clique_equality", "clique", lambda ctx: _compared(
+        ctx.clique_prediction.upper_is_equality,
+        ctx.clique_number == ctx.clique_prediction.upper, eq,
+    )),
+    Check("clique_psi_lower", "clique", lambda ctx: _compared(
+        ctx.clique_prediction.lower_psi, ctx.clique_number, ge
+    )),
+    Check("clique_psi_plus", "clique", lambda ctx: _compared(
+        ctx.clique_prediction.lower_psi + 1, ctx.clique_number, ge,
+        ctx.clique_prediction.psi_plus,
+    )),
+    Check("clique_c3_upper", "clique", lambda ctx: _compared(
+        ctx.clique_prediction.lower_psi + 1, ctx.clique_number, le,
+        ctx.clique_prediction.c_cubed_applicable,
+    )),
     Check("clique_dc_decomposition", "clique", _check_clique_dc_decomposition),
-    Check("alpha_independence", "alpha_beta", _check_alpha_independence),
-    Check("alpha_prime_matching", "alpha_beta", _check_alpha_prime_matching),
-    Check("beta_cover", "alpha_beta", _check_beta_cover),
-    Check("beta_prime_edge_cover", "alpha_beta", _check_beta_prime_edge_cover),
+    Check("alpha_independence", "alpha_beta", _alpha_beta("alpha", "independence_number")),
+    Check("alpha_prime_matching", "alpha_beta", _alpha_beta("alpha_prime", "matching_number")),
+    Check("beta_cover", "alpha_beta", _alpha_beta("beta", "vertex_cover_number")),
+    Check("beta_prime_edge_cover", "alpha_beta", _alpha_beta("beta_prime", "edge_cover_number")),
     Check("class_one_coloring", "coloring", _check_class_one_coloring),
-    Check("chromatic_upper", "chromatic", _check_chromatic_upper),
+    Check("chromatic_upper", "chromatic", lambda ctx: _compared(
+        ctx.chromatic_prediction.upper, ctx.chromatic, le
+    )),
     Check("chromatic_equality", "chromatic", _check_chromatic_equality),
-    Check("claw_free", "forbidden", _make_forbidden_check("claw_free", "claw_free")),
-    Check("forest", "forbidden", _make_forbidden_check("forest", "forest")),
-    Check("tree", "forbidden", _make_forbidden_check("tree", "tree")),
+    Check("claw_free", "forbidden", _forbidden("claw_free")),
+    Check("forest", "forbidden", _forbidden("forest")),
+    Check("tree", "forbidden", _forbidden("tree")),
+    Check("triangle_free", "forbidden", _forbidden("triangle_free")),
     Check(
-        "triangle_free",
-        "forbidden",
-        _make_forbidden_check("triangle_free", "triangle_free"),
+        "square_free_as_printed", "forbidden",
+        _forbidden("square_free_as_printed", "square_subgraph_free"), audited=True,
     ),
-    Check(
-        "square_free_as_printed",
-        "forbidden",
-        _make_forbidden_check("square_free_as_printed", "square_subgraph_free"),
-        audited=True,
-    ),
-    Check("bipartite_sufficient", "forbidden", _check_bipartite_sufficient),
+    Check("bipartite_sufficient", "forbidden", _forbidden("bipartite_sufficient", "bipartite")),
 )
 
 _CHECK_FNS = {check.name: check.fn for check in CHECKS}

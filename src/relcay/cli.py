@@ -11,13 +11,12 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 # build, invariants and figures need only groups, graphs and oracles;
 # relcay.audit (and through it the predictors and the JSON and CSV writers)
 # is imported inside the functions that use it.
-from .errors import RelCayError, GroupSpecError, PreconditionError, UnknownCheckError
+from .errors import RelCayError, GroupSpecError, UnknownCheckError
 from .graphs import ConnectionSet, RelCayGraph, build_relcay, export_dot
 from .group_core import ElementSet, default_max_order, generated_subgroup, make_group
 from .oracles import (
@@ -27,52 +26,7 @@ from .oracles import (
     structure_flags,
 )
 
-__all__ = ["CliConfig", "execute_command", "console_main"]
-
-OUTPUT_FORMATS = ("text", "json", "csv", "dot")
-
-@dataclass(frozen=True)
-class CliConfig:
-    """The caps and output settings of one command.
-
-    An audit cap left as None was not given; ``limits`` then takes its
-    default from ``audit.Limits``, where each default lives.
-    """
-
-    max_order: int
-    edge_color_cutoff: int = DEFAULT_EDGE_COLOR_CUTOFF
-    chromatic_ii_cap: Optional[int] = None
-    max_connection_sets: Optional[int] = None
-    parallelism: int = 1
-    format: str = "text"
-    full: bool = False
-
-    def __post_init__(self) -> None:
-        caps = (
-            self.max_order,
-            self.edge_color_cutoff,
-            self.chromatic_ii_cap,
-            self.max_connection_sets,
-            self.parallelism,
-        )
-        if any(value is not None and value < 1 for value in caps):
-            raise PreconditionError("all CLI caps must be positive")
-        if self.format not in OUTPUT_FORMATS:
-            raise PreconditionError(f"unknown output format {self.format!r}")
-
-    def limits(self):
-        """The ``audit.Limits`` of these caps."""
-        from . import audit
-
-        given = {
-            "chromatic_ii_cap": self.chromatic_ii_cap,
-            "max_connection_sets": self.max_connection_sets,
-        }
-        return audit.Limits(
-            max_order=self.max_order,
-            edge_color_cutoff=self.edge_color_cutoff,
-            **{name: cap for name, cap in given.items() if cap is not None},
-        )
+__all__ = ["execute_command", "console_main"]
 
 
 class _UsageError(Exception):
@@ -82,6 +36,27 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+
+def _cap(text: str) -> int:
+    """The argparse type of every cap flag: a positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("all CLI caps must be positive")
+    return value
+
+
+def _limits(args):
+    """The command's ``audit.Limits``: a cap not given keeps its default
+    from ``audit.Limits``, where each default lives."""
+    from . import audit
+
+    caps = ("edge_color_cutoff", "chromatic_ii_cap", "max_connection_sets")
+    given = {name: getattr(args, name) for name in caps if getattr(args, name, None) is not None}
+    return audit.Limits(max_order=args.max_order, **given)
 
 
 # --------------------------------------------------------------------------
@@ -135,10 +110,8 @@ def _instance(group, subgroup_text: str, conn_text: str):
     return h, c
 
 
-def _build_graph(
-    config: CliConfig, spec: str, subgroup_text: str, conn_text: str
-) -> RelCayGraph:
-    group = make_group(spec, max_order=config.max_order)
+def _build_graph(max_order: int, spec: str, subgroup_text: str, conn_text: str) -> RelCayGraph:
+    group = make_group(spec, max_order=max_order)
     h, c = _instance(group, subgroup_text, conn_text)
     return build_relcay(group, h, c)
 
@@ -147,8 +120,8 @@ def _build_graph(
 # Subcommands
 
 
-def _cmd_build(args, config: CliConfig) -> int:
-    graph = _build_graph(config, args.spec, args.subgroup, args.conn)
+def _cmd_build(args) -> int:
+    graph = _build_graph(args.max_order, args.spec, args.subgroup, args.conn)
     if args.dot:
         sys.stdout.write(export_dot(graph))
         return 0
@@ -166,10 +139,10 @@ def _cmd_build(args, config: CliConfig) -> int:
     return 0
 
 
-def _cmd_invariants(args, config: CliConfig) -> int:
-    graph = _build_graph(config, args.spec, args.subgroup, args.conn)
+def _cmd_invariants(args) -> int:
+    graph = _build_graph(args.max_order, args.spec, args.subgroup, args.conn)
     report = invariant_report(
-        graph, edge_color_cutoff=config.edge_color_cutoff, max_order=config.max_order
+        graph, edge_color_cutoff=args.edge_color_cutoff, max_order=args.max_order
     )
     for field_name in (
         "clique_number",
@@ -216,12 +189,12 @@ def _resolve_theorem(name: Optional[str]) -> tuple[str, ...]:
     )
 
 
-def _cmd_check(args, config: CliConfig) -> int:
+def _cmd_check(args) -> int:
     from . import audit
 
-    group = make_group(args.spec, max_order=config.max_order)
+    group = make_group(args.spec, max_order=args.max_order)
     h, c = _instance(group, args.subgroup, args.conn)
-    limits = config.limits()
+    limits = _limits(args)
     blocking = False
     for check in _resolve_theorem(args.theorem):
         record = audit.evaluate_check(group.spec, h.members, c.members, check, limits)
@@ -258,26 +231,24 @@ def _format_audit_text(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_audit(args, config: CliConfig) -> int:
+def _cmd_audit(args) -> int:
     from . import audit
 
     # only CSV and full JSON write records; the text summary reads totals
-    keep_records = config.format == "csv" or (config.full and config.format == "json")
+    keep_records = args.format == "csv" or (args.full and args.format == "json")
     report = audit.run_audit(
         audit.DEFAULT_CATALOG if args.catalog is None else args.catalog,
         args.checks,
-        config.limits(),
-        parallelism=config.parallelism,
+        _limits(args),
+        parallelism=args.parallelism,
         keep_records=keep_records,
     )
-    if config.format == "json":
+    if args.format == "json":
         text = report.to_json()
-    elif config.format == "csv":
+    elif args.format == "csv":
         text = report.to_csv()
-    elif config.format == "text":
-        text = _format_audit_text(report)
     else:
-        raise PreconditionError("audit output format must be text, json, or csv")
+        text = _format_audit_text(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -300,19 +271,19 @@ CYCLIC_FAMILY = (("C8", "a4", "a,a2,a6,a7", 4), ("C16", "a4", "a,a2,a14,a15", 6)
 CYCLIC_FINDINGS = (("C4", "a2", "a,a3", 4), ("C8", "a2", "a,a7", 6))
 
 
-def _family_graph(config: CliConfig, spec: str, h_text: str, conn: str):
+def _family_graph(max_order: int, spec: str, h_text: str, conn: str):
     """One family instance: its graph, structure flags and diameter."""
-    graph = _build_graph(config, spec, h_text, conn)
+    graph = _build_graph(max_order, spec, h_text, conn)
     components, diameter = diameter_components(graph)
     return graph, structure_flags(graph, len(components)), diameter
 
 
-def _family_lines(config: CliConfig) -> list[str]:
+def _family_lines(max_order: int) -> list[str]:
     lines = ["corona cycle family (rotation subgroup, one step plus a reflection)"]
     for spec in CORONA_FAMILY:
-        half = make_group(spec, max_order=config.max_order).order // 2
+        half = make_group(spec, max_order=max_order).order // 2
         conn = f"a,a{half - 1},b"
-        graph, flags, diameter = _family_graph(config, spec, "a", conn)
+        graph, flags, diameter = _family_graph(max_order, spec, "a", conn)
         expected = half // 2 + 2
         lines.append(
             f"{graph.group.spec} H=<a> C={conn}: edges={graph.edge_count} "
@@ -329,7 +300,7 @@ def _family_lines(config: CliConfig) -> list[str]:
     ):
         lines += ["", title]
         for spec, h_gen, conn, formula in family:
-            graph, flags, diameter = _family_graph(config, spec, h_gen, conn)
+            graph, flags, diameter = _family_graph(max_order, spec, h_gen, conn)
             lines.append(
                 f"{graph.group.spec} H=<{h_gen}> C={conn}: bipartite={flags.bipartite} "
                 f"diameter={diameter} family_formula={formula}{suffix}"
@@ -337,15 +308,15 @@ def _family_lines(config: CliConfig) -> list[str]:
     return lines
 
 
-def _cmd_figures(args, config: CliConfig) -> int:
+def _cmd_figures(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     for filename, spec, h_text, c_text in FIGURE_INSTANCES:
-        graph = _build_graph(config, spec, h_text, c_text)
+        graph = _build_graph(args.max_order, spec, h_text, c_text)
         path = os.path.join(args.out_dir, filename)
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(export_dot(graph))
         print(f"wrote {path} ({graph.n} nodes, {graph.edge_count} edges)")
-    lines = _family_lines(config)
+    lines = _family_lines(args.max_order)
     path = os.path.join(args.out_dir, "diameter_families.txt")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -365,7 +336,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
         "--max-order",
-        type=int,
+        type=_cap,
         default=None,
         help="group order cap (default: RELCAY_MAX_ORDER or 64)",
     )
@@ -392,7 +363,7 @@ def _build_parser() -> _Parser:
     instance_args(p_inv)
     p_inv.add_argument(
         "--edge-color-cutoff",
-        type=int,
+        type=_cap,
         default=DEFAULT_EDGE_COLOR_CUTOFF,
         help="skip exact edge chromatic above this many edges",
     )
@@ -411,16 +382,16 @@ def _build_parser() -> _Parser:
     # None leaves a default to audit.DEFAULT_CATALOG and audit.Limits
     p_audit.add_argument("--catalog", nargs="+", default=None)
     p_audit.add_argument("--checks", nargs="+", default=None)
-    p_audit.add_argument("--max-connection-sets", type=int, default=None)
+    p_audit.add_argument("--max-connection-sets", type=_cap, default=None)
     p_audit.add_argument(
         "--chromatic-ii-cap",
-        type=int,
+        type=_cap,
         default=None,
         help="largest |H| for chromatic condition (ii), whose split table is "
         "built once per (H, generator)",
     )
-    p_audit.add_argument("--edge-color-cutoff", type=int, default=DEFAULT_EDGE_COLOR_CUTOFF)
-    p_audit.add_argument("--parallelism", type=int, default=1)
+    p_audit.add_argument("--edge-color-cutoff", type=_cap, default=None)
+    p_audit.add_argument("--parallelism", type=_cap, default=1)
     p_audit.add_argument("--full", action="store_true", help="keep per-instance records")
     p_audit.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_audit.add_argument("--output", default=None, help="write the report to a file")
@@ -431,18 +402,6 @@ def _build_parser() -> _Parser:
     p_fig.add_argument("--out-dir", default="figures")
 
     return parser
-
-
-def _config_from(args) -> CliConfig:
-    return CliConfig(
-        max_order=default_max_order() if args.max_order is None else args.max_order,
-        edge_color_cutoff=getattr(args, "edge_color_cutoff", DEFAULT_EDGE_COLOR_CUTOFF),
-        chromatic_ii_cap=getattr(args, "chromatic_ii_cap", None),
-        max_connection_sets=getattr(args, "max_connection_sets", None),
-        parallelism=getattr(args, "parallelism", 1),
-        format=getattr(args, "format", "text"),
-        full=getattr(args, "full", False),
-    )
 
 
 _COMMANDS = {
@@ -464,8 +423,9 @@ def execute_command(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from(args)
-        return _COMMANDS[args.command](args, config)
+        if args.max_order is None:
+            args.max_order = default_max_order()
+        return _COMMANDS[args.command](args)
     except RelCayError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     UnknownCheckError,
 )
-from .graphs import InducedCayleyGraph, RelCayGraph
+from .graphs import RelCayGraph
 from .group_core import (
     ElementSet,
     GroupTable,
@@ -185,21 +185,18 @@ def predict_valencies(
     degree_formula = sets.degree_formula
     outside = {d for x, d in enumerate(degree_formula) if not h.mask >> x & 1}
     same_left_counts = len(outside) <= 1
-    # C inside a single right coset Hx other than H
-    in_one_right_coset = any(
-        not c.mask & ~coset.mask
-        for coset in coset_partition(h, "right")
-        if group.identity not in coset
-    )
 
     # the intersection of the cosets Hm over m in C: right cosets are
-    # disjoint, so it is the one coset holding all of C, or else empty
-    full = group.all_elements
+    # disjoint, so it is the right coset of one member of C if that coset
+    # holds all of C, or else empty.  The same lookup says whether C lies
+    # inside a single right coset other than H; an empty C lies in each
+    full, in_one_right_coset = group.all_elements, h.is_proper
     if c:
-        full = next(
-            (coset for coset in coset_partition(h, "right") if not c.mask & ~coset.mask),
-            group.element_set(),
-        )
+        first = c.members[0]
+        coset = h.right_coset_masks[first]
+        inside = not c.mask & ~coset
+        full = right_coset(h, first) if inside else group.element_set()
+        in_one_right_coset = inside and coset != h.mask
 
     return ValencyPredictions(
         valency_bound=valency_bound,
@@ -868,19 +865,20 @@ def _misra_gries(
     return coloring
 
 
-def _induced_coloring(
-    h: Subgroup, inner: ElementSet, induced: InducedCayleyGraph
-) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+def _induced_coloring(graph: RelCayGraph) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
     """The fan coloring of Cay(H, H n C), labelled by the identity and the
     elements of H n C, and the one label each vertex of H leaves unused.
 
-    Edges and vertices are parent indices.  ``induced`` is an instance's
-    subgraph on H, whose rows were checked against the Cayley construction,
-    so both results depend on H and H n C alone: each pair is colored once
-    and kept on the subgroup, keyed by the mask of H n C.
+    Edges and vertices are parent indices.  Both depend on H and H n C
+    alone, so each pair is colored once, from the graph's subgraph on H
+    (built only then, and checked against the Cayley construction), and
+    kept on the subgroup, keyed by the mask of H n C.
     """
+    h = graph.h
+    inner = h.intersection(graph.c)
     found = h.induced_colorings.get(inner.mask)
     if found is None:
+        induced = graph.induced
         labels = (h.group.identity,) + inner.members
         local = _misra_gries(induced.n, induced.adjacency, len(labels))
         vertices = induced.vertices
@@ -922,7 +920,7 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
             "class-one construction needs a connection element outside the subgroup"
         )
     special = outer.members[0]
-    edges, spare = _induced_coloring(h, h.intersection(c), graph.induced)
+    edges, spare = _induced_coloring(graph)
 
     assignments = dict(edges)
     mul = group.mul

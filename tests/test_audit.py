@@ -225,12 +225,18 @@ def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypa
         s.__dict__.pop("induced_colorings", None)  # forget colorings kept earlier
     fans = Counter()
     misra_gries = relcay.theorems._misra_gries
+    build_induced = relcay.graphs.InducedCayleyGraph._build
 
     def counted(n, adjacency, n_colors):
         fans["calls"] += 1
         return misra_gries(n, adjacency, n_colors)
 
+    def counted_build(parent):
+        fans["builds"] += 1
+        return build_induced(parent)
+
     monkeypatch.setattr(relcay.theorems, "_misra_gries", counted)
+    monkeypatch.setattr(relcay.graphs.InducedCayleyGraph, "_build", counted_build)
     run_audit(("D4",))
     colored = [
         (h.mask, h.mask & c.mask)
@@ -239,6 +245,8 @@ def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypa
         if c.mask & ~h.mask
     ]
     assert fans["calls"] == len(set(colored)) < len(colored)
+    # the subgraph on H is built only for the colorings made
+    assert fans["builds"] == fans["calls"]
 
 
 def test_sampling_is_deterministic_and_stratified():
@@ -526,11 +534,17 @@ def test_exhausted_search_budget_makes_checks_unevaluated(monkeypatch):
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 
-def test_audit_wide_json_matches_the_benchmark_golden():
+@pytest.mark.parametrize(
+    "workload, catalog",
+    # audit_deep's D7 is the one golden on the sampled connection-set path
+    [("audit_wide", catalog_up_to(10)), ("audit_deep", ("D7",))],
+    ids=["audit_wide", "audit_deep"],
+)
+def test_audit_wide_json_matches_the_benchmark_golden(workload, catalog):
     # the byte-identity contract, checked in tier-1 and not only by the
     # benchmark: the digest is read from the benchmark's own golden file
-    golden = json.loads(GOLDEN.read_text())["audit_wide"]
-    text = run_audit(catalog_up_to(10)).to_json()
+    golden = json.loads(GOLDEN.read_text())[workload]
+    text = run_audit(catalog).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == golden
 
 

@@ -146,6 +146,11 @@ def test_env_order_cap(monkeypatch, capsys):
     status = execute_command(["build", "D5", "--subgroup", "a", "--conn", "a,a4"])
     assert status == 1
     assert "CapacityError" in capsys.readouterr().err
+    # a cap that is not a positive integer is a library error too, not a crash
+    monkeypatch.setenv("RELCAY_MAX_ORDER", "banana")
+    status = execute_command(["build", "D5", "--subgroup", "a", "--conn", "a,a4"])
+    assert status == 1
+    assert capsys.readouterr().err.startswith("CapacityError: RELCAY_MAX_ORDER")
 
 
 def test_invariants_honours_max_order_flag(monkeypatch, capsys):
@@ -362,12 +367,26 @@ def test_check_blocking_mismatch_exits_two(monkeypatch, capsys):
     assert "verdict=mismatch" in capsys.readouterr().out
 
 
-def test_zero_max_order_is_rejected(capsys):
-    status = execute_command(
-        ["build", "C4", "--max-order", "0", "--subgroup", "a2", "--conn", "a,a3"]
-    )
-    assert status == 1
-    assert "all CLI caps must be positive" in capsys.readouterr().err
+_ZERO_CAPS = [
+    ("build", "--max-order"),
+    ("invariants", "--edge-color-cutoff"),
+    ("audit", "--max-connection-sets"),
+    ("audit", "--chromatic-ii-cap"),
+    ("audit", "--parallelism"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _ZERO_CAPS, ids=[flag.lstrip("-") for _, flag in _ZERO_CAPS]
+)
+def test_zero_max_order_is_rejected(capsys, command, flag):
+    if command == "audit":
+        instance = ["--catalog", "C4"]
+    else:
+        instance = ["C4", "--subgroup", "a2", "--conn", "a,a3"]
+    assert execute_command([command, *instance, flag, "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: all CLI caps must be positive")
 
 
 def test_audit_honours_max_order_above_default(capsys):
