@@ -144,6 +144,12 @@ class RelCayGraph:
         return sum(self.degrees) // 2
 
     @cached_attribute
+    def left_translations(self) -> tuple[tuple[int, ...], ...]:
+        """For each h in H, the automorphism x -> hx as the tuple of images:
+        it keeps H, and (hx)^-1 hy = x^-1 y."""
+        return tuple(self.group.mul[h] for h in self.h.members)
+
+    @cached_attribute
     def induced(self) -> "InducedCayleyGraph":
         return InducedCayleyGraph._build(self)
 

@@ -5,6 +5,8 @@ neighbor lists of those rows, which a ``RelCayGraph`` keeps from its
 validation), so the functions accept either a full relative Cayley graph or
 the induced subgroup graph.  These values are the ground truth that the
 prediction layer is audited against; none of them consult group structure.
+The one group fact the domination search may be handed, a list of
+automorphisms, is checked against the rows before it is used.
 
 Algorithms are exact searches sized for graphs of at most 64 vertices:
 branch-and-bound cliques, covers and dominating sets, Edmonds' blossom
@@ -16,9 +18,13 @@ bit for bit.
 The clique search bounds each branch by a greedy coloring of its
 candidates, computed on the bitmask in index order with no vertex
 relabelling (see ``_clique_search``); the same coloring gives
-``chromatic_number`` its upper bound.  The domination search prunes with a
-counting lower bound and a dominance rule between branch candidates (see
-``min_dominating_set``).  Every exponential search -- the clique search behind ``max_clique``,
+``chromatic_number`` its upper bound.  The domination search takes
+isolated vertices first and then prunes with forced dominators, disjoint
+sibling branches, a dominance rule between the options of a node and a
+lower bound from the largest gains; given automorphisms of the graph (the
+left translations of a ``RelCayGraph``), it checks them against the rows
+and branches on one orbit at the root (see ``min_dominating_set``).  Every
+exponential search -- the clique search behind ``max_clique``,
 ``max_independent_set`` and ``chromatic_number``, ``min_vertex_cover``,
 ``min_dominating_set``, and the k-colorability test behind
 ``chromatic_number`` and ``edge_chromatic_number`` -- counts the nodes it
@@ -66,10 +72,6 @@ def _over_budget(search: str, budget: int, n: int) -> CapacityError:
         f"{search} search exceeded the budget of {budget} nodes "
         f"on a graph with {n} vertices"
     )
-
-
-def _edge_list(n: int, adj: Sequence[int]) -> list[tuple[int, int]]:
-    return [(v, u) for v in range(n) for u in bit_indices(adj[v]) if u > v]
 
 
 # --------------------------------------------------------------------------
@@ -320,75 +322,150 @@ def _augment_from(root: int, n: int, adj: Sequence[int], mate: list[int]) -> Non
                 queue.append(mate[to])
 
 
-def min_dominating_set(n: int, adj: Sequence[int]) -> int:
+def min_dominating_set(
+    n: int, adj: Sequence[int], symmetries: Sequence[Sequence[int]] = ()
+) -> int:
     """Exact domination number.
 
-    Starts from a greedy upper bound and branches on the undominated vertex
-    with the fewest possible dominators, trying each member of its closed
-    neighborhood.  Two rules prune the search:
+    Vertices of degree zero are taken first; a greedy pass over the rest
+    (largest gain, lowest index on ties) gives the first upper bound.  Each
+    node of the search knows which vertices are still *allowed* as
+    dominators, and applies these rules (after van Rooij & Bodlaender,
+    Discrete Appl. Math. 159, 2011):
 
-    - lower bound: no vertex newly dominates more than
-      ``reach = max_v |N[v] & undominated|`` vertices, so a node that has
-      chosen ``size`` vertices is cut when
-      ``size + ceil(|undominated| / reach) >= best``;
-    - dominance: a candidate whose newly dominated vertices are a subset of
-      another candidate's is skipped, since swapping it for that candidate
-      never costs more; of two candidates with equal sets the lower index
-      is kept.  A pendant vertex thereby forces its neighbor.
+    - forced dominators: an undominated vertex with exactly one allowed
+      dominator forces it, and one with none cuts the node;
+    - lower bound: with the gains ``|N[v] & undominated|`` of the allowed
+      vertices sorted in decreasing order, at least the least k whose top-k
+      gains sum to ``|undominated|`` more vertices are needed;
+    - branching: on the undominated vertex with the fewest allowed
+      dominators, trying them by decreasing gain (lower index on ties);
+    - disjoint branches: once a branch has tried v, its later siblings may
+      not use v;
+    - dominance: an option whose newly dominated set is a subset of an
+      option already tried at the node is skipped, since swapping it for
+      that option never costs more.
+
+    ``symmetries`` may list automorphisms of the graph, each a permutation
+    p of ``range(n)`` given as the sequence of images ``p[v]``.  When the
+    root does not close by its bound, each is checked against the rows
+    (``InternalConsistencyError`` if one is not an automorphism), and the
+    root branches on the orbit O, under the group they generate, of the
+    first option it would have tried: either O's least vertex is in the
+    set, or no vertex of O is, since an automorphism maps any set that meets
+    O onto one that holds that vertex (orbital branching, Ostrowski et al.,
+    Math. Program. 126, 2011).
     """
     if n == 0:
         return 0
     closed = [adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
+    isolated = sum(1 << v for v in range(n) if not adj[v])
 
-    dominated = 0
-    greedy = 0
-    while dominated != full:
-        gain_best, pick = -1, -1
-        for v in range(n):
-            gain = (closed[v] & ~dominated).bit_count()
-            if gain > gain_best:
-                gain_best, pick = gain, v
-        dominated |= closed[pick]
-        greedy += 1
-    best = greedy
+    # gain[v] = |N[v] & undominated|, kept up to date as vertices are covered
+    undominated = full & ~isolated
+    gain = [row.bit_count() if undominated >> v & 1 else 0 for v, row in enumerate(closed)]
+    best = isolated.bit_count()
+    while undominated:
+        newly = closed[max(range(n), key=gain.__getitem__)] & undominated
+        undominated ^= newly
+        for x in bit_indices(newly):
+            for w in bit_indices(closed[x]):
+                gain[w] -= 1
+        best += 1
     budget = SEARCH_NODE_BUDGET
     nodes = 0
 
-    def recurse(dominated: int, size: int) -> None:
+    def recurse(dominated: int, allowed: int, size: int, symmetric: bool) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > budget:
             raise _over_budget("min_dominating_set", budget, n)
-        if size >= best:
+        while True:
+            if size >= best:
+                return
+            undominated = full & ~dominated
+            if not undominated:
+                best = size
+                return
+            forced = reach = 0
+            pick, pick_count = -1, n + 1
+            for u in bit_indices(undominated):
+                dominators = closed[u] & allowed
+                if not dominators & (dominators - 1):
+                    if not dominators:
+                        return
+                    forced |= dominators
+                elif not forced:
+                    count = dominators.bit_count()
+                    if count < pick_count:
+                        pick, pick_count = u, count
+                reach |= dominators
+            if not forced:
+                break
+            size += forced.bit_count()
+            allowed &= ~forced
+            for v in bit_indices(forced):
+                dominated |= closed[v]
+        gains = [(closed[v] & undominated).bit_count() for v in bit_indices(reach)]
+        gains.sort(reverse=True)
+        need = undominated.bit_count()
+        bound = size
+        for g in gains:
+            bound += 1
+            need -= g
+            if need <= 0:
+                break
+        if bound >= best:
             return
-        undominated = full & ~dominated
-        if not undominated:
-            best = size
+        # by decreasing gain, then increasing index
+        options = sorted(
+            (-(closed[v] & undominated).bit_count(), v)
+            for v in bit_indices(closed[pick] & allowed)
+        )
+        if symmetric:
+            orbit = _orbit(n, adj, symmetries, options[0][1])
+            least = orbit & -orbit
+            recurse(dominated | closed[least.bit_length() - 1], allowed & ~least, size + 1, False)
+            recurse(dominated, allowed & ~orbit, size, False)
             return
-        reach = max((row & undominated).bit_count() for row in closed)
-        if size + (undominated.bit_count() + reach - 1) // reach >= best:
-            return
-        # most-constrained undominated vertex
-        pick, options = -1, n + 1
-        for v in bit_indices(undominated):
-            count = closed[v].bit_count()
-            if count < options:
-                pick, options = v, count
-        candidates = bit_indices(closed[pick])
-        gains = [closed[u] & undominated for u in candidates]
-        for i, u in enumerate(candidates):
-            gain = gains[i]
-            if any(
-                not gain & ~other and (other != gain or j < i)
-                for j, other in enumerate(gains)
-                if j != i
-            ):
+        tried: list[int] = []
+        for _, v in options:
+            newly = closed[v] & undominated
+            if any(not newly & ~other for other in tried):
                 continue
-            recurse(dominated | closed[u], size + 1)
+            tried.append(newly)
+            allowed &= ~(1 << v)
+            recurse(dominated | newly, allowed, size + 1, False)
 
-    recurse(0, 0)
+    recurse(isolated, full & ~isolated, isolated.bit_count(), bool(symmetries))
     return best
+
+
+def _orbit(n: int, adj: Sequence[int], perms: Sequence[Sequence[int]], v: int) -> int:
+    """The orbit of v, as a mask, under the group the permutations
+    generate, after checking each permutation against the rows.
+
+    A bijection of the vertices that maps every edge onto an edge is an
+    automorphism, since it then maps the m edges onto m distinct edges."""
+    vertices = list(range(n))
+    edges = [(x, u) for x in vertices for u in bit_indices(adj[x]) if u > x]
+    for p in perms:
+        if sorted(p) != vertices:
+            raise InternalConsistencyError("a symmetry is not a permutation of the vertices")
+        for x, u in edges:
+            if not adj[p[x]] >> p[u] & 1:
+                raise InternalConsistencyError(
+                    f"a symmetry maps the edge {x}-{u} onto the non-edge {p[x]}-{p[u]}"
+                )
+    orbit = 1 << v
+    frontier = [v]
+    for x in frontier:
+        for p in perms:
+            if not orbit >> p[x] & 1:
+                orbit |= 1 << p[x]
+                frontier.append(p[x])
+    return orbit
 
 
 def min_edge_cover(n: int, adj: Sequence[int]) -> Optional[int]:
@@ -503,19 +580,22 @@ def edge_chromatic_number(
     n: int, adj: Sequence[int], cutoff: int = DEFAULT_EDGE_COLOR_CUTOFF
 ) -> Optional[int]:
     """Exact edge chromatic number, or None above the edge-count cutoff."""
-    edges = _edge_list(n, adj)
-    m = len(edges)
+    m = sum(row.bit_count() for row in adj) // 2
     if m == 0:
         return 0
     if m > cutoff:
         return None
-    line_adj = [0] * m
-    for i in range(m):
-        si = set(edges[i])
-        for j in range(i + 1, m):
-            if si & set(edges[j]):
-                line_adj[i] |= 1 << j
-                line_adj[j] |= 1 << i
+    # edge i joins ends[i]; bit i of incident[v] is set when v is one of them
+    ends = []
+    incident = [0] * n
+    for v in range(n):
+        for u in bit_indices(adj[v]):
+            if u > v:
+                bit = 1 << len(ends)
+                incident[v] |= bit
+                incident[u] |= bit
+                ends.append((v, u))
+    line_adj = [(incident[v] | incident[u]) & ~(1 << i) for i, (v, u) in enumerate(ends)]
     delta = max(row.bit_count() for row in adj)
     if _k_colorable(m, line_adj, delta, "edge_chromatic_number"):
         result = delta
@@ -738,7 +818,9 @@ def invariant_report(
         clique_number=clique,
         independence_number=max_independent_set(n, adj),
         matching_number=len(matching),
-        domination_number=min_dominating_set(n, adj),
+        domination_number=min_dominating_set(
+            n, adj, getattr(graph, "left_translations", ())
+        ),
         vertex_cover_number=min_vertex_cover(n, adj),
         edge_cover_number=edge_cover_from_matching(n, adj, matching),
         chromatic_number=chromatic_number(n, adj, clique),

@@ -201,6 +201,17 @@ def test_invariants_prints_the_diameter_of_the_64_cycle(capsys):
     assert "diameter: 32\n" in capsys.readouterr().out
 
 
+def test_invariants_answers_domination_at_the_order_cap(capsys):
+    # the search without the forced-dominator rule, disjoint branches and
+    # the root symmetry ran out of its node budget here and exited 1
+    status = execute_command(
+        ["invariants", "D32", "--subgroup", "a", "--conn", "a9,a23,a7b,a14b,a18b,a22b,a24b"]
+    )
+    captured = capsys.readouterr()
+    assert status == 0, captured.err
+    assert "domination_number: 12\n" in captured.out
+
+
 def test_help_exits_zero(capsys):
     assert execute_command(["--help"]) == 0
     assert "subcommand" in capsys.readouterr().out or True

@@ -13,6 +13,7 @@ import pytest
 
 import brute
 import relcay.oracles
+from relcay.audit import catalog_up_to
 from relcay.errors import CapacityError, InternalConsistencyError
 from relcay.graphs import ConnectionSet, build_relcay, enumerate_connection_sets
 from relcay.group_core import bit_indices, enumerate_subgroups, generated_subgroup, make_group
@@ -477,6 +478,73 @@ def test_domination_lower_bound_cuts_at_the_root(monkeypatch, spec, h_names, c_n
     monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 1)
     graph = instance(spec, h_names, c_names)
     assert min_dominating_set(graph.n, graph.adjacency) == gamma
+
+
+def test_domination_matches_brute_with_isolated_and_pendant_vertices():
+    rng = random.Random(1978)
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        adj = graph_with_pendants_and_twins(rng, n)
+        for v in rng.sample(range(n), rng.randint(0, min(3, n))):
+            for u in bit_indices(adj[v]):
+                adj[u] &= ~(1 << v)
+            adj[v] = 0
+        assert min_dominating_set(n, adj) == brute.brute_min_dominating(n, brute_edges(n, adj))
+
+
+def test_domination_is_the_same_with_and_without_symmetries(monkeypatch):
+    # the left translations x -> hx are automorphisms of every relative
+    # Cayley graph; count the roots that branch on an orbit, so the
+    # symmetric path is shown to run
+    orbits = []
+    orbit = relcay.oracles._orbit
+
+    def counted(*args):
+        orbits.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(relcay.oracles, "_orbit", counted)
+    for spec in catalog_up_to(8):
+        for graph in all_instances(spec):
+            n, adj = graph.n, graph.adjacency
+            assert min_dominating_set(n, adj, graph.left_translations) == min_dominating_set(
+                n, adj
+            )
+    assert len(orbits) > 100
+
+
+@pytest.mark.parametrize(
+    "make_bad",
+    [
+        lambda n: (1, 0) + tuple(range(2, n)),  # swaps two adjacent cycle vertices
+        lambda n: (0,) * n,
+    ],
+    ids=["not_an_automorphism", "not_a_permutation"],
+)
+def test_domination_rejects_a_symmetry_that_is_not_an_automorphism(make_bad):
+    # a 12-cycle with a pendant vertex on each of its vertices: the root
+    # bound (6) does not meet the greedy start (12), so the root branches
+    # and checks its symmetries first
+    graph = instance("D12", ["a"], ["a", "a11", "b"])
+    symmetries = graph.left_translations + (make_bad(graph.n),)
+    with pytest.raises(InternalConsistencyError):
+        min_dominating_set(graph.n, graph.adjacency, symmetries)
+    assert min_dominating_set(graph.n, graph.adjacency, graph.left_translations) == 12
+
+
+@pytest.mark.parametrize(
+    "spec, h_names, c_names, gamma",
+    [("C36", ["a2"], ["a", "a35"], 12), ("C64", ["a2"], ["a", "a63"], 22)],
+)
+def test_domination_checks_no_symmetry_when_the_root_closes(
+    monkeypatch, spec, h_names, c_names, gamma
+):
+    # with symmetries the root is still the only node on a cycle, and a
+    # list that is not even a permutation goes unchecked
+    monkeypatch.setattr(relcay.oracles, "SEARCH_NODE_BUDGET", 1)
+    graph = instance(spec, h_names, c_names)
+    for symmetries in (graph.left_translations, [(0,) * graph.n]):
+        assert min_dominating_set(graph.n, graph.adjacency, symmetries) == gamma
 
 
 @pytest.mark.parametrize(
