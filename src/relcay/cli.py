@@ -328,95 +328,117 @@ def _cmd_figures(args) -> int:
 # Parser assembly and dispatch
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process; it holds no mutable
-    default, so one parse cannot leak into the next."""
-    parser = _Parser(prog="relcay", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--max-order",
-        type=_cap,
-        default=None,
-        help="group order cap (default: RELCAY_MAX_ORDER or 64)",
+def _instance_args(p) -> None:
+    p.add_argument("spec", help="group spec, e.g. D5 or C2xC4")
+    p.add_argument(
+        "--subgroup",
+        required=True,
+        help="comma-separated generators; closure is taken",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    p.add_argument("--conn", required=True, help="comma-separated connection elements")
 
-    def instance_args(p) -> None:
-        p.add_argument("spec", help="group spec, e.g. D5 or C2xC4")
-        p.add_argument(
-            "--subgroup",
-            required=True,
-            help="comma-separated generators; closure is taken",
-        )
-        p.add_argument(
-            "--conn", required=True, help="comma-separated connection elements"
-        )
 
-    p_build = sub.add_parser("build", parents=[common], help="construct one graph")
-    instance_args(p_build)
-    p_build.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
+def _build_args(p) -> None:
+    _instance_args(p)
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of a summary")
 
-    p_inv = sub.add_parser(
-        "invariants", parents=[common], help="exact invariants of one graph"
-    )
-    instance_args(p_inv)
-    p_inv.add_argument(
+
+def _invariants_args(p) -> None:
+    _instance_args(p)
+    p.add_argument(
         "--edge-color-cutoff",
         type=_cap,
         default=DEFAULT_EDGE_COLOR_CUTOFF,
         help="skip exact edge chromatic above this many edges",
     )
 
-    p_check = sub.add_parser(
-        "check", parents=[common], help="predictions versus oracles for one instance"
-    )
-    instance_args(p_check)
-    p_check.add_argument(
+
+def _check_args(p) -> None:
+    _instance_args(p)
+    p.add_argument(
         "--theorem",
         default=None,
         help="restrict to one family or one check name",
     )
 
-    p_audit = sub.add_parser("audit", parents=[common], help="scan a catalog")
+
+def _audit_args(p) -> None:
     # None leaves a default to audit.DEFAULT_CATALOG and audit.Limits
-    p_audit.add_argument("--catalog", nargs="+", default=None)
-    p_audit.add_argument("--checks", nargs="+", default=None)
-    p_audit.add_argument("--max-connection-sets", type=_cap, default=None)
-    p_audit.add_argument(
+    p.add_argument("--catalog", nargs="+", default=None)
+    p.add_argument("--checks", nargs="+", default=None)
+    p.add_argument("--max-connection-sets", type=_cap, default=None)
+    p.add_argument(
         "--chromatic-ii-cap",
         type=_cap,
         default=None,
         help="largest |H| for chromatic condition (ii), whose split table is "
         "built once per (H, generator)",
     )
-    p_audit.add_argument("--edge-color-cutoff", type=_cap, default=None)
-    p_audit.add_argument("--parallelism", type=_cap, default=1)
-    p_audit.add_argument("--full", action="store_true", help="keep per-instance records")
-    p_audit.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_audit.add_argument("--output", default=None, help="write the report to a file")
-
-    p_fig = sub.add_parser(
-        "figures", parents=[common], help="write reference DOT files and family summaries"
-    )
-    p_fig.add_argument("--out-dir", default="figures")
-
-    return parser
+    p.add_argument("--edge-color-cutoff", type=_cap, default=None)
+    p.add_argument("--parallelism", type=_cap, default=1)
+    p.add_argument("--full", action="store_true", help="keep per-instance records")
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--output", default=None, help="write the report to a file")
 
 
+def _figures_args(p) -> None:
+    p.add_argument("--out-dir", default="figures")
+
+
+# each command's handler, help string and arguments (after --max-order)
 _COMMANDS = {
-    "build": _cmd_build,
-    "invariants": _cmd_invariants,
-    "check": _cmd_check,
-    "audit": _cmd_audit,
-    "figures": _cmd_figures,
+    "build": (_cmd_build, "construct one graph", _build_args),
+    "invariants": (_cmd_invariants, "exact invariants of one graph", _invariants_args),
+    "check": (_cmd_check, "predictions versus oracles for one instance", _check_args),
+    "audit": (_cmd_audit, "scan a catalog", _audit_args),
+    "figures": (
+        _cmd_figures,
+        "write reference DOT files and family summaries",
+        _figures_args,
+    ),
 }
 
 
+def _command_args(p, command: str) -> None:
+    p.add_argument(
+        "--max-order",
+        type=_cap,
+        default=None,
+        help="group order cap (default: RELCAY_MAX_ORDER or 64)",
+    )
+    _COMMANDS[command][2](p)
+    p.set_defaults(command=command)
+
+
+@functools.cache
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser of one command, or with None the top-level parser, built
+    once per process each; none holds a mutable default, so one parse
+    cannot leak into the next.
+
+    A call that names its command builds that command's parser alone.  The
+    top-level parser reads a command line whose first word names no
+    command (help, a missing or unknown command, an option before the
+    command).  It holds every command's arguments too, since argparse
+    hands the words after a command to that command's subparser even
+    behind an unknown option, as in ``relcay --foo invariants C4``."""
+    if command is not None:
+        parser = _Parser(prog=f"relcay {command}")
+        _command_args(parser, command)
+        return parser
+    parser = _Parser(prog="relcay", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, _) in _COMMANDS.items():
+        _command_args(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
 def execute_command(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv[1:] if command else argv)
     except _UsageError as err:
         print(f"usage error: {err} (see relcay --help)", file=sys.stderr)
         return 1
@@ -425,7 +447,7 @@ def execute_command(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.max_order is None:
             args.max_order = default_max_order()
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except RelCayError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1

@@ -145,9 +145,11 @@ class RelCayGraph:
 
     @cached_attribute
     def left_translations(self) -> tuple[tuple[int, ...], ...]:
-        """For each h in H, the automorphism x -> hx as the tuple of images:
-        it keeps H, and (hx)^-1 hy = x^-1 y."""
-        return tuple(self.group.mul[h] for h in self.h.members)
+        """For each g in ``h.generators``, the automorphism x -> gx as the
+        tuple of images: it keeps H, and (gx)^-1 gy = x^-1 y.  The group
+        they generate is {x -> hx : h in H}, so the orbit of x is the right
+        coset Hx."""
+        return tuple(self.group.mul[g] for g in self.h.generators)
 
     @cached_attribute
     def induced(self) -> "InducedCayleyGraph":

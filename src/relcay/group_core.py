@@ -354,6 +354,7 @@ class Subgroup(ElementSet):
     ``enumerate_subgroups`` computes each of them once:
 
     - its left and right coset partitions (``coset_partition``);
+    - ``generators``, a generating set built greedily;
     - ``right_coset_masks``, the mask of the right coset Hx for each
       element x, which ``star_product`` reads;
     - ``is_aba``, whether it factors as A*B*A into proper subgroups;
@@ -391,6 +392,22 @@ class Subgroup(ElementSet):
     @property
     def index(self) -> int:
         return self.group.order // len(self)
+
+    @cached_attribute
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of H: its members by decreasing element order
+        (lower index on ties), each taken when the members taken so far do
+        not generate it.  A cyclic H gets one generator, and {e} none."""
+        g = self.group
+        taken = []
+        seed = 0
+        span = 1 << g.identity
+        for x in sorted(self.members, key=lambda x: -element_order(g, x)):
+            if not span >> x & 1:
+                taken.append(x)
+                seed |= 1 << x
+                span = _generated(g, seed).mask
+        return tuple(taken)
 
     @cached_attribute
     def _left_cosets(self) -> tuple[ElementSet, ...]:

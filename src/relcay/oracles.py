@@ -354,7 +354,10 @@ def min_dominating_set(
     first option it would have tried: either O's least vertex is in the
     set, or no vertex of O is, since an automorphism maps any set that meets
     O onto one that holds that vertex (orbital branching, Ostrowski et al.,
-    Math. Program. 126, 2011).
+    Math. Program. 126, 2011).  Only the listed permutations are checked,
+    so a generating set of the symmetries is enough: a relative Cayley
+    graph passes its ``left_translations``, the translations x -> gx by a
+    generating set of H, and O is then the right coset Hv.
     """
     if n == 0:
         return 0

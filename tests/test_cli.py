@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import relcay.cli
 import relcay.oracles
 from relcay.audit import DEFAULT_CATALOG, AuditRecord, AuditReport, Limits, MismatchEntry
 from relcay.cli import _build_parser, execute_command, parse_elements, split_elements
@@ -212,9 +213,86 @@ def test_invariants_answers_domination_at_the_order_cap(capsys):
     assert "domination_number: 12\n" in captured.out
 
 
+COMMANDS = ("build", "invariants", "check", "audit", "figures")
+
+
 def test_help_exits_zero(capsys):
     assert execute_command(["--help"]) == 0
-    assert "subcommand" in capsys.readouterr().out or True
+    out = capsys.readouterr().out
+    assert "{build,invariants,check,audit,figures}" in out
+    for command in COMMANDS:
+        assert f"\n    {command} " in out
+        assert execute_command([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: relcay {command} ")
+
+
+_CHOICES = "(choose from 'build', 'invariants', 'check', 'audit', 'figures')"
+_USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["bogus"], f"argument command: invalid choice: 'bogus' {_CHOICES}"),
+    (["--max-order", "8", "build"], f"argument command: invalid choice: '8' {_CHOICES}"),
+    (["invariants", "C4"], "the following arguments are required: --subgroup, --conn"),
+    (
+        ["invariants", "C4", "--subgroup", "a2", "--conn", "a,a3", "--max-order", "0"],
+        "argument --max-order: all CLI caps must be positive",
+    ),
+    (
+        ["audit", "--format", "xml"],
+        "argument --format: invalid choice: 'xml' (choose from 'text', 'json', 'csv')",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", _USAGE_ERRORS)
+def test_usage_errors_print_one_exact_line(capsys, argv, message):
+    assert execute_command(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message} (see relcay --help)\n"
+
+
+def test_an_option_before_the_command_reaches_the_command_arguments(capsys):
+    # argparse passes the words after the command to its subparser even
+    # behind an unknown option, so the top-level parser knows every
+    # command's arguments
+    assert execute_command(["--foo", "invariants", "C4"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the following arguments are required: --subgroup, --conn "
+        "(see relcay --help)\n"
+    )
+    assert execute_command(["--foo", "build", "D5", "--subgroup", "a", "--conn", "a"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unrecognized arguments: --foo (see relcay --help)\n"
+    )
+
+
+def test_execute_command_reads_sys_argv_without_argv(monkeypatch, capsys):
+    argv = ["relcay", "invariants", "C4", "--subgroup", "a2", "--conn", "a,a3"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert execute_command() == 0
+    assert "component_count: 1\n" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["relcay", "bogus"])
+    assert execute_command(None) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument command: invalid choice")
+
+
+def test_console_path_runs_as_a_module():
+    # python -m relcay goes through console_main, which passes no argv
+    src = os.path.dirname(os.path.dirname(relcay.oracles.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, expected in (
+        (["invariants", "C4", "--subgroup", "a2", "--conn", "a,a3"], "domination_number: 2\n"),
+        (["--help"], "usage: relcay "),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "relcay", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert expected in done.stdout
 
 
 def test_audit_text_and_exit(capsys):
@@ -328,12 +406,39 @@ def test_audit_scans_the_default_catalog_without_catalog_flag(monkeypatch, capsy
 
 
 def test_parser_is_built_once_and_holds_no_mutable_default():
-    parser = _build_parser()
-    assert _build_parser() is parser
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for sub in commands.choices.values():
-        for action in sub._actions:
+    top = _build_parser()
+    (commands,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(commands.choices) == COMMANDS
+    parsers = [top, *commands.choices.values()]
+    for command in COMMANDS:
+        parser = _build_parser(command)
+        assert _build_parser(command) is parser
+        assert parser.prog == f"relcay {command}"
+        parsers.append(parser)
+    assert _build_parser() is top
+    for parser in parsers:
+        for action in parser._actions:
             assert not isinstance(action.default, (list, dict, set)), action.dest
+
+
+def test_a_command_builds_its_own_parser_alone(monkeypatch, capsys):
+    built = []
+    real_init = relcay.cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(relcay.cli._Parser, "__init__", counted)
+    _build_parser.cache_clear()
+    try:
+        argv = ["invariants", "C4", "--subgroup", "a2", "--conn", "a,a3"]
+        assert execute_command(argv) == 0
+        assert execute_command(argv) == 0
+    finally:
+        _build_parser.cache_clear()
+    capsys.readouterr()
+    assert built == ["relcay invariants"]
 
 
 def _fake_blocking_report() -> AuditReport:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
+from relcay.audit import catalog_up_to
 from relcay.errors import (
     ConnectionSetError,
     GroupMismatchError,
@@ -21,7 +22,14 @@ from relcay.graphs import (
     export_dot,
     inverse_orbits,
 )
-from relcay.group_core import Subgroup, coset_partition, generated_subgroup, make_group
+from relcay.group_core import (
+    Subgroup,
+    coset_partition,
+    element_order,
+    enumerate_subgroups,
+    generated_subgroup,
+    make_group,
+)
 
 
 def instance(spec, h_names, c_names):
@@ -153,6 +161,41 @@ def test_outside_vertices_form_an_independent_set():
         non_h = [x for x in range(graph.n) if not graph.h_mask >> x & 1]
         for x, y in itertools.combinations(non_h, 2):
             assert not graph.is_edge(x, y)
+
+
+def _orbit_masks(n, perms):
+    orbits = set()
+    seen = 0
+    for v in range(n):
+        if seen >> v & 1:
+            continue
+        orbit, frontier = 1 << v, [v]
+        for x in frontier:
+            for p in perms:
+                if not orbit >> p[x] & 1:
+                    orbit |= 1 << p[x]
+                    frontier.append(p[x])
+        orbits.add(orbit)
+        seen |= orbit
+    return orbits
+
+
+@pytest.mark.parametrize("spec", catalog_up_to(8))
+def test_left_translations_are_by_a_generating_set_of_h(spec):
+    g = make_group(spec)
+    for h in enumerate_subgroups(g):
+        if not h.is_proper:
+            continue
+        perms = build_relcay(g, h, ConnectionSet(g)).left_translations
+        # each is x -> gx for the g in H it sends the identity to
+        elements = [p[g.identity] for p in perms]
+        assert all(x in h for x in elements)
+        assert perms == tuple(g.mul[x] for x in elements)
+        assert generated_subgroup(g.element_set(elements)) is h
+        assert _orbit_masks(g.order, perms) == {s.mask for s in coset_partition(h, "right")}
+        # a cyclic H lists one, and {e} none: the identity is never taken
+        if any(element_order(g, x) == len(h) for x in h.members):
+            assert len(perms) == min(1, len(h) - 1)
 
 
 # --------------------------------------------------------------------------
