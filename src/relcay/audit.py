@@ -122,8 +122,10 @@ def catalog_up_to(max_order: int, catalog: tuple[str, ...] = DEFAULT_CATALOG) ->
 
 @dataclass(frozen=True)
 class Limits:
-    """Caps shared across the scan; all of them participate in sampling and
-    verdicts, so they are part of the report's configuration snapshot.
+    """Caps shared across the scan, all echoed in the report's ``config``.
+    All but ``edge_color_cutoff`` take part in sampling and verdicts; the
+    audit never computes the edge chromatic number, so that one is only
+    echoed, which keeps report digests stable.
 
     ``chromatic_ii_cap`` is the largest |H| for which chromatic condition
     (ii) is evaluated; its table of splits is built once per (H,
@@ -290,8 +292,6 @@ class AuditReport:
 
         def text(value) -> str:
             key = _memo_key(value)
-            if key is None:
-                return compact_json(value)
             found = texts.get(key)
             if found is None:
                 found = texts[key] = compact_json(value)
@@ -308,42 +308,17 @@ class AuditReport:
         return out.getvalue()
 
 
-# Scalar types whose equal values of one exact type print alike in JSON
-_PLAIN_TYPES = frozenset((type(None), bool, int, str))
-
-
 def _memo_key(value):
-    """A hashable key under which a check value's printed form can be
-    memoised, or None if it has none.
+    """The key under which a check value's printed form is memoised: its
+    class and its repr.
 
-    Two values get equal keys only when they print alike through
-    ``jsonable``: the key holds the exact type of the value and of every
-    item inside it, and a float's repr, because ``True == 1``,
-    ``(True,) == (1,)`` and ``0.0 == -0.0`` though each pair prints
-    differently.  A tuple or list of plain scalars is keyed by its item
-    types and items without a call per item.  Values holding anything but
-    plain scalars, floats, tuples, lists, dicts and sets get None.
+    Check values are built from None, bool, int, float, str, tuples, lists
+    and dicts, plus objects that ``jsonable`` prints by their repr, so two
+    values of one class with one repr print alike.  The value itself is no
+    key: ``True == 1``, ``(True,) == (1,)`` and ``0.0 == -0.0``, though
+    the two values of each pair print, and repr, differently.
     """
-    cls = value.__class__
-    if cls in _PLAIN_TYPES:
-        return cls, value
-    if cls is float:
-        return cls, float.__repr__(value)
-    if cls is tuple or cls is list:
-        types = tuple(map(type, value))
-        if _PLAIN_TYPES.issuperset(types):
-            return cls, types, tuple(value)
-        items = tuple(map(_memo_key, value))
-    elif cls is dict:
-        items = (_memo_key(tuple(value)), _memo_key(tuple(value.values())))
-    elif cls is set or cls is frozenset:
-        items = tuple(map(_memo_key, value))
-        if None not in items:
-            return cls, frozenset(items)
-        return None
-    else:
-        return None
-    return None if None in items else (cls, items)
+    return value.__class__, repr(value)
 
 
 def jsonable(value):
@@ -401,12 +376,10 @@ class _RecordWriter:
     sort_keys=True)`` writes the record's fields.
 
     Strings, None, booleans, ints and finite floats are formatted the way
-    ``json`` formats them.  Every other value (a container, or a float that
-    ``json`` spells NaN or Infinity) is rendered by ``json.dumps`` and
-    re-indented, once per distinct value under its ``_memo_key``, never
-    under the value itself: ``True == 1`` and ``0.0 == -0.0`` would collide
-    as dict keys.  The ``h`` and ``c`` name tuples, shared by many records,
-    are memoised per tuple.
+    ``json`` formats them.  Every other value (a container such as the
+    ``h`` and ``c`` name tuples, or a float that ``json`` spells NaN or
+    Infinity) is rendered by ``json.dumps`` and re-indented, once per
+    distinct value under its ``_memo_key``.
     """
 
     def __init__(self, depth: int):
@@ -420,7 +393,6 @@ class _RecordWriter:
         self._template = "{" + fields + pad[:-2] + "}"
         self._joints = (f',{pad}"group": ', f',{pad}"h": ')
         self._values: dict[tuple, str] = {}
-        self._names: dict[tuple[str, ...], str] = {}
 
     def _value(self, value) -> str:
         if value is None:
@@ -436,35 +408,17 @@ class _RecordWriter:
         if isinstance(value, float) and math.isfinite(value):
             return float.__repr__(value)
         key = _memo_key(value)
-        if key is None:
-            return _indented(jsonable(value), self._depth)
         text = self._values.get(key)
         if text is None:
             text = self._values[key] = _indented(jsonable(value), self._depth)
         return text
 
-    def _name_list(self, names: tuple[str, ...]) -> str:
-        text = self._names.get(names)
-        if text is None:
-            text = self._names[names] = _indented(list(names), self._depth)
-        return text
-
-    def _check_group_h(self, check: str, group: str, h: tuple[str, ...]) -> str:
-        to_group, to_h = self._joints
-        return (
-            encode_basestring_ascii(check) + to_group + encode_basestring_ascii(group)
-            + to_h + self._name_list(h)
-        )
-
     def record(self, record: AuditRecord) -> str:
-        value = self._value
-        return self._template % (
-            self._name_list(record.c),
-            self._check_group_h(record.check, record.group, record.h),
-            value(record.observed),
-            value(record.predicted),
-            encode_basestring_ascii(record.verdict),
-            value(record.witness),
+        """One record, written as a block of one."""
+        outcome = (record.predicted, record.observed, record.verdict, record.witness)
+        row = (record.c_indices, record.c, (outcome,))
+        return self.block(
+            _RecordBlock(record.group, record.h, record.h_indices, (record.check,), (row,))
         )
 
     def block(self, block: _RecordBlock) -> str:
@@ -472,10 +426,12 @@ class _RecordWriter:
         writer's depth less one; its group, H and each check are formatted
         once, and each C once per row."""
         template, value = self._template, self._value
-        shared = [self._check_group_h(check, block.group, block.h) for check in block.checks]
+        to_group, to_h = self._joints
+        group_h = to_group + encode_basestring_ascii(block.group) + to_h + value(block.h)
+        shared = [encode_basestring_ascii(check) + group_h for check in block.checks]
         texts = []
         for _, c, outcomes in block.rows:
-            c_text = self._name_list(c)
+            c_text = value(c)
             texts += [
                 template % (
                     c_text,
@@ -498,13 +454,13 @@ class InstanceContext:
     """Everything the checks may ask about one (G, H, C) instance.
 
     Oracle quantities are computed lazily so cheap checks never pay for
-    expensive ones; in particular nothing here touches edge colorings or
-    domination, which the audit does not need.  An exact search that runs
-    out of its node budget is not repeated: later reads raise the same
-    ``CapacityError`` at once.
+    expensive ones; in particular nothing here computes the edge chromatic
+    number or domination, which the audit does not need.  An exact search
+    that runs out of its node budget is not repeated: later reads raise
+    the same ``CapacityError`` at once.
 
     The context owns the instance's derived sets, ``sets``: H n C, C minus
-    H, C*C, (C minus H)^2 and HC*, each computed on first read (see
+    H, C*C, H n (C minus H)^2 and HC*, each computed on first read (see
     ``theorems.InstanceSets``).  The predictors and checks that need them
     read them from there, so no set is built twice for one instance.
     """
@@ -515,7 +471,6 @@ class InstanceContext:
         self.c = c
         self.limits = limits
         self.sets = InstanceSets(group, h, c)
-        self._forbidden = {}
         self._exhausted = {}
 
     def _exact(self, search, *args) -> int:
@@ -601,13 +556,6 @@ class InstanceContext:
             partition_cap=self.limits.chromatic_ii_cap,
             sets=self.sets,
         )
-
-    def forbidden(self, kind: str):
-        if kind not in self._forbidden:
-            self._forbidden[kind] = predict_forbidden(
-                self.group, self.h, self.c, kind, sets=self.sets
-            )
-        return self._forbidden[kind]
 
     @cached_attribute
     def coloring_outcome(self) -> tuple[Optional[int], Optional[str]]:
@@ -779,7 +727,7 @@ def _check_chromatic_equality(ctx: InstanceContext) -> _CheckResult:
 
 def _forbidden(kind: str, flag_name: Optional[str] = None) -> _CheckFn:
     def check(ctx: InstanceContext) -> _CheckResult:
-        fb = ctx.forbidden(kind)
+        fb = predict_forbidden(ctx.group, ctx.h, ctx.c, kind, sets=ctx.sets)
         result = _compared(fb.predicted, getattr(ctx.flags, flag_name or kind), eq, fb.applicable)
         if result[2] == MISMATCH and fb.details:
             return *result[:3], dict(fb.details)

@@ -374,7 +374,13 @@ def _audit_args(p) -> None:
         help="largest |H| for chromatic condition (ii), whose split table is "
         "built once per (H, generator)",
     )
-    p.add_argument("--edge-color-cutoff", type=_cap, default=None)
+    p.add_argument(
+        "--edge-color-cutoff",
+        type=_cap,
+        default=None,
+        help="recorded in the report's config only: the audit never computes "
+        "the edge chromatic number",
+    )
     p.add_argument("--parallelism", type=_cap, default=1)
     p.add_argument("--full", action="store_true", help="keep per-instance records")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

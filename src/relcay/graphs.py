@@ -102,13 +102,12 @@ class RelCayGraph:
     h: Subgroup
     c: ConnectionSet
     adjacency: tuple[int, ...]
-    h_mask: int
     # each vertex's neighbors, ascending; filled in by the validation
     neighbor_lists: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         adjacency = self.adjacency
-        h_mask = self.h_mask
+        h_mask = self.h.mask
         lists = []
         for x, row in enumerate(adjacency):
             if row >> x & 1:
@@ -181,7 +180,7 @@ def build_relcay(group: GroupTable, h: Subgroup, c: ConnectionSet) -> RelCayGrap
             row |= 1 << mul_x[cc]
         # a vertex outside H keeps only its neighbors inside H
         rows.append(row if h_mask >> x & 1 else row & h_mask)
-    return RelCayGraph(group=group, h=h, c=c, adjacency=tuple(rows), h_mask=h_mask)
+    return RelCayGraph(group=group, h=h, c=c, adjacency=tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +204,7 @@ class InducedCayleyGraph:
         pos = {v: i for i, v in enumerate(vertices)}
         generators = parent.h.intersection(parent.c)
         rows = []
-        h_mask = parent.h_mask
+        h_mask = parent.h.mask
         for v in vertices:
             row = 0
             for u in parent.neighbor_lists[v]:

@@ -15,11 +15,11 @@ A set of elements is an integer bit mask (bit x set when element x is a
 member); products, cosets, closures and subset tests are mask arithmetic.
 Each subgroup is built and closure-checked once per group: ``subgroup``,
 ``generated_subgroup`` and ``enumerate_subgroups`` hand out one shared
-object per member set, which also keeps the per-subgroup tables (coset
-partitions, the A*B*A flag, see ``Subgroup``) once computed.  Each
-generator mask is closed once per group, and ``width``, ``psi`` and
-``subgroups_within`` answer each mask once per group.  All objects here
-are immutable apart from these caches and safe to share across workers.
+object per member set, which also keeps its own tables (coset partitions,
+the A*B*A flag, see ``Subgroup``) once computed.  Each generator mask is
+closed once per group, and ``width``, ``psi`` and ``subgroups_within``
+answer each mask once per group.  All objects here are immutable apart
+from these caches and safe to share across workers.
 """
 from __future__ import annotations
 
@@ -359,10 +359,7 @@ class Subgroup(ElementSet):
       element x, which ``star_product`` reads;
     - ``is_aba``, whether it factors as A*B*A into proper subgroups;
     - the shift-avoiding 3-part splits for each generator
-      (``shift_avoiding_splits``);
-    - the edge coloring of its Cayley graph on each generating set H n C,
-      which ``theorems.build_class_one_coloring`` keeps in
-      ``induced_colorings``.
+      (``shift_avoiding_splits``).
     """
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
@@ -452,12 +449,6 @@ class Subgroup(ElementSet):
         if found is None:
             found = self._splits[step] = _split_table(self, step)
         return found
-
-    @cached_attribute
-    def induced_colorings(self) -> dict:
-        """Edge colorings of the Cayley graph Cay(H, S), keyed by the mask
-        of S; filled in by ``theorems.build_class_one_coloring``."""
-        return {}
 
     @cached_attribute
     def is_aba(self) -> bool:

@@ -10,18 +10,19 @@ an adjacency matrix.
 
 What depends on H alone is read from tables kept on the shared
 ``Subgroup`` (cosets, the right coset of each element, the splits of
-chromatic condition (ii), induced colorings), and lattice answers (width,
-psi, subgroups within a set) from tables kept per group and mask.  Only
-what depends on C is computed per instance, in ``InstanceSets`` and the
-predictors themselves.
+chromatic condition (ii)), and lattice answers (width, psi, subgroups
+within a set) from tables kept per group and mask.  Only what depends on C
+is computed per instance, in ``InstanceSets`` and the predictors
+themselves.
 
-The class-one edge coloring is constructive: it colors the induced subgraph
-on H with a Vizing-style fan procedure and extends across the cut edges,
-certifying that the edge chromatic number equals the maximum degree whenever
-C has an element outside H.
+The class-one edge coloring is constructive: it colors Cay(H, H n C), the
+subgraph on H, with a Vizing-style fan procedure (once per H and H n C)
+and extends across the cut edges, certifying that the edge chromatic
+number equals the maximum degree whenever C has an element outside H.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -93,7 +94,7 @@ class InstanceSets:
     """The derived sets of one (G, H, C) instance that several predictors read.
 
     ``inner`` is H n C, ``outer`` is C minus H, ``c_squared`` is C*C,
-    ``outer_pairs`` is (C minus H)*(C minus H), and ``hc_star`` is
+    ``outer_square`` is H n (C minus H)*(C minus H), and ``hc_star`` is
     H*C* = H*(C u {e}), a union of right cosets of H.  ``degree_formula``
     is the predicted degree of every vertex.  Each is computed on first
     read and kept.  A caller that runs several predictors on one instance
@@ -119,8 +120,8 @@ class InstanceSets:
         return product_set(self.c, self.c)
 
     @cached_attribute
-    def outer_pairs(self) -> ElementSet:
-        return product_set(self.outer, self.outer)
+    def outer_square(self) -> ElementSet:
+        return self.h.intersection(product_set(self.outer, self.outer))
 
     @cached_attribute
     def hc_star(self) -> ElementSet:
@@ -273,7 +274,7 @@ def predict_connectivity(
     hc_star_covers = len(sets.hc_star) == group.order
 
     inner_span = generated_subgroup(inner)
-    outer_square = h.intersection(sets.outer_pairs)
+    outer_square = sets.outer_square
     outer_square_span = generated_subgroup(outer_square)
 
     # (H n gC)*A*B for one vertex g of each right coset Hg other than H, as
@@ -663,7 +664,7 @@ def _tree_condition(sets: InstanceSets) -> bool:
 def _square_free_details(
     sets: InstanceSets,
 ) -> tuple[bool, tuple[tuple[str, object], ...]]:
-    group, h = sets.group, sets.h
+    group = sets.group
     identity = group.identity
     mul = group.mul
     inner = sets.inner
@@ -690,16 +691,16 @@ def _square_free_details(
         if induced_square:
             break
 
-    inner_pairs = product_set(inner, inner)
-    outer_pairs = sets.outer_pairs
-    overlap = inner_pairs.intersection(outer_pairs)
+    # (H n C)^2 lies in H, so its meet with (C minus H)^2 is its meet with
+    # the part of (C minus H)^2 inside H
+    overlap = product_set(inner, inner).intersection(sets.outer_square)
     pair_condition = overlap.mask == 1 << identity
 
     # the sum over members m outside H of |Hm n C|, which is deg(m) since C
     # is inverse-closed: |Hm n C| = |m^-1 H n C|
     degree = sets.degree_formula
     degree_sum = sum(degree[m] for m in outer.members)
-    degree_required = len(h.intersection(outer_pairs)) + len(outer)
+    degree_required = len(sets.outer_square) + len(outer)
 
     predicted = (not induced_square) and pair_condition and (
         degree_sum == degree_required
@@ -767,9 +768,6 @@ class EdgeColoring:
     @property
     def colors_used(self) -> tuple[int, ...]:
         return tuple(sorted({color for _, _, color in self.assignments}))
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return {(u, v): color for u, v, color in self.assignments}
 
 
 def _misra_gries(
@@ -865,40 +863,43 @@ def _misra_gries(
     return coloring
 
 
-def _induced_coloring(graph: RelCayGraph) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
-    """The fan coloring of Cay(H, H n C), labelled by the identity and the
-    elements of H n C, and the one label each vertex of H leaves unused.
+@functools.cache
+def _induced_coloring(
+    h: Subgroup, inner_mask: int
+) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+    """The fan coloring of Cay(H, S), for the generating set S given by its
+    mask, labelled by the identity and the elements of S, and the one label
+    each vertex of H leaves unused.
 
-    Edges and vertices are parent indices.  Both depend on H and H n C
-    alone, so each pair is colored once, from the graph's subgraph on H
-    (built only then, and checked against the Cayley construction), and
-    kept on the subgroup, keyed by the mask of H n C.
+    The rows are built from the multiplication table on parent indices,
+    which keep the order of H's members, so the fan procedure colors as it
+    would on H alone.  Both results depend on H and S alone and are kept
+    per (H, S), so every caller shares them and must not change them.
     """
-    h = graph.h
-    inner = h.intersection(graph.c)
-    found = h.induced_colorings.get(inner.mask)
-    if found is None:
-        induced = graph.induced
-        labels = (h.group.identity,) + inner.members
-        local = _misra_gries(induced.n, induced.adjacency, len(labels))
-        vertices = induced.vertices
-        edges = {}
-        used_at = [0] * len(vertices)
-        for (i, j), color_index in local.items():
-            edges[vertices[i], vertices[j]] = labels[color_index]
-            used_at[i] |= 1 << color_index
-            used_at[j] |= 1 << color_index
-        spare = {}
-        every = (1 << len(labels)) - 1
-        for i, member in enumerate(vertices):
-            unused = every & ~used_at[i]
-            if not unused or unused & (unused - 1):
-                raise InternalConsistencyError(
-                    "expected exactly one spare color at a subgroup vertex"
-                )
-            spare[member] = labels[unused.bit_length() - 1]
-        found = h.induced_colorings[inner.mask] = (edges, spare)
-    return found
+    group = h.group
+    generators = bit_indices(inner_mask)
+    labels = (group.identity, *generators)
+    rows = [0] * group.order
+    for x in h.members:
+        row = group.mul[x]
+        for s in generators:
+            rows[x] |= 1 << row[s]
+    edges = {}
+    used_at = [0] * group.order
+    for (u, v), color_index in _misra_gries(group.order, rows, len(labels)).items():
+        edges[u, v] = labels[color_index]
+        used_at[u] |= 1 << color_index
+        used_at[v] |= 1 << color_index
+    spare = {}
+    every = (1 << len(labels)) - 1
+    for member in h.members:
+        unused = every & ~used_at[member]
+        if not unused or unused & (unused - 1):
+            raise InternalConsistencyError(
+                "expected exactly one spare color at a subgroup vertex"
+            )
+        spare[member] = labels[unused.bit_length() - 1]
+    return edges, spare
 
 
 def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
@@ -908,9 +909,9 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
     colored with the identity plus its own generators; each cross edge takes
     its defining quotient as its color, except the edge for the special
     element, which absorbs the one palette color missing at its H endpoint.
-    The coloring of the induced subgraph is shared by every instance with
-    the same H and H n C (see ``_induced_coloring``); the whole coloring is
-    verified on every call.
+    The coloring of Cay(H, H n C) is shared by every instance with the
+    same H and H n C (see ``_induced_coloring``); the whole coloring is
+    verified against the graph's own rows on every call.
     """
     group = graph.group
     h, c = graph.h, graph.c
@@ -920,7 +921,7 @@ def build_class_one_coloring(graph: RelCayGraph) -> EdgeColoring:
             "class-one construction needs a connection element outside the subgroup"
         )
     special = outer.members[0]
-    edges, spare = _induced_coloring(graph)
+    edges, spare = _induced_coloring(h, c.mask & h.mask)
 
     assignments = dict(edges)
     mul = group.mul

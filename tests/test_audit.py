@@ -221,8 +221,7 @@ def test_shrinking_reads_the_scans_own_verdicts(monkeypatch, request):
 def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypatch):
     group = relcay.group_core.make_group("D4")
     subgroups = [s for s in relcay.group_core.enumerate_subgroups(group) if s.is_proper]
-    for s in subgroups:
-        s.__dict__.pop("induced_colorings", None)  # forget colorings kept earlier
+    relcay.theorems._induced_coloring.cache_clear()  # forget colorings kept earlier
     fans = Counter()
     misra_gries = relcay.theorems._misra_gries
     build_induced = relcay.graphs.InducedCayleyGraph._build
@@ -245,8 +244,8 @@ def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypa
         if c.mask & ~h.mask
     ]
     assert fans["calls"] == len(set(colored)) < len(colored)
-    # the subgraph on H is built only for the colorings made
-    assert fans["builds"] == fans["calls"]
+    # the colorings come from the table: no subgraph on H is built
+    assert fans["builds"] == 0
 
 
 def test_sampling_is_deterministic_and_stratified():
@@ -426,7 +425,7 @@ def test_a_graph_breaking_the_closed_form_is_a_mismatch_not_an_error():
     assert rows[one] >> b & 1
     rows[one] &= ~(1 << b)
     rows[b] &= ~(1 << one)
-    broken = RelCayGraph(group=g, h=h, c=c, adjacency=tuple(rows), h_mask=h.mask)
+    broken = RelCayGraph(group=g, h=h, c=c, adjacency=tuple(rows))
     assert broken.edge_count == 9
     ctx = InstanceContext(g, h, c, Limits())
     ctx.graph = broken
@@ -1032,6 +1031,5 @@ def test_to_csv_memo_keeps_equal_but_different_values_apart(records):
 @example({1: "x"}, {"1": "x"})
 @example(frozenset({(True,)}), frozenset({(1,)}))
 def test_memo_key_is_shared_only_by_values_that_print_alike(first, second):
-    key = relcay.audit._memo_key(first)
-    if key is not None and key == relcay.audit._memo_key(second):
+    if relcay.audit._memo_key(first) == relcay.audit._memo_key(second):
         assert compact_json(first) == compact_json(second)

@@ -158,7 +158,7 @@ def test_adjacency_matches_definition_pointwise():
 
 def test_outside_vertices_form_an_independent_set():
     for graph in (d5_corona(), c4_cycle(), instance("D4", ["a2", "b"], ["a", "a3", "b"])):
-        non_h = [x for x in range(graph.n) if not graph.h_mask >> x & 1]
+        non_h = [x for x in range(graph.n) if not graph.h.mask >> x & 1]
         for x, y in itertools.combinations(non_h, 2):
             assert not graph.is_edge(x, y)
 

@@ -21,6 +21,7 @@ from relcay.errors import (
 )
 from relcay.graphs import (
     ConnectionSet,
+    RelCayGraph,
     build_relcay,
     enumerate_connection_sets,
     inverse_orbits,
@@ -46,6 +47,7 @@ from relcay.theorems import (
     predict_connectivity,
     predict_forbidden,
     predict_valencies,
+    _induced_coloring,
     _verify_coloring,
 )
 
@@ -465,6 +467,25 @@ def test_coloring_self_check_catches_each_corruption(spec, h_names, c_names):
         with pytest.raises(InternalConsistencyError) as caught:
             _verify_coloring(corrupted)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("color_intact_first", [False, True])
+def test_coloring_check_rejects_rows_on_h_off_the_cayley_graph(color_intact_first):
+    # the coloring of Cay(H, H n C) comes from the table, whatever was
+    # colored before, and the graph's own rows are what it is checked against
+    g, h, c = d5_corona_parts()
+    intact = build_relcay(g, h, c)
+    rows = list(intact.adjacency)
+    one, a = g.identity, g.element("a")
+    rows[one] &= ~(1 << a)
+    rows[a] &= ~(1 << one)
+    broken = RelCayGraph(group=g, h=h, c=c, adjacency=tuple(rows))
+    _induced_coloring.cache_clear()
+    if color_intact_first:
+        build_class_one_coloring(intact)
+    with pytest.raises(InternalConsistencyError) as caught:
+        build_class_one_coloring(broken)
+    assert str(caught.value) == "edge coloring misses or invents edges"
 
 
 def test_coloring_sweep_stays_within_max_degree():
