@@ -8,7 +8,10 @@ The scan tallies each verdict as it comes and builds an ``AuditRecord``
 only for a mismatch.  When ``keep_records`` is set it also keeps one row
 per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 Mismatches are shrunk to smaller witnesses inside the work item that found
-them, so a pooled audit shrinks in its workers.
+them, so a pooled audit shrinks in its workers.  Within a work item, an
+instance that an automorphism fixing H maps onto an earlier one copies the
+earlier one's label-free outcomes instead of evaluating them again (see
+``_scan_subgroup``).
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -230,6 +233,9 @@ class AuditReport:
     records: Optional[RecordTable]
     wall_time_seconds: float
     errors: tuple[dict, ...] = ()
+    # instances that copied outcomes from the first instance of their class
+    # (see _scan_subgroup); like the wall time, never serialised
+    copied_instances: int = 0
 
     def has_blocking_mismatch(self) -> bool:
         return any(
@@ -742,18 +748,23 @@ class Check:
 
     ``family`` is the theorem family ``check --theorem`` selects it by.  An
     ``audited`` check's disagreement is a documented finding, not a defect:
-    it never drives a failing exit status.
+    it never drives a failing exit status.  A ``labelled`` check's values
+    name elements or list one value per vertex, so an automorphism of the
+    instance changes them; every other check's values are None, booleans,
+    numbers or dicts of them, equal on instances that an automorphism maps
+    onto each other, and the scan copies them across such instances.
     """
 
     name: str
     family: str
     fn: _CheckFn
     audited: bool = False
+    labelled: bool = False
 
 
 # a check that only compares reads its prediction, observation and hypothesis in that order
 CHECKS: tuple[Check, ...] = (
-    Check("degree_formula", "valency", _check_degree_formula),
+    Check("degree_formula", "valency", _check_degree_formula, labelled=True),
     Check("edge_count", "valency", _check_edge_count),
     Check("valency_bound", "valency", _check_valency_bound),
     Check("regular", "valency", _check_regular),
@@ -761,8 +772,8 @@ CHECKS: tuple[Check, ...] = (
         ctx.valency.predicted_semi_regular, ctx.flags.semi_regular, eq,
         ctx.valency.semi_regular_applicable,
     )),
-    Check("full_degree_coset", "valency", _check_full_degree_coset),
-    Check("isolated_vertex", "valency", _check_isolated_vertex),
+    Check("full_degree_coset", "valency", _check_full_degree_coset, labelled=True),
+    Check("isolated_vertex", "valency", _check_isolated_vertex, labelled=True),
     Check("connectivity", "connectivity", _check_connectivity),
     Check("connectivity_disjoint", "connectivity", lambda ctx: _compared(
         ctx.connectivity.disjoint_predicted, ctx.flags.connected, eq,
@@ -818,6 +829,7 @@ CHECKS: tuple[Check, ...] = (
 _CHECK_FNS = {check.name: check.fn for check in CHECKS}
 ALL_CHECKS = tuple(_CHECK_FNS)
 AUDITED_CHECKS = frozenset(check.name for check in CHECKS if check.audited)
+_LABELLED_CHECKS = frozenset(check.name for check in CHECKS if check.labelled)
 
 
 def _evaluate(ctx: InstanceContext, check: str) -> _CheckResult:
@@ -982,11 +994,52 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 # Scan driver
 
 
+def _orbit_roots(connection_sets, automorphisms) -> list[int]:
+    """For each scanned connection set, the scan index of the first set of
+    its class, where C and phi(C) are in one class whenever both were
+    scanned and phi is one of ``automorphisms``.
+
+    With generators of the stabiliser of H, an exhaustive scan's classes
+    are the orbits of that stabiliser; a sampled scan's can only be finer,
+    since a class never leaves the sample.  Classes are merged under their
+    smaller root, so each root is its class's least index.
+    """
+    index = {c.mask: i for i, c in enumerate(connection_sets)}
+    parent = list(range(len(connection_sets)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for phi in automorphisms:
+        bits = [1 << y for y in phi]
+        for i, c in enumerate(connection_sets):
+            j = index.get(sum(map(bits.__getitem__, c.members)))
+            if j is not None:
+                a, b = root(i), root(j)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+    return [root(i) for i in range(len(parent))]
+
+
 def _scan_subgroup(args):
     """Scan one (group, subgroup) work item; its mismatches come back as
     ``MismatchEntry``s, shrunk here when ``shrink`` is set, so a pooled
     audit shrinks in its workers.  With ``keep_records`` it also returns
-    its ``_RecordBlock``, else None."""
+    its ``_RecordBlock``, else None.
+
+    The scanned connection sets are split into classes under the
+    automorphisms of G that fix H (``_orbit_roots`` over
+    ``Subgroup.stabiliser_generators``); an automorphism maps the graph of
+    (H, C) onto that of (H, phi(C)), so every check has one verdict on a
+    class.  The first instance of a class is evaluated in full.  A later
+    one copies the first one's outcome of each check that is not
+    ``labelled`` and that agreed or did not apply there, and evaluates
+    every other check itself, so each mismatch, unevaluated outcome,
+    witness and shrink is still its own.  The classmates of a first
+    instance that raised are evaluated in full.  The last item of the
+    result is how many instances copied outcomes."""
     catalog_index, spec, h_members, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     h = group.subgroup(h_members)
@@ -997,12 +1050,24 @@ def _scan_subgroup(args):
     scanned = _ScanVerdicts(h_members, set(), {})
     # a row holds its outcomes in check-name order
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
-    for c in _connection_sets_for(group, h_members, limits):
+    copyable = [check not in _LABELLED_CHECKS for check in checks]
+    connection_sets = _connection_sets_for(group, h_members, limits)
+    roots = _orbit_roots(connection_sets, h.stabiliser_generators)
+    # per class root with classmates still to come: the outcome of each
+    # check they copy, or None
+    shared: dict[int, list] = {}
+    unscanned = Counter(roots)
+    evaluate_all = [None] * len(checks)
+    copied = 0
+    for position, c in enumerate(connection_sets):
         ctx = InstanceContext(group, h, c, limits)
+        root = roots[position]
+        unscanned[root] -= 1
+        copies = shared.get(root, evaluate_all) if unscanned[root] else shared.pop(root, evaluate_all)
         outcomes = []
         try:
-            for check in checks:
-                outcomes.append(_evaluate(ctx, check))
+            for check, outcome in zip(checks, copies):
+                outcomes.append(outcome or _evaluate(ctx, check))
         except (RelCayError, RecursionError) as err:
             # one faulty instance is reported, not fatal to the scan
             errors.append(
@@ -1015,6 +1080,13 @@ def _scan_subgroup(args):
                 }
             )
             continue
+        if root == position and unscanned[root]:
+            shared[root] = [
+                outcome if copy and outcome[2] in (AGREE, NOT_APPLICABLE) else None
+                for copy, outcome in zip(copyable, outcomes)
+            ]
+        elif copies is not evaluate_all:
+            copied += 1
         scanned.evaluated.add(c.members)
         # verdicts are tallied directly; a record is built only for a mismatch
         for check, outcome in zip(checks, outcomes):
@@ -1040,7 +1112,7 @@ def _scan_subgroup(args):
         block = _RecordBlock(
             group.spec, h.names(), h_members, tuple(checks[i] for i in by_name), tuple(rows)
         )
-    return catalog_index, h_members, dict(totals), entries, block, errors
+    return catalog_index, h_members, dict(totals), entries, block, errors, copied
 
 
 def run_audit(
@@ -1105,11 +1177,13 @@ def run_audit(
     mismatch_entries: list[MismatchEntry] = []
     blocks: list[_RecordBlock] = []
     errors: list[dict] = []
-    for _, _, item_totals, item_mismatches, item_block, item_errors in results:
+    copied = 0
+    for _, _, item_totals, item_mismatches, item_block, item_errors, item_copied in results:
         totals_counter.update(item_totals)
         mismatch_entries.extend(item_mismatches)
         blocks.append(item_block)
         errors.extend(item_errors)
+        copied += item_copied
 
     totals = {
         check: {verdict: totals_counter.get((check, verdict), 0) for verdict in VERDICTS}
@@ -1133,6 +1207,7 @@ def run_audit(
         records=RecordTable(blocks) if keep_records else None,
         wall_time_seconds=time.monotonic() - started,
         errors=tuple(errors),
+        copied_instances=copied,
     )
 
 

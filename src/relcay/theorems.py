@@ -121,7 +121,7 @@ class InstanceSets:
 
     @cached_attribute
     def outer_square(self) -> ElementSet:
-        return self.h.intersection(product_set(self.outer, self.outer))
+        return self.h.product_within(self.outer, self.outer)
 
     @cached_attribute
     def hc_star(self) -> ElementSet:

@@ -49,7 +49,6 @@ from relcay.graphs import (
 from relcay.group_core import (
     ElementSet,
     Subgroup,
-    conjugate_set,
     enumerate_subgroups,
     generated_subgroup,
     make_group,
@@ -68,6 +67,15 @@ NON_AUDITED = tuple(c for c in ALL_CHECKS if c not in AUDITED_CHECKS)
 @pytest.fixture(scope="module")
 def c4_report():
     return run_audit(["C4"], keep_records=True)
+
+
+@pytest.fixture
+def no_sharing(monkeypatch):
+    """Every instance evaluated in full: no subgroup has a stabiliser
+    generator, so every class of connection sets is a single instance.  A
+    property, so values the subgroups have kept from earlier scans are not
+    read either."""
+    monkeypatch.setattr(Subgroup, "stabiliser_generators", property(lambda h: ()))
 
 
 def test_c4_instance_count(c4_report):
@@ -218,7 +226,7 @@ def test_shrinking_reads_the_scans_own_verdicts(monkeypatch, request):
     assert built
 
 
-def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypatch):
+def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypatch, no_sharing):
     group = relcay.group_core.make_group("D4")
     subgroups = [s for s in relcay.group_core.enumerate_subgroups(group) if s.is_proper]
     relcay.theorems._induced_coloring.cache_clear()  # forget colorings kept earlier
@@ -557,7 +565,7 @@ def test_full_records_json_matches_the_benchmark_golden():
         assert digest == golden, f"parallelism {parallelism}"
 
 
-def test_each_graph_is_clique_searched_once(monkeypatch):
+def test_each_graph_is_clique_searched_once(monkeypatch, no_sharing):
     searches: Counter = Counter()
     real = relcay.oracles._clique_search
 
@@ -775,52 +783,102 @@ def test_predictors_give_the_same_answers_with_shared_sets():
 
 
 # --------------------------------------------------------------------------
-# Metamorphic: conjugating an instance relabels the graph by an automorphism
+# Metamorphic: an automorphism relabels the graph
 
 
-def _comparable(value) -> bool:
-    return value is None or isinstance(value, (bool, int, float))
+def _image(phi, members) -> tuple[int, ...]:
+    return tuple(sorted(phi[x] for x in members))
 
 
-# The non-abelian groups of order at most 8 but Q8, where conjugation fixes
-# every subgroup and every inverse-closed set; in an abelian group it fixes
-# everything.
-@pytest.mark.parametrize("spec", ["D3", "S3", "D4"])
+@pytest.mark.parametrize("spec", DEFAULT_CATALOG)
 def test_conjugate_instances_get_the_same_verdicts(spec):
-    # x -> g^-1 x g maps the graph of (H, C) onto that of (g^-1 H g, g^-1 C g),
-    # so every check must reach the same verdict on both, and the same
-    # numbers wherever its values are plain numbers, booleans or None.  One
-    # seeded g per instance, drawn from those that move (H, C).
+    # An automorphism phi of G maps the graph of (H, C) onto that of
+    # (phi(H), phi(C)), so every check must reach the same verdict on both,
+    # and the same predicted and observed values unless it is labelled.
+    # Where the verdict is agree or not-applicable the whole outcome must be
+    # equal: that is what the scan copies within a class of instances.  A
+    # seeded sample of connection sets per subgroup, each with a seeded
+    # automorphism (inner or outer) that moves (H, C).
     g = make_group(spec)
     limits = Limits()
     draw = random.Random(spec)
+    automorphisms = g.automorphisms
+    orbits = inverse_orbits(g)
+    labelled = {check.name for check in CHECKS if check.labelled}
+    assert labelled == {"degree_formula", "full_degree_coset", "isolated_vertex"}
     compared = 0
     for h in enumerate_subgroups(g):
         if not h.is_proper:
             continue
-        for c in enumerate_connection_sets(g):
+        for _ in range(3):
+            bits = draw.getrandbits(len(orbits))
+            c = ConnectionSet(g, [x for i, o in enumerate(orbits) if bits >> i & 1 for x in o])
             movers = [
-                x
-                for x in range(g.order)
-                if conjugate_set(h, x) != h or conjugate_set(c, x) != c
+                phi
+                for phi in (draw.choice(automorphisms) for _ in range(20))
+                if _image(phi, h.members) != h.members or _image(phi, c.members) != c.members
             ]
             if not movers:
                 continue
-            x = draw.choice(movers)
-            h2 = g.subgroup(conjugate_set(h, x).members)
-            c2 = ConnectionSet(g, conjugate_set(c, x).members)
+            phi = movers[0]
+            h2 = g.subgroup(_image(phi, h.members))
+            c2 = ConnectionSet(g, _image(phi, c.members))
             one = InstanceContext(g, h, c, limits)
             two = InstanceContext(g, h2, c2, limits)
             for name in ALL_CHECKS:
                 first = relcay.audit._evaluate(one, name)
                 second = relcay.audit._evaluate(two, name)
-                where = (name, h.names(), c.names(), g.names[x])
+                where = (name, h.names(), c.names(), phi)
                 assert first[2] == second[2], where
-                for a, b in zip(first[:2], second[:2]):
-                    if _comparable(a) and _comparable(b):
-                        assert a == b, where
+                if name not in labelled:
+                    assert first[:2] == second[:2], where
+                    if first[2] in (AGREE, NOT_APPLICABLE):
+                        assert first == second, where
                 compared += 1
-    assert compared > 0
+    # inversion, an automorphism of an abelian group, fixes every subgroup
+    # and every inverse-closed set
+    assert compared > 0 or set(automorphisms) <= {tuple(range(g.order)), g.inv}
+
+
+# --------------------------------------------------------------------------
+# Sharing outcomes within a class of instances
+
+
+def test_sharing_outcomes_within_classes_is_invisible_in_the_bytes(request):
+    catalog = catalog_up_to(8)
+    shared = [run_audit(catalog, keep_records=True, parallelism=p) for p in (1, 2)]
+    request.getfixturevalue("no_sharing")
+    alone = run_audit(catalog, keep_records=True)
+    json_text, csv_text = alone.to_json(), alone.to_csv()
+    for report in shared:
+        assert report.to_json() == json_text
+        assert report.to_csv() == csv_text
+    instances = sum(entry["instances"] for entry in alone.catalog)
+    assert 0 < shared[0].copied_instances == shared[1].copied_instances < instances
+    assert alone.copied_instances == 0
+
+
+def test_labelled_checks_run_on_every_instance(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def check(ctx):
+            calls[name] += 1
+            return fn(ctx)
+
+        return check
+
+    for check in CHECKS:
+        monkeypatch.setitem(relcay.audit._CHECK_FNS, check.name, counted(check.name, check.fn))
+    report = run_audit(("D4",), shrink=False)
+    instances = report.catalog[0]["instances"]
+    assert report.copied_instances > 0
+    for check in CHECKS:
+        if check.labelled:
+            assert calls[check.name] == instances, check.name
+        elif report.totals[check.name][MISMATCH] == 0:
+            # a copied instance takes this check's outcome from its class
+            assert calls[check.name] == instances - report.copied_instances, check.name
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,10 @@ brute.py before being asserted here.
 """
 from __future__ import annotations
 
+import hashlib
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from relcay.audit import DEFAULT_CATALOG
+from relcay.audit import DEFAULT_CATALOG, Limits, catalog_up_to, run_audit
 from relcay.errors import (
     CapacityError,
     GroupMismatchError,
@@ -230,6 +233,133 @@ def test_group_table_raises_exactly_when_the_full_group_law_check_fails():
     assert outcomes[0, True] > 0 and outcomes[1, False] > 0 and outcomes[4, False] > 0
     assert sum(n for (_, ok), n in outcomes.items() if ok) >= 50
     assert sum(n for (_, ok), n in outcomes.items() if not ok) >= 200
+
+
+# --------------------------------------------------------------------------
+# Automorphisms
+
+
+def _euler_phi(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+# |Aut(Cn)| = phi(n), |Aut(Dn)| = n phi(n) for n >= 3, |Aut(S4)| = |Aut(Q8)| = 24,
+# and the elementary abelian groups have GL(2,2), GL(3,2) and GL(4,2)
+AUTOMORPHISM_COUNTS = {
+    **{f"C{n}": _euler_phi(n) for n in range(2, 13)},
+    **{f"D{n}": n * _euler_phi(n) for n in range(3, 9)},
+    "S4": 24,
+    "Q8": 24,
+    "C2xC2": 6,
+    "C2xC2xC2": 168,
+    "E2^4": 20160,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(AUTOMORPHISM_COUNTS))
+def test_automorphisms_are_counted_right_and_respect_the_whole_table(spec):
+    g = make_group(spec)
+    automorphisms = g.automorphisms
+    assert len(set(automorphisms)) == len(automorphisms) == AUTOMORPHISM_COUNTS[spec]
+    assert automorphisms[0] == tuple(range(g.order))
+    mul = g.mul
+    for phi in automorphisms:
+        assert sorted(phi) == list(range(g.order))
+        # phi(xy) = phi(x) phi(y) for every x and y, one row x at a time
+        for x, row in enumerate(mul):
+            assert list(map(phi.__getitem__, row)) == list(map(mul[phi[x]].__getitem__, phi))
+
+
+def test_a_corrupted_automorphism_is_rejected():
+    g = make_group("D4")
+    phi = g.automorphisms[-1]
+    g.check_automorphism(phi)
+    a, a3 = g.element("a"), g.element("a3")
+    swapped = list(phi)
+    swapped[a], swapped[a3] = phi[a3], phi[a]
+    assert tuple(swapped) not in g.automorphisms
+    with pytest.raises(InternalConsistencyError, match="not an automorphism of D4: phi"):
+        g.check_automorphism(tuple(swapped))
+    merged = list(phi)
+    merged[a] = phi[a3]
+    with pytest.raises(InternalConsistencyError, match="not a bijection"):
+        g.check_automorphism(tuple(merged))
+    with pytest.raises(InternalConsistencyError, match="not a bijection"):
+        g.check_automorphism(phi[:-1])
+
+
+def test_automorphisms_above_the_candidate_cap_raise_at_once():
+    g = make_group("E2^5")
+    started = time.perf_counter()
+    with pytest.raises(CapacityError, match="28629151 candidate"):
+        g.automorphisms
+    assert time.perf_counter() - started < 1.0
+    # with no automorphisms listed, every subgroup's stabiliser is generated by nothing
+    assert g.subgroup([0, 1]).stabiliser_generators == ()
+
+
+def test_an_audit_past_the_automorphism_cap_evaluates_every_instance():
+    # the bytes of this audit before automorphism classes were shared
+    report = run_audit(("E2^5",), limits=Limits(max_connection_sets=2))
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "77768acfba0ea2b94d257e06d702238e4ee5953b9067ca176582e10cee15c1c1"
+    assert report.copied_instances == 0 and not report.errors
+
+
+def generated_permutations(gens, n: int) -> set:
+    span = {tuple(range(n))}
+    frontier = list(span)
+    for phi in frontier:
+        for psi in gens:
+            composed = tuple(phi[y] for y in psi)
+            if composed not in span:
+                span.add(composed)
+                frontier.append(composed)
+    return span
+
+
+@pytest.mark.parametrize("spec", ["D4", "S4", "Q8", "C2xC2xC2"])
+def test_stabiliser_generators_generate_the_stabiliser_of_h(spec):
+    g = make_group(spec)
+    for h in enumerate_subgroups(g):
+        want = {phi for phi in g.automorphisms if {phi[x] for x in h} == set(h)}
+        kept = h.stabiliser_generators
+        assert generated_permutations(kept, g.order) == want
+        # none of them is generated by those before it
+        for k, phi in enumerate(kept):
+            assert phi not in generated_permutations(kept[:k], g.order)
+
+
+def test_stabiliser_generators_are_automorphisms_by_sympy():
+    # an independent reference: on the regular representation x -> xy, phi is
+    # the conjugation by its permutation Phi, and sympy must find that the
+    # homomorphism it defines is an isomorphism taking each x to phi(x)
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    homomorphism = pytest.importorskip("sympy.combinatorics.homomorphisms").homomorphism
+    Permutation = combinatorics.Permutation
+    checked = 0
+    for spec in catalog_up_to(12):
+        g = make_group(spec)
+        regular = [
+            Permutation([g.mul[x][y] for x in range(g.order)]) for y in range(g.order)
+        ]
+        group = combinatorics.PermutationGroup(regular[1:])
+        gens = list(group.generators)
+        found = {
+            phi for h in enumerate_subgroups(g) if h.is_proper for phi in h.stabiliser_generators
+        }
+        for phi in sorted(found):
+            conjugate = Permutation(list(phi))
+            # ~P * p * P applies P^-1, then p, then P: x -> phi(phi^-1(x) y)
+            images = [~conjugate * p * conjugate for p in gens]
+            assert images == [regular[phi[p(0)]] for p in gens], (spec, phi)
+            # sympy's own check of the images (check=True) needs a presentation
+            # of the group, seconds per group; the conjugation above is the check
+            f = homomorphism(group, group, gens, images, check=False)
+            assert f.is_isomorphism(), (spec, phi)
+            assert [f(p) for p in regular] == [regular[y] for y in phi], (spec, phi)
+            checked += 1
+    assert checked > 50
 
 
 def test_element_name_round_trip():
