@@ -7,11 +7,12 @@ classifies each pair as agree, mismatch, not-applicable, or unevaluated.
 The scan tallies each verdict as it comes and builds an ``AuditRecord``
 only for a mismatch.  When ``keep_records`` is set it also keeps one row
 per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
-Mismatches are shrunk to smaller witnesses inside the work item that found
-them, so a pooled audit shrinks in its workers.  Within a work item, an
-instance that an automorphism fixing H maps onto an earlier one copies the
-earlier one's label-free outcomes instead of evaluating them again (see
-``_scan_subgroup``).
+A work item is one orbit of proper subgroups of one group under its
+automorphisms.  Mismatches are shrunk to smaller witnesses inside the work
+item that found them, so a pooled audit shrinks in its workers.  Within a
+work item, an instance (H, C) that an automorphism maps onto an earlier
+one copies the earlier one's label-free outcomes instead of evaluating
+them again (see ``_scan_orbit``).
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -175,7 +176,7 @@ _Row = tuple[tuple[int, ...], tuple[str, ...], tuple[tuple[object, object, str, 
 
 
 class _RecordBlock(NamedTuple):
-    """The kept records of one work item: its group and subgroup, its checks
+    """The kept records of one subgroup: its group and subgroup, its checks
     in name order, and one row per evaluated instance, sorted by C indices."""
 
     group: str
@@ -189,9 +190,10 @@ class RecordTable(Sequence):
     """Every kept (instance, check) outcome of an audit, as a read-only
     sequence of ``AuditRecord``s.
 
-    The outcomes are stored as one row per instance, in one block per work
-    item, and an ``AuditRecord`` is built each time one is read.  The order
-    is the scan's: by work item, then by C indices, then by check name.
+    The outcomes are stored as one row per instance, in one block per
+    subgroup, and an ``AuditRecord`` is built each time one is read.  The
+    order is by group and subgroup as the catalog lists them, then by C
+    indices, then by check name.
     """
 
     __slots__ = ("blocks", "_ends")
@@ -233,8 +235,9 @@ class AuditReport:
     records: Optional[RecordTable]
     wall_time_seconds: float
     errors: tuple[dict, ...] = ()
-    # instances that copied outcomes from the first instance of their class
-    # (see _scan_subgroup); like the wall time, never serialised
+    # instances that copied outcomes from the first instance of their class,
+    # which may lie on another subgroup of the same work item (see
+    # _scan_orbit); like the wall time, never serialised
     copied_instances: int = 0
 
     def has_blocking_mismatch(self) -> bool:
@@ -994,125 +997,179 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 # Scan driver
 
 
-def _orbit_roots(connection_sets, automorphisms) -> list[int]:
-    """For each scanned connection set, the scan index of the first set of
-    its class, where C and phi(C) are in one class whenever both were
-    scanned and phi is one of ``automorphisms``.
-
-    With generators of the stabiliser of H, an exhaustive scan's classes
-    are the orbits of that stabiliser; a sampled scan's can only be finer,
-    since a class never leaves the sample.  Classes are merged under their
-    smaller root, so each root is its class's least index.
-    """
-    index = {c.mask: i for i, c in enumerate(connection_sets)}
-    parent = list(range(len(connection_sets)))
+def _least_roots(size: int, links) -> list[int]:
+    """For each of ``size`` items, the least item of its class, where the
+    classes are the finest partition that puts i and j together for every
+    pair (i, j) of ``links``."""
+    parent = list(range(size))
 
     def root(i: int) -> int:
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for phi in automorphisms:
-        bits = [1 << y for y in phi]
-        for i, c in enumerate(connection_sets):
-            j = index.get(sum(map(bits.__getitem__, c.members)))
-            if j is not None:
-                a, b = root(i), root(j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-    return [root(i) for i in range(len(parent))]
+    for i, j in links:
+        a, b = root(i), root(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [root(i) for i in range(size)]
 
 
-def _scan_subgroup(args):
-    """Scan one (group, subgroup) work item; its mismatches come back as
-    ``MismatchEntry``s, shrunk here when ``shrink`` is set, so a pooled
-    audit shrinks in its workers.  With ``keep_records`` it also returns
-    its ``_RecordBlock``, else None.
+def _image_links(sets, phi, index: dict, offset: int = 0):
+    """The pairs (offset + i, j) where the image under the automorphism phi
+    of ``sets[i]`` (element sets) has the mask that ``index`` maps to j."""
+    bits = [1 << y for y in phi]
+    for i, s in enumerate(sets, offset):
+        j = index.get(sum(map(bits.__getitem__, s.members)))
+        if j is not None:
+            yield i, j
 
-    The scanned connection sets are split into classes under the
-    automorphisms of G that fix H (``_orbit_roots`` over
-    ``Subgroup.stabiliser_generators``); an automorphism maps the graph of
-    (H, C) onto that of (H, phi(C)), so every check has one verdict on a
+
+def _subgroup_orbits(subgroups, automorphisms) -> list[list[int]]:
+    """The positions of ``subgroups``, split into orbits of the group that
+    ``automorphisms`` generate; the list must be closed under them, as a
+    group's proper subgroups are under its automorphisms.  Each orbit is in
+    position order, and the orbits are in the order of their least
+    positions."""
+    index = {h.mask: k for k, h in enumerate(subgroups)}
+    links = (link for phi in automorphisms for link in _image_links(subgroups, phi, index))
+    orbits: dict[int, list[int]] = {}
+    for k, root in enumerate(_least_roots(len(subgroups), links)):
+        orbits.setdefault(root, []).append(k)
+    return list(orbits.values())
+
+
+def _class_roots(subgroups, scans) -> list[int]:
+    """For each (H, C) pair that a work item scans, numbered subgroup by
+    subgroup (``scans[k]`` holds the connection sets of ``subgroups[k]``),
+    the number of the first pair of its class.  (H, C) and (phi(H),
+    phi(C)) are in one class whenever both are scanned and phi is one of
+    ``GroupTable.automorphism_generators``, which move H inside the item's
+    orbit, or one of H's own ``stabiliser_generators``.
+
+    When every scan is exhaustive the classes are the orbits of Aut(G) on
+    the pairs.  A sampled scan's can only be finer, since a class never
+    leaves the sample; the stabiliser's generators link pairs there that
+    chains of the group's generators only reach through unsampled sets.
+    """
+    offsets = [0, *accumulate(map(len, scans))]
+    index = {
+        h.mask: {c.mask: i for i, c in enumerate(scan, offset)}
+        for h, scan, offset in zip(subgroups, scans, offsets)
+    }
+    links = []
+    for h, scan, offset in zip(subgroups, scans, offsets):
+        for phi in (*h.group.automorphism_generators, *h.stabiliser_generators):
+            image = index[sum(1 << phi[x] for x in h.members)]
+            links.append(_image_links(scan, phi, image, offset))
+    return _least_roots(offsets[-1], (link for found in links for link in found))
+
+
+class _SubgroupResult(NamedTuple):
+    """What a work item found on one of its subgroups: its verdict tallies,
+    its mismatches (shrunk when the audit shrinks), its ``_RecordBlock``
+    under ``keep_records`` (else None), and the instances that raised."""
+
+    totals: dict
+    mismatches: list[MismatchEntry]
+    block: Optional[_RecordBlock]
+    errors: list[dict]
+
+
+def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
+    """Scan one work item, an orbit of proper subgroups of one group under
+    its automorphisms, and return one ``_SubgroupResult`` per subgroup, in
+    the item's order, and how many instances copied outcomes.  Mismatches
+    are shrunk here when ``shrink`` is set, so a pooled audit shrinks in
+    its workers.
+
+    The scanned (H, C) pairs are split into classes under automorphisms of
+    G (``_class_roots``); an automorphism phi maps the graph of (H, C)
+    onto that of (phi(H), phi(C)), so every check has one verdict on a
     class.  The first instance of a class is evaluated in full.  A later
     one copies the first one's outcome of each check that is not
     ``labelled`` and that agreed or did not apply there, and evaluates
     every other check itself, so each mismatch, unevaluated outcome,
     witness and shrink is still its own.  The classmates of a first
-    instance that raised are evaluated in full.  The last item of the
-    result is how many instances copied outcomes."""
-    catalog_index, spec, h_members, checks, limits, keep_records, shrink = args
+    instance that raised are evaluated in full."""
+    spec, h_list, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
-    h = group.subgroup(h_members)
-    totals: Counter = Counter()
-    mismatches: list[AuditRecord] = []
-    rows: list[_Row] = []
-    errors: list[dict] = []
-    scanned = _ScanVerdicts(h_members, set(), {})
+    subgroups = [group.subgroup(members) for members in h_list]
+    scans = [_connection_sets_for(group, h.members, limits) for h in subgroups]
+    roots = _class_roots(subgroups, scans)
     # a row holds its outcomes in check-name order
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
     copyable = [check not in _LABELLED_CHECKS for check in checks]
-    connection_sets = _connection_sets_for(group, h_members, limits)
-    roots = _orbit_roots(connection_sets, h.stabiliser_generators)
     # per class root with classmates still to come: the outcome of each
     # check they copy, or None
     shared: dict[int, list] = {}
     unscanned = Counter(roots)
     evaluate_all = [None] * len(checks)
     copied = 0
-    for position, c in enumerate(connection_sets):
-        ctx = InstanceContext(group, h, c, limits)
-        root = roots[position]
-        unscanned[root] -= 1
-        copies = shared.get(root, evaluate_all) if unscanned[root] else shared.pop(root, evaluate_all)
-        outcomes = []
-        try:
-            for check, outcome in zip(checks, copies):
-                outcomes.append(outcome or _evaluate(ctx, check))
-        except (RelCayError, RecursionError) as err:
-            # one faulty instance is reported, not fatal to the scan
-            errors.append(
-                {
-                    "group": group.spec,
-                    "h": list(ctx.h_names),
-                    "c": list(ctx.c_names),
-                    "check": check,
-                    "error": f"{type(err).__name__}: {err}",
-                }
+    results = []
+    offset = 0
+    for h, connection_sets in zip(subgroups, scans):
+        totals: Counter = Counter()
+        mismatches: list[AuditRecord] = []
+        rows: list[_Row] = []
+        errors: list[dict] = []
+        scanned = _ScanVerdicts(h.members, set(), {})
+        for position, c in enumerate(connection_sets, offset):
+            ctx = InstanceContext(group, h, c, limits)
+            root = roots[position]
+            unscanned[root] -= 1
+            copies = (shared.get if unscanned[root] else shared.pop)(root, evaluate_all)
+            outcomes = []
+            try:
+                for check, outcome in zip(checks, copies):
+                    outcomes.append(outcome or _evaluate(ctx, check))
+            except (RelCayError, RecursionError) as err:
+                # one faulty instance is reported, not fatal to the scan
+                errors.append(
+                    {
+                        "group": group.spec,
+                        "h": list(ctx.h_names),
+                        "c": list(ctx.c_names),
+                        "check": check,
+                        "error": f"{type(err).__name__}: {err}",
+                    }
+                )
+                continue
+            if root == position and unscanned[root]:
+                shared[root] = [
+                    outcome if copy and outcome[2] in (AGREE, NOT_APPLICABLE) else None
+                    for copy, outcome in zip(copyable, outcomes)
+                ]
+            elif copies is not evaluate_all:
+                copied += 1
+            scanned.evaluated.add(c.members)
+            # verdicts are tallied directly; a record is built only for a mismatch
+            for check, outcome in zip(checks, outcomes):
+                verdict = outcome[2]
+                totals[check, verdict] += 1
+                if verdict == MISMATCH:
+                    record = _build_record(ctx, check, outcome)
+                    mismatches.append(record)
+                    scanned.mismatches[c.members, check] = record
+            if keep_records:
+                rows.append((c.members, ctx.c_names, tuple(outcomes[i] for i in by_name)))
+        offset += len(connection_sets)
+        mismatches.sort(key=lambda r: (r.c_indices, r.check))
+        entries = [
+            MismatchEntry(
+                original=record,
+                shrunk=shrink_counterexample(record, limits, scanned) if shrink else record,
             )
-            continue
-        if root == position and unscanned[root]:
-            shared[root] = [
-                outcome if copy and outcome[2] in (AGREE, NOT_APPLICABLE) else None
-                for copy, outcome in zip(copyable, outcomes)
-            ]
-        elif copies is not evaluate_all:
-            copied += 1
-        scanned.evaluated.add(c.members)
-        # verdicts are tallied directly; a record is built only for a mismatch
-        for check, outcome in zip(checks, outcomes):
-            verdict = outcome[2]
-            totals[check, verdict] += 1
-            if verdict == MISMATCH:
-                record = _build_record(ctx, check, outcome)
-                mismatches.append(record)
-                scanned.mismatches[c.members, check] = record
+            for record in mismatches
+        ]
+        block = None
         if keep_records:
-            rows.append((c.members, ctx.c_names, tuple(outcomes[i] for i in by_name)))
-    mismatches.sort(key=lambda r: (r.c_indices, r.check))
-    entries = [
-        MismatchEntry(
-            original=record,
-            shrunk=shrink_counterexample(record, limits, scanned) if shrink else record,
-        )
-        for record in mismatches
-    ]
-    block = None
-    if keep_records:
-        rows.sort(key=lambda row: row[0])
-        block = _RecordBlock(
-            group.spec, h.names(), h_members, tuple(checks[i] for i in by_name), tuple(rows)
-        )
-    return catalog_index, h_members, dict(totals), entries, block, errors, copied
+            rows.sort(key=lambda row: row[0])
+            block = _RecordBlock(
+                group.spec, h.names(), h.members, tuple(checks[i] for i in by_name), tuple(rows)
+            )
+        results.append(_SubgroupResult(dict(totals), entries, block, errors))
+    return results, copied
 
 
 def run_audit(
@@ -1134,6 +1191,10 @@ def run_audit(
     a ``RelCayError`` (other than an exhausted search budget, which makes
     the check ``unevaluated``) or a ``RecursionError`` is left out of the
     totals and listed in the report's ``errors``.
+
+    Each work item is one orbit of a group's proper subgroups under its
+    automorphisms (``_scan_orbit``); their results are put back in subgroup
+    order.
     """
     started = time.monotonic()
     limits = limits or Limits()
@@ -1143,7 +1204,9 @@ def run_audit(
 
     catalog_entries = []
     work_items = []
-    for index, requested_spec in enumerate(catalog):
+    # the places of each item's subgroups in the audit's subgroup order
+    placements = []
+    for requested_spec in catalog:
         group = make_group(requested_spec, max_order=limits.max_order)
         subgroups = [
             s for s in enumerate_subgroups(group, limits.max_order) if s.is_proper
@@ -1160,30 +1223,35 @@ def run_audit(
                 "instances": scanned * len(subgroups),
             }
         )
-        for s in subgroups:
-            work_items.append(
-                (index, group.spec, s.members, checks, limits, keep_records, shrink)
-            )
+        first = sum(map(len, placements))
+        for orbit in _subgroup_orbits(subgroups, group.automorphism_generators):
+            members = tuple(subgroups[k].members for k in orbit)
+            work_items.append((group.spec, members, checks, limits, keep_records, shrink))
+            placements.append([first + k for k in orbit])
 
     if parallelism == 1:
-        results = [_scan_subgroup(item) for item in work_items]
+        results = [_scan_orbit(item) for item in work_items]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_scan_subgroup, work_items))
+            results = list(pool.map(_scan_orbit, work_items))
 
+    # each subgroup's result goes to its place in the subgroup order, so the
+    # bytes do not depend on how the subgroups were grouped into items
+    placed: list[_SubgroupResult] = [None] * sum(map(len, placements))
+    copied = 0
+    for places, (item_results, item_copied) in zip(placements, results):
+        for place, result in zip(places, item_results):
+            placed[place] = result
+        copied += item_copied
     totals_counter: Counter = Counter()
     mismatch_entries: list[MismatchEntry] = []
-    blocks: list[_RecordBlock] = []
     errors: list[dict] = []
-    copied = 0
-    for _, _, item_totals, item_mismatches, item_block, item_errors, item_copied in results:
-        totals_counter.update(item_totals)
-        mismatch_entries.extend(item_mismatches)
-        blocks.append(item_block)
-        errors.extend(item_errors)
-        copied += item_copied
+    for result in placed:
+        totals_counter.update(result.totals)
+        mismatch_entries.extend(result.mismatches)
+        errors.extend(result.errors)
 
     totals = {
         check: {verdict: totals_counter.get((check, verdict), 0) for verdict in VERDICTS}
@@ -1204,7 +1272,7 @@ def run_audit(
         catalog=tuple(catalog_entries),
         totals=totals,
         mismatches=tuple(mismatch_entries),
-        records=RecordTable(blocks) if keep_records else None,
+        records=RecordTable(result.block for result in placed) if keep_records else None,
         wall_time_seconds=time.monotonic() - started,
         errors=tuple(errors),
         copied_instances=copied,
@@ -1235,10 +1303,10 @@ def evaluate_check(
 
 @dataclass(frozen=True)
 class _ScanVerdicts:
-    """What a work item's scan found on its subgroup: the connection sets
-    (member tuples) whose every check ran, and the record of each
-    (connection set, check) pair among them that mismatched.  It lives as
-    long as its work item and is never returned from it."""
+    """What a work item's scan found on one of its subgroups: the
+    connection sets (member tuples) whose every check ran, and the record
+    of each (connection set, check) pair among them that mismatched.  It
+    lives as long as its work item and is never returned from it."""
 
     h_members: tuple[int, ...]
     evaluated: set[tuple[int, ...]]

@@ -227,6 +227,8 @@ def _format_audit_text(report) -> str:
     lines.append(f"mismatches: {len(report.mismatches)} (blocking {blocking})")
     if report.errors:
         lines.append(f"errors: {len(report.errors)} instance(s) could not be evaluated")
+    # instances that took outcomes from an automorphic image (see audit._scan_orbit)
+    lines.append(f"copied outcomes: {report.copied_instances} of {instance_total} instances")
     lines.append(f"wall time: {report.wall_time_seconds:.1f}s")
     return "\n".join(lines) + "\n"
 

@@ -19,8 +19,9 @@ object per member set, which also keeps its own tables (coset partitions,
 the A*B*A flag, see ``Subgroup``) once computed.  Each generator mask is
 closed once per group, and ``width``, ``psi`` and ``subgroups_within``
 answer each mask once per group.  ``GroupTable.automorphisms`` lists the
-automorphisms once per group, each verified against the table, and
-``Subgroup.stabiliser_generators`` picks generators of those that fix a
+automorphisms once per group, each verified against the table;
+``GroupTable.automorphism_generators`` picks generators of them, and
+``Subgroup.stabiliser_generators`` generators of those that fix a
 subgroup.  All objects here are immutable apart from these caches and safe
 to share across workers.
 """
@@ -240,6 +241,14 @@ class GroupTable:
         gens = _table_generators(self.mul, self.identity)
         keys = [tuple(map(phi.__getitem__, gens)) for phi in automorphisms]
         return tuple(zip(*automorphisms)), keys, dict(zip(keys, automorphisms))
+
+    @cached_attribute
+    def automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
+        """A generating set of the automorphisms: those that
+        ``Subgroup.stabiliser_generators`` keeps for the trivial subgroup,
+        which every automorphism fixes.  It is empty when the automorphisms
+        are not listed because their search would pass its cap."""
+        return self.subgroup((self.identity,)).stabiliser_generators
 
     def check_automorphism(self, images: tuple[int, ...]) -> None:
         """Raise ``InternalConsistencyError`` unless ``images`` maps the

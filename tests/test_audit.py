@@ -48,6 +48,7 @@ from relcay.graphs import (
 )
 from relcay.group_core import (
     ElementSet,
+    GroupTable,
     Subgroup,
     enumerate_subgroups,
     generated_subgroup,
@@ -71,10 +72,12 @@ def c4_report():
 
 @pytest.fixture
 def no_sharing(monkeypatch):
-    """Every instance evaluated in full: no subgroup has a stabiliser
-    generator, so every class of connection sets is a single instance.  A
-    property, so values the subgroups have kept from earlier scans are not
-    read either."""
+    """Every instance evaluated in full: no group has an automorphism
+    generator and no subgroup a stabiliser generator, so every work item
+    is one subgroup and every class one instance.  Properties, so values
+    the groups and subgroups have kept from earlier scans are not read
+    either."""
+    monkeypatch.setattr(GroupTable, "automorphism_generators", property(lambda g: ()))
     monkeypatch.setattr(Subgroup, "stabiliser_generators", property(lambda h: ()))
 
 
@@ -718,7 +721,7 @@ def _count_calls(monkeypatch, name: str) -> Counter:
     return calls
 
 
-def test_each_split_table_is_built_once_per_audit(monkeypatch):
+def test_each_split_table_is_built_once_per_audit(monkeypatch, no_sharing):
     _fresh_group(monkeypatch, "D5")
     tables = _count_calls(monkeypatch, "_split_table")
     report = run_audit(("D5",), shrink=False)
@@ -879,6 +882,106 @@ def test_labelled_checks_run_on_every_instance(monkeypatch):
         elif report.totals[check.name][MISMATCH] == 0:
             # a copied instance takes this check's outcome from its class
             assert calls[check.name] == instances - report.copied_instances, check.name
+
+
+def _dispatched_items(monkeypatch, catalog) -> list:
+    """The work items ``run_audit`` hands to the scan for the catalog, each
+    as its group's spec and its subgroups' members; nothing is scanned."""
+    items = []
+
+    def recorded(args):
+        spec, h_list = args[:2]
+        items.append((spec, h_list))
+        return [relcay.audit._SubgroupResult({}, [], None, [])] * len(h_list), 0
+
+    monkeypatch.setattr(relcay.audit, "_scan_orbit", recorded)
+    run_audit(catalog)
+    return items
+
+
+def test_work_items_are_orbits_of_subgroups(monkeypatch):
+    items = _dispatched_items(monkeypatch, DEFAULT_CATALOG)
+    counts = Counter()
+    for spec, h_list in items:
+        g = make_group(spec)
+        subgroups = {frozenset(h) for h in h_list}
+        # the images of the item's first subgroup under every automorphism
+        # are the item's subgroups, each of them reached
+        first = h_list[0]
+        assert {frozenset(phi[x] for x in first) for phi in g.automorphisms} == subgroups, spec
+        counts[spec] += 1
+    # every proper subgroup lies in exactly one item
+    expected = [
+        (spec, s.members)
+        for spec in DEFAULT_CATALOG
+        for s in enumerate_subgroups(make_group(spec))
+        if s.is_proper
+    ]
+    assert sorted(expected) == sorted((spec, h) for spec, h_list in items for h in h_list)
+    assert {spec: counts[spec] for spec in ("C2xC2xC2", "D4", "Q8", "D7")} == {
+        "C2xC2xC2": 3, "D4": 5, "Q8": 3, "D7": 3,
+    }
+    assert counts["E2^4"] == 4
+
+
+def test_a_group_past_the_automorphism_cap_scans_one_subgroup_per_item(monkeypatch):
+    items = _dispatched_items(monkeypatch, ("E2^5",))
+    proper = [s.members for s in enumerate_subgroups(make_group("E2^5")) if s.is_proper]
+    assert [h for _, h_list in items for h in h_list] == proper
+    assert len(items) == len(proper) == 373
+
+
+@pytest.mark.parametrize(
+    "catalog, copied",
+    [
+        # before classes crossed subgroups, 2,715 and 2,968
+        (catalog_up_to(10), 3467),
+        (("D7",), 4041),
+    ],
+)
+def test_outcomes_are_shared_across_each_orbit_of_subgroups(catalog, copied):
+    report = run_audit(catalog, shrink=False)
+    assert report.copied_instances == copied
+    assert not report.errors
+
+
+def _totals_by_subgroup(report) -> Counter:
+    return Counter((r.h, r.check, r.verdict) for r in report.records)
+
+
+@pytest.mark.parametrize("check, place", [("edge_count", 0), ("degree_formula", -1)])
+def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, request, check, place):
+    """One check raises on every instance of one order-2 subgroup of
+    C2xC2xC2: the first of its orbit, where the classes are rooted, for a
+    check the others copy, or the last for a check that runs everywhere."""
+    relcay.audit.evaluate_check.cache_clear()
+    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
+    g = make_group("C2xC2xC2")
+    order_two = [s for s in enumerate_subgroups(g) if len(s) == 2]
+    assert len(order_two) == 7
+    faulty = order_two[place]
+    clean = run_audit(("C2xC2xC2",), keep_records=True, shrink=False)
+    real = relcay.audit._CHECK_FNS[check]
+
+    def flaky(ctx):
+        if ctx.h.members == faulty.members:
+            raise InternalConsistencyError("injected")
+        return real(ctx)
+
+    monkeypatch.setitem(relcay.audit._CHECK_FNS, check, flaky)
+    reports = [
+        run_audit(("C2xC2xC2",), keep_records=True, shrink=False, parallelism=p)
+        for p in (1, 2)
+    ]
+    assert reports[0].to_json() == reports[1].to_json()
+    report = reports[0]
+    scanned = relcay.audit._connection_sets_for(g, faulty.members, Limits())
+    assert [(e["h"], e["c"], e["check"]) for e in report.errors] == [
+        (list(faulty.names()), list(c.names()), check) for c in scanned
+    ]
+    others = {k: v for k, v in _totals_by_subgroup(clean).items() if k[0] != faulty.names()}
+    assert _totals_by_subgroup(report) == others
+    assert report.copied_instances < clean.copied_instances
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,14 @@ import pytest
 
 import relcay.cli
 import relcay.oracles
-from relcay.audit import DEFAULT_CATALOG, AuditRecord, AuditReport, Limits, MismatchEntry
+from relcay.audit import (
+    DEFAULT_CATALOG,
+    AuditRecord,
+    AuditReport,
+    Limits,
+    MismatchEntry,
+    run_audit,
+)
 from relcay.cli import _build_parser, execute_command, parse_elements, split_elements
 from relcay.errors import GroupSpecError
 from relcay.group_core import make_group
@@ -301,6 +308,15 @@ def test_audit_text_and_exit(capsys):
     assert status == 0
     assert "catalog: C4 (8 instances)" in out
     assert "regular      6         0               2            0" in out
+
+
+def test_audit_text_counts_copied_instances_before_wall_time(capsys):
+    report = run_audit(("C2xC2xC2",), ["regular"])
+    assert report.copied_instances > 0
+    execute_command(["audit", "--catalog", "C2xC2xC2", "--checks", "regular"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == f"copied outcomes: {report.copied_instances} of 1920 instances"
+    assert lines[-1].startswith("wall time: ")
 
 
 def test_audit_exit_zero_with_audited_findings(capsys):

@@ -294,7 +294,9 @@ def test_automorphisms_above_the_candidate_cap_raise_at_once():
     with pytest.raises(CapacityError, match="28629151 candidate"):
         g.automorphisms
     assert time.perf_counter() - started < 1.0
-    # with no automorphisms listed, every subgroup's stabiliser is generated by nothing
+    # with no automorphisms listed, the group and every subgroup's stabiliser
+    # are generated by nothing
+    assert g.automorphism_generators == ()
     assert g.subgroup([0, 1]).stabiliser_generators == ()
 
 
@@ -316,6 +318,15 @@ def generated_permutations(gens, n: int) -> set:
                 span.add(composed)
                 frontier.append(composed)
     return span
+
+
+@pytest.mark.parametrize("spec", catalog_up_to(12))
+def test_automorphism_generators_generate_every_automorphism(spec):
+    g = make_group(spec)
+    kept = g.automorphism_generators
+    assert generated_permutations(kept, g.order) == set(g.automorphisms)
+    for k, phi in enumerate(kept):
+        assert phi not in generated_permutations(kept[:k], g.order)
 
 
 @pytest.mark.parametrize("spec", ["D4", "S4", "Q8", "C2xC2xC2"])
