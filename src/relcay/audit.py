@@ -10,9 +10,10 @@ per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 A work item is one orbit of proper subgroups of one group under its
 automorphisms.  Mismatches are shrunk to smaller witnesses inside the work
 item that found them, so a pooled audit shrinks in its workers.  Within a
-work item, an instance (H, C) that an automorphism maps onto an earlier
-one copies the earlier one's label-free outcomes instead of evaluating
-them again (see ``_scan_orbit``).
+work item, an instance (H, C) that an automorphism phi maps an earlier one
+onto takes the earlier one's outcomes, moved through phi where they list
+vertices or name elements, instead of evaluating them again (see
+``Check`` and ``_scan_orbit``).
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -745,29 +746,85 @@ def _forbidden(kind: str, flag_name: Optional[str] = None) -> _CheckFn:
     return check
 
 
+def _move_names(names: tuple[str, ...], phi, ctx: InstanceContext) -> tuple[str, ...]:
+    """Element names mapped through phi, in index order."""
+    if not names:
+        return names
+    index = ctx.group.name_index
+    return ctx.names(sorted(map(phi.__getitem__, map(index.__getitem__, names))))
+
+
+def _move_vertex_values(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
+    """An outcome whose values list one value per vertex, moved through
+    phi: new[phi(x)] = old[x]."""
+    predicted, observed, verdict, witness = outcome
+    inverse = sorted(range(len(phi)), key=phi.__getitem__)
+    return (
+        tuple(map(predicted.__getitem__, inverse)),
+        tuple(map(observed.__getitem__, inverse)),
+        verdict,
+        witness,
+    )
+
+
+def _move_element_names(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
+    predicted, observed, verdict, witness = outcome
+    moved = _move_names(predicted, phi, ctx)
+    if observed != predicted:
+        return moved, _move_names(observed, phi, ctx), verdict, witness
+    return moved, moved, verdict, witness
+
+
+def _move_overlap_witness(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
+    """``square_free_as_printed``: only a mismatch's ``pair_product_overlap``
+    names elements."""
+    predicted, observed, verdict, witness = outcome
+    if witness is None:
+        return outcome
+    overlap = _move_names(witness["pair_product_overlap"], phi, ctx)
+    return predicted, observed, verdict, {**witness, "pair_product_overlap": overlap}
+
+
+_AGREED = frozenset({AGREE})
+_AGREED_OR_NOT_APPLICABLE = frozenset({AGREE, NOT_APPLICABLE})
+
+
 @dataclass(frozen=True)
 class Check:
     """One registered check.
 
     ``family`` is the theorem family ``check --theorem`` selects it by.  An
     ``audited`` check's disagreement is a documented finding, not a defect:
-    it never drives a failing exit status.  A ``labelled`` check's values
-    name elements or list one value per vertex, so an automorphism of the
-    instance changes them; every other check's values are None, booleans,
-    numbers or dicts of them, equal on instances that an automorphism maps
-    onto each other, and the scan copies them across such instances.
+    it never drives a failing exit status.
+
+    ``carried`` and ``move`` say how an outcome reaches an instance that an
+    automorphism phi maps the evaluated one onto (see ``_scan_orbit``): an
+    outcome whose verdict is in ``carried`` becomes ``move(outcome, phi,
+    ctx)`` on the instance of ``ctx``, or stays as it is when ``move`` is
+    None; any other outcome is evaluated there.  By default an outcome
+    that agreed or did not apply is carried as it is, since values that
+    are None, booleans, numbers or dicts of them are equal on the two
+    instances.  Values that list one value per vertex or name elements
+    are moved.  An ``unevaluated`` outcome is never carried, nor a
+    mismatch whose witness phi need not map onto the other instance's,
+    such as the first disagreeing vertex in index order or
+    ``connectivity``'s product witnesses.
     """
 
     name: str
     family: str
     fn: _CheckFn
     audited: bool = False
-    labelled: bool = False
+    carried: frozenset = _AGREED_OR_NOT_APPLICABLE
+    move: Optional[Callable[[_CheckResult, tuple, InstanceContext], _CheckResult]] = None
 
 
 # a check that only compares reads its prediction, observation and hypothesis in that order
 CHECKS: tuple[Check, ...] = (
-    Check("degree_formula", "valency", _check_degree_formula, labelled=True),
+    Check(
+        "degree_formula", "valency", _check_degree_formula,
+        carried=_AGREED, move=_move_vertex_values,
+    ),
     Check("edge_count", "valency", _check_edge_count),
     Check("valency_bound", "valency", _check_valency_bound),
     Check("regular", "valency", _check_regular),
@@ -775,8 +832,14 @@ CHECKS: tuple[Check, ...] = (
         ctx.valency.predicted_semi_regular, ctx.flags.semi_regular, eq,
         ctx.valency.semi_regular_applicable,
     )),
-    Check("full_degree_coset", "valency", _check_full_degree_coset, labelled=True),
-    Check("isolated_vertex", "valency", _check_isolated_vertex, labelled=True),
+    Check(
+        "full_degree_coset", "valency", _check_full_degree_coset,
+        carried=_AGREED, move=_move_element_names,
+    ),
+    Check(
+        "isolated_vertex", "valency", _check_isolated_vertex,
+        carried=_AGREED, move=_move_element_names,
+    ),
     Check("connectivity", "connectivity", _check_connectivity),
     Check("connectivity_disjoint", "connectivity", lambda ctx: _compared(
         ctx.connectivity.disjoint_predicted, ctx.flags.connected, eq,
@@ -825,6 +888,7 @@ CHECKS: tuple[Check, ...] = (
     Check(
         "square_free_as_printed", "forbidden",
         _forbidden("square_free_as_printed", "square_subgraph_free"), audited=True,
+        carried=frozenset({AGREE, NOT_APPLICABLE, MISMATCH}), move=_move_overlap_witness,
     ),
     Check("bipartite_sufficient", "forbidden", _forbidden("bipartite_sufficient", "bipartite")),
 )
@@ -832,7 +896,8 @@ CHECKS: tuple[Check, ...] = (
 _CHECK_FNS = {check.name: check.fn for check in CHECKS}
 ALL_CHECKS = tuple(_CHECK_FNS)
 AUDITED_CHECKS = frozenset(check.name for check in CHECKS if check.audited)
-_LABELLED_CHECKS = frozenset(check.name for check in CHECKS if check.labelled)
+# each check's verdicts that reach its classmates, and how they move
+_CARRY = {check.name: (check.carried, check.move) for check in CHECKS}
 
 
 def _evaluate(ctx: InstanceContext, check: str) -> _CheckResult:
@@ -962,10 +1027,16 @@ def _sampling_plan(group, limits: Limits):
     return orbits, sizes, ways, counts, quotas
 
 
+@lru_cache(maxsize=None)
+def _every_connection_set(group) -> tuple[ConnectionSet, ...]:
+    """An exhaustive scan's connection sets, built once per group."""
+    return tuple(enumerate_connection_sets(group))
+
+
 def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
     plan = _sampling_plan(group, limits)
     if plan is None:
-        return list(enumerate_connection_sets(group))
+        return _every_connection_set(group)
     orbits, sizes, ways, counts, quotas = plan
     key_h = ",".join(map(str, h_members))
     result = []
@@ -997,55 +1068,72 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 # Scan driver
 
 
-def _least_roots(size: int, links) -> list[int]:
-    """For each of ``size`` items, the least item of its class, where the
-    classes are the finest partition that puts i and j together for every
-    pair (i, j) of ``links``."""
-    parent = list(range(size))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in links:
-        a, b = root(i), root(j)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return [root(i) for i in range(size)]
+def _with_inverses(automorphisms):
+    """Each automorphism and, when it differs, its inverse."""
+    for phi in automorphisms:
+        yield phi
+        inverse = tuple(sorted(range(len(phi)), key=phi.__getitem__))
+        if inverse != phi:
+            yield inverse
 
 
-def _image_links(sets, phi, index: dict, offset: int = 0):
-    """The pairs (offset + i, j) where the image under the automorphism phi
-    of ``sets[i]`` (element sets) has the mask that ``index`` maps to j."""
-    bits = [1 << y for y in phi]
-    for i, s in enumerate(sets, offset):
-        j = index.get(sum(map(bits.__getitem__, s.members)))
-        if j is not None:
-            yield i, j
+def _classes(size: int, links, order: int) -> tuple[list[int], list]:
+    """For each of ``size`` items, the least item of its class and an
+    automorphism of a group of the given order that maps that item onto
+    it.  ``links(i)`` yields the pairs (j, phi) where phi maps item i onto
+    item j, and yields (i, phi^-1) from j in turn; the classes are the
+    finest partition that puts each such i and j together.
+
+    A breadth-first search from each least unvisited item finds them,
+    composing the maps along the way; equal maps are one tuple, so there
+    are no more of them than automorphisms."""
+    identity = tuple(range(order))
+    known = {identity: identity}
+    roots: list = [None] * size
+    maps: list = [None] * size
+    for start in range(size):
+        if roots[start] is not None:
+            continue
+        roots[start], maps[start] = start, identity
+        queue = [start]
+        for i in queue:
+            before = maps[i]
+            for j, phi in links(i):
+                if roots[j] is None:
+                    after = tuple(map(phi.__getitem__, before))
+                    roots[j], maps[j] = start, known.setdefault(after, after)
+                    queue.append(j)
+    return roots, maps
 
 
-def _subgroup_orbits(subgroups, automorphisms) -> list[list[int]]:
-    """The positions of ``subgroups``, split into orbits of the group that
-    ``automorphisms`` generate; the list must be closed under them, as a
-    group's proper subgroups are under its automorphisms.  Each orbit is in
-    position order, and the orbits are in the order of their least
+def _subgroup_orbits(group, subgroups) -> list[list[int]]:
+    """The positions of ``subgroups``, split into orbits of the group's
+    automorphisms (``GroupTable.automorphism_generators``); the list must
+    be closed under them, as a group's proper subgroups are.  Each orbit
+    is in position order, and the orbits are in the order of their least
     positions."""
     index = {h.mask: k for k, h in enumerate(subgroups)}
-    links = (link for phi in automorphisms for link in _image_links(subgroups, phi, index))
+    moves = [(phi, [1 << y for y in phi]) for phi in _with_inverses(group.automorphism_generators)]
+
+    def links(k):
+        members = subgroups[k].members
+        for phi, bits in moves:
+            yield index[sum(map(bits.__getitem__, members))], phi
+
     orbits: dict[int, list[int]] = {}
-    for k, root in enumerate(_least_roots(len(subgroups), links)):
+    for k, root in enumerate(_classes(len(subgroups), links, group.order)[0]):
         orbits.setdefault(root, []).append(k)
     return list(orbits.values())
 
 
-def _class_roots(subgroups, scans) -> list[int]:
+def _class_roots(subgroups, scans) -> tuple[list[int], list]:
     """For each (H, C) pair that a work item scans, numbered subgroup by
     subgroup (``scans[k]`` holds the connection sets of ``subgroups[k]``),
-    the number of the first pair of its class.  (H, C) and (phi(H),
-    phi(C)) are in one class whenever both are scanned and phi is one of
-    ``GroupTable.automorphism_generators``, which move H inside the item's
-    orbit, or one of H's own ``stabiliser_generators``.
+    the number of the first pair of its class, and an automorphism phi
+    that maps that pair onto it (``_classes``).  (H, C) and (phi(H),
+    phi(C)) are in one class whenever both are scanned and phi or its
+    inverse is one of ``GroupTable.automorphism_generators``, which move H
+    inside the item's orbit, or one of H's own ``stabiliser_generators``.
 
     When every scan is exhaustive the classes are the orbits of Aut(G) on
     the pairs.  A sampled scan's can only be finer, since a class never
@@ -1057,12 +1145,25 @@ def _class_roots(subgroups, scans) -> list[int]:
         h.mask: {c.mask: i for i, c in enumerate(scan, offset)}
         for h, scan, offset in zip(subgroups, scans, offsets)
     }
-    links = []
-    for h, scan, offset in zip(subgroups, scans, offsets):
-        for phi in (*h.group.automorphism_generators, *h.stabiliser_generators):
-            image = index[sum(1 << phi[x] for x in h.members)]
-            links.append(_image_links(scan, phi, image, offset))
-    return _least_roots(offsets[-1], (link for found in links for link in found))
+    # per subgroup: each generator or inverse, its images of single
+    # elements as bits, and the numbers of the image subgroup's pairs
+    moves = []
+    for h in subgroups:
+        found = []
+        for phi in _with_inverses((*h.group.automorphism_generators, *h.stabiliser_generators)):
+            bits = [1 << y for y in phi]
+            found.append((phi, bits, index[sum(map(bits.__getitem__, h.members))]))
+        moves.append(found)
+
+    def links(i):
+        k = bisect_right(offsets, i) - 1
+        members = scans[k][i - offsets[k]].members
+        for phi, bits, image in moves[k]:
+            j = image.get(sum(map(bits.__getitem__, members)))
+            if j is not None:
+                yield j, phi
+
+    return _classes(offsets[-1], links, subgroups[0].group.order)
 
 
 class _SubgroupResult(NamedTuple):
@@ -1079,29 +1180,33 @@ class _SubgroupResult(NamedTuple):
 def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     """Scan one work item, an orbit of proper subgroups of one group under
     its automorphisms, and return one ``_SubgroupResult`` per subgroup, in
-    the item's order, and how many instances copied outcomes.  Mismatches
-    are shrunk here when ``shrink`` is set, so a pooled audit shrinks in
-    its workers.
+    the item's order, and how many instances took outcomes from their
+    class.  Mismatches are shrunk here when ``shrink`` is set, so a pooled
+    audit shrinks in its workers.
 
     The scanned (H, C) pairs are split into classes under automorphisms of
     G (``_class_roots``); an automorphism phi maps the graph of (H, C)
     onto that of (phi(H), phi(C)), so every check has one verdict on a
     class.  The first instance of a class is evaluated in full.  A later
-    one copies the first one's outcome of each check that is not
-    ``labelled`` and that agreed or did not apply there, and evaluates
-    every other check itself, so each mismatch, unevaluated outcome,
-    witness and shrink is still its own.  The classmates of a first
-    instance that raised are evaluated in full."""
+    one takes each outcome there that its check carries
+    (``Check.carried``), moved through the phi that maps the first
+    instance onto it (``Check.move``), and evaluates every other check
+    itself, so each ``unevaluated`` outcome and each mismatch that is not
+    carried is still its own.  Where every outcome of the first instance
+    is carried, a later one evaluates nothing.  Each pair's phi is dropped
+    once used.  The classmates of a first instance that raised are
+    evaluated in full."""
     spec, h_list, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     subgroups = [group.subgroup(members) for members in h_list]
     scans = [_connection_sets_for(group, h.members, limits) for h in subgroups]
-    roots = _class_roots(subgroups, scans)
+    roots, maps = _class_roots(subgroups, scans)
     # a row holds its outcomes in check-name order
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
-    copyable = [check not in _LABELLED_CHECKS for check in checks]
-    # per class root with classmates still to come: the outcome of each
-    # check they copy, or None
+    carries = [_CARRY[check][0] for check in checks]
+    moves = [_CARRY[check][1] for check in checks]
+    # per class root with classmates still to come: each check's outcome
+    # there, or None where they evaluate the check
     shared: dict[int, list] = {}
     unscanned = Counter(roots)
     evaluate_all = [None] * len(checks)
@@ -1118,11 +1223,17 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
             ctx = InstanceContext(group, h, c, limits)
             root = roots[position]
             unscanned[root] -= 1
-            copies = (shared.get if unscanned[root] else shared.pop)(root, evaluate_all)
+            carried = (shared.get if unscanned[root] else shared.pop)(root, evaluate_all)
+            # the map from the class's first instance is needed here only
+            phi, maps[position] = maps[position], None
             outcomes = []
             try:
-                for check, outcome in zip(checks, copies):
-                    outcomes.append(outcome or _evaluate(ctx, check))
+                for check, move, outcome in zip(checks, moves, carried):
+                    if outcome is None:
+                        outcome = _evaluate(ctx, check)
+                    elif move is not None:
+                        outcome = move(outcome, phi, ctx)
+                    outcomes.append(outcome)
             except (RelCayError, RecursionError) as err:
                 # one faulty instance is reported, not fatal to the scan
                 errors.append(
@@ -1137,20 +1248,21 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                 continue
             if root == position and unscanned[root]:
                 shared[root] = [
-                    outcome if copy and outcome[2] in (AGREE, NOT_APPLICABLE) else None
-                    for copy, outcome in zip(copyable, outcomes)
+                    outcome if outcome[2] in verdicts else None
+                    for verdicts, outcome in zip(carries, outcomes)
                 ]
-            elif copies is not evaluate_all:
+            elif carried is not evaluate_all:
                 copied += 1
             scanned.evaluated.add(c.members)
-            # verdicts are tallied directly; a record is built only for a mismatch
-            for check, outcome in zip(checks, outcomes):
-                verdict = outcome[2]
-                totals[check, verdict] += 1
-                if verdict == MISMATCH:
-                    record = _build_record(ctx, check, outcome)
-                    mismatches.append(record)
-                    scanned.mismatches[c.members, check] = record
+            verdicts = [outcome[2] for outcome in outcomes]
+            totals.update(zip(checks, verdicts))
+            # a record is built only for a mismatch
+            if MISMATCH in verdicts:
+                for check, outcome in zip(checks, outcomes):
+                    if outcome[2] == MISMATCH:
+                        record = _build_record(ctx, check, outcome)
+                        mismatches.append(record)
+                        scanned.mismatches[c.members, check] = record
             if keep_records:
                 rows.append((c.members, ctx.c_names, tuple(outcomes[i] for i in by_name)))
         offset += len(connection_sets)
@@ -1224,7 +1336,7 @@ def run_audit(
             }
         )
         first = sum(map(len, placements))
-        for orbit in _subgroup_orbits(subgroups, group.automorphism_generators):
+        for orbit in _subgroup_orbits(group, subgroups):
             members = tuple(subgroups[k].members for k in orbit)
             work_items.append((group.spec, members, checks, limits, keep_records, shrink))
             placements.append([first + k for k in orbit])

@@ -874,14 +874,17 @@ def _parse_term(token: str) -> tuple[str, int]:
     return f"E{p}^{k}", p**k
 
 
-def _parse_spec(spec: str) -> tuple[list[tuple[str, int]], str, int]:
+@lru_cache(maxsize=256)
+def _parse_spec(spec: str) -> tuple[tuple[tuple[str, int], ...], str, int]:
+    """The terms, canonical spelling and order of a spec, parsed once per
+    spelling."""
     text = spec.strip()
     if not text or any(ch.isspace() for ch in text):
         raise GroupSpecError(f"group spec must be non-empty and whitespace-free: {spec!r}")
     tokens = text.upper().split("X")
     if any(not t for t in tokens):
         raise GroupSpecError(f"empty factor in group spec {spec!r}")
-    terms = [_parse_term(t) for t in tokens]
+    terms = tuple(_parse_term(t) for t in tokens)
     canonical = "x".join(tok for tok, _ in terms)
     order = math.prod(order for _, order in terms)
     return terms, canonical, order

@@ -38,7 +38,12 @@ from relcay.audit import (
     shrink_counterexample,
 )
 from relcay.cli import execute_command
-from relcay.errors import InternalConsistencyError, PreconditionError, UnknownCheckError
+from relcay.errors import (
+    CapacityError,
+    InternalConsistencyError,
+    PreconditionError,
+    UnknownCheckError,
+)
 from relcay.graphs import (
     ConnectionSet,
     RelCayGraph,
@@ -797,19 +802,22 @@ def _image(phi, members) -> tuple[int, ...]:
 def test_conjugate_instances_get_the_same_verdicts(spec):
     # An automorphism phi of G maps the graph of (H, C) onto that of
     # (phi(H), phi(C)), so every check must reach the same verdict on both,
-    # and the same predicted and observed values unless it is labelled.
-    # Where the verdict is agree or not-applicable the whole outcome must be
-    # equal: that is what the scan copies within a class of instances.  A
-    # seeded sample of connection sets per subgroup, each with a seeded
-    # automorphism (inner or outer) that moves (H, C).
+    # and the same predicted and observed values unless its outcomes move
+    # through phi.  An outcome that the check's rule carries must equal,
+    # moved through phi, the outcome on the image: that is what the scan
+    # gives a classmate.  A seeded sample of connection sets per subgroup,
+    # each with a seeded automorphism (inner or outer) that moves (H, C).
     g = make_group(spec)
     limits = Limits()
     draw = random.Random(spec)
     automorphisms = g.automorphisms
     orbits = inverse_orbits(g)
-    labelled = {check.name for check in CHECKS if check.labelled}
-    assert labelled == {"degree_formula", "full_degree_coset", "isolated_vertex"}
-    compared = 0
+    carry = relcay.audit._CARRY
+    moving = {name for name, (_, move) in carry.items() if move is not None}
+    assert moving == {
+        "degree_formula", "full_degree_coset", "isolated_vertex", "square_free_as_printed",
+    }
+    compared = moved = 0
     for h in enumerate_subgroups(g):
         if not h.is_proper:
             continue
@@ -833,14 +841,20 @@ def test_conjugate_instances_get_the_same_verdicts(spec):
                 second = relcay.audit._evaluate(two, name)
                 where = (name, h.names(), c.names(), phi)
                 assert first[2] == second[2], where
-                if name not in labelled:
+                carried, move = carry[name]
+                if move is None:
                     assert first[:2] == second[:2], where
-                    if first[2] in (AGREE, NOT_APPLICABLE):
-                        assert first == second, where
+                if first[2] in carried:
+                    if move is not None:
+                        first = move(first, phi, two)
+                        moved += first[2] == AGREE
+                    assert first == second, where
                 compared += 1
     # inversion, an automorphism of an abelian group, fixes every subgroup
     # and every inverse-closed set
     assert compared > 0 or set(automorphisms) <= {tuple(range(g.order)), g.inv}
+    # degree_formula agrees everywhere, so each compared pair moved it
+    assert (moved > 0) == (compared > 0)
 
 
 # --------------------------------------------------------------------------
@@ -861,27 +875,84 @@ def test_sharing_outcomes_within_classes_is_invisible_in_the_bytes(request):
     assert alone.copied_instances == 0
 
 
-def test_labelled_checks_run_on_every_instance(monkeypatch):
-    calls = Counter()
+def test_every_carried_outcome_equals_its_own_evaluation(monkeypatch):
+    # every kept outcome, carried or evaluated, against the check run on
+    # its own instance; each moving rule must fire
+    fired, changed = Counter(), Counter()
 
-    def counted(name, fn):
-        def check(ctx):
-            calls[name] += 1
-            return fn(ctx)
+    def counted(name, move):
+        def moved(outcome, phi, ctx):
+            result = move(outcome, phi, ctx)
+            fired[name, outcome[2]] += 1
+            changed[name] += result != outcome
+            return result
 
-        return check
+        return moved
 
-    for check in CHECKS:
-        monkeypatch.setitem(relcay.audit._CHECK_FNS, check.name, counted(check.name, check.fn))
-    report = run_audit(("D4",), shrink=False)
+    for name, (carried, move) in relcay.audit._CARRY.items():
+        if move is not None:
+            monkeypatch.setitem(relcay.audit._CARRY, name, (carried, counted(name, move)))
+    limits = Limits()
+    report = run_audit((*catalog_up_to(8), "D7"), keep_records=True, shrink=False)
+    assert report.copied_instances > 0 and not report.errors
+    for group, _, h_indices, checks, rows in report.records.blocks:
+        g = make_group(group)
+        h = g.subgroup(h_indices)
+        for c_indices, c, outcomes in rows:
+            ctx = InstanceContext(g, h, ConnectionSet(g, c_indices), limits)
+            evaluated = tuple(relcay.audit._evaluate(ctx, check) for check in checks)
+            assert outcomes == evaluated, (group, h.names(), c)
+    assert {
+        ("degree_formula", AGREE),
+        ("full_degree_coset", AGREE),
+        ("isolated_vertex", AGREE),
+        ("square_free_as_printed", MISMATCH),
+    } <= set(fired)
+    # a mismatch's pair_product_overlap is () or the identity here, which
+    # no automorphism moves (see the next test)
+    assert {name for name, count in changed.items() if count} == {
+        "degree_formula", "full_degree_coset", "isolated_vertex",
+    }
+
+
+def test_a_square_free_witness_moves_its_overlap():
+    g = make_group("D4")
+    phi = next(phi for phi in g.automorphisms if phi[1] != 1)
+    names = g.names
+    witness = {"induced_square_free": True, "pair_product_overlap": (names[0], names[1])}
+    ctx = InstanceContext(g, g.subgroup((0,)), ConnectionSet(g), Limits())
+    moved = relcay.audit._move_overlap_witness((False, True, MISMATCH, witness), phi, ctx)
+    overlap = tuple(names[x] for x in sorted((0, phi[1])))
+    assert moved == (False, True, MISMATCH, {**witness, "pair_product_overlap": overlap})
+    assert witness["pair_product_overlap"] == (names[0], names[1])
+
+
+@pytest.mark.parametrize(
+    "check, outcome, carried",
+    [
+        ("connectivity", (True, True, AGREE, None), True),
+        ("chromatic_upper", None, False),
+        ("connectivity", (True, False, MISMATCH, {"product_witnesses": ("a",)}), False),
+        ("degree_formula", ((1,) * 8, (2,) * 8, MISMATCH, {"vertex": "e"}), False),
+    ],
+    ids=["agree", "unevaluated", "connectivity-mismatch", "degree-formula-mismatch"],
+)
+def test_only_carried_outcomes_skip_evaluation_on_classmates(monkeypatch, check, outcome, carried):
+    # the check gives one fixed outcome (None: its search runs out of
+    # budget, so it is unevaluated) on every instance of D4
+    calls = []
+
+    def fixed(ctx):
+        calls.append(ctx)
+        if outcome is None:
+            raise CapacityError("node budget exhausted")
+        return outcome
+
+    monkeypatch.setitem(relcay.audit._CHECK_FNS, check, fixed)
+    report = run_audit(("D4",), checks=(check,), shrink=False)
     instances = report.catalog[0]["instances"]
-    assert report.copied_instances > 0
-    for check in CHECKS:
-        if check.labelled:
-            assert calls[check.name] == instances, check.name
-        elif report.totals[check.name][MISMATCH] == 0:
-            # a copied instance takes this check's outcome from its class
-            assert calls[check.name] == instances - report.copied_instances, check.name
+    assert 0 < report.copied_instances < instances
+    assert len(calls) == (instances - report.copied_instances if carried else instances)
 
 
 def _dispatched_items(monkeypatch, catalog) -> list:
@@ -931,6 +1002,42 @@ def test_a_group_past_the_automorphism_cap_scans_one_subgroup_per_item(monkeypat
     assert len(items) == len(proper) == 373
 
 
+@pytest.mark.parametrize("spec", ["C2xC2xC2", "D4", "D7"])
+def test_each_class_map_takes_the_first_pair_of_the_class_onto_the_pair(spec):
+    g = make_group(spec)
+    automorphisms = set(g.automorphisms)
+    limits = Limits()
+    subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
+    for orbit in relcay.audit._subgroup_orbits(g, subgroups):
+        item = [subgroups[k] for k in orbit]
+        scans = [relcay.audit._connection_sets_for(g, h.members, limits) for h in item]
+        pairs = [(h.members, c.members) for h, scan in zip(item, scans) for c in scan]
+        roots, maps = relcay.audit._class_roots(item, scans)
+        assert len(roots) == len(maps) == len(pairs)
+        for i, (root, phi) in enumerate(zip(roots, maps)):
+            assert roots[root] == root <= i
+            assert phi in automorphisms
+            h, c = pairs[root]
+            assert (_image(phi, h), _image(phi, c)) == pairs[i]
+        # one tuple per distinct map
+        assert len({id(phi) for phi in maps}) == len(set(maps))
+
+
+def test_an_exhaustive_scan_builds_each_groups_connection_sets_once(monkeypatch, request):
+    built = Counter()
+    real = relcay.audit.enumerate_connection_sets
+
+    def counted(group):
+        built[group.spec] += 1
+        return real(group)
+
+    monkeypatch.setattr(relcay.audit, "enumerate_connection_sets", counted)
+    relcay.audit._every_connection_set.cache_clear()
+    request.addfinalizer(relcay.audit._every_connection_set.cache_clear)
+    run_audit(("C2xC2xC2", "D4"), shrink=False)
+    assert built == {"C2xC2xC2": 1, "D4": 1}
+
+
 @pytest.mark.parametrize(
     "catalog, copied",
     [
@@ -952,8 +1059,11 @@ def _totals_by_subgroup(report) -> Counter:
 @pytest.mark.parametrize("check, place", [("edge_count", 0), ("degree_formula", -1)])
 def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, request, check, place):
     """One check raises on every instance of one order-2 subgroup of
-    C2xC2xC2: the first of its orbit, where the classes are rooted, for a
-    check the others copy, or the last for a check that runs everywhere."""
+    C2xC2xC2, where it is evaluated and where its outcome is moved there
+    through an automorphism: the first subgroup of the orbit, where the
+    classes are rooted, for a check whose outcomes are copied as they are,
+    or the last, where most outcomes of a moving check arrive from
+    classes rooted on the other subgroups."""
     relcay.audit.evaluate_check.cache_clear()
     request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
     g = make_group("C2xC2xC2")
@@ -962,13 +1072,23 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
     faulty = order_two[place]
     clean = run_audit(("C2xC2xC2",), keep_records=True, shrink=False)
     real = relcay.audit._CHECK_FNS[check]
+    carried, move = relcay.audit._CARRY[check]
 
-    def flaky(ctx):
+    def fault(ctx):
         if ctx.h.members == faulty.members:
             raise InternalConsistencyError("injected")
+
+    def flaky(ctx):
+        fault(ctx)
         return real(ctx)
 
+    def flaky_move(outcome, phi, ctx):
+        fault(ctx)
+        return move(outcome, phi, ctx)
+
     monkeypatch.setitem(relcay.audit._CHECK_FNS, check, flaky)
+    if move is not None:
+        monkeypatch.setitem(relcay.audit._CARRY, check, (carried, flaky_move))
     reports = [
         run_audit(("C2xC2xC2",), keep_records=True, shrink=False, parallelism=p)
         for p in (1, 2)

@@ -27,6 +27,7 @@ from relcay.group_core import (
     ElementSet,
     GroupTable,
     Subgroup,
+    _parse_spec,
     bit_indices,
     coset_partition,
     element_order,
@@ -124,6 +125,13 @@ def test_capacity_cap_default_and_override(monkeypatch):
     monkeypatch.setenv("RELCAY_MAX_ORDER", "banana")
     with pytest.raises(CapacityError):
         make_group("C2")
+
+
+def test_a_parsed_spec_is_still_checked_against_the_cap():
+    assert make_group("C2xC4", max_order=8).order == 8
+    with pytest.raises(CapacityError):
+        make_group("C2xC4", max_order=4)
+    assert _parse_spec("C2xC4") is _parse_spec("C2xC4")
 
 
 def test_associativity_checked_above_default_cap():
