@@ -255,30 +255,36 @@ class AuditReport:
         kept and ``errors`` only when non-empty.
 
         The records go through ``_RecordWriter``, not the encoder, because
-        ``json`` has no C path for indented output."""
+        ``json`` has no C path for indented output.  A record is three
+        pieces that other records share, so the writer pays per row, per
+        (block, check) and per distinct outcome, not per record.  Every
+        piece of the report goes into one list that is joined once, so
+        its text exists in one copy."""
         # wall time is excluded: reports must be byte-identical across runs.
-        # The top-level keys are written in sorted order, as sort_keys does;
-        # the pieces are joined once, so the report exists in one copy.
+        # The top-level keys are written in sorted order, as sort_keys does.
         out = [
             '{\n  "catalog": ', _indented(list(self.catalog), 1),
             ',\n  "config": ', _indented(self.config, 1),
         ]
         if self.errors:
             out += [',\n  "errors": ', _indented(list(self.errors), 1)]
+        out.append(',\n  "mismatches": ')
         # a mismatch is an object at depth 2 holding two records at depth 3
         writer = _RecordWriter(4)
-        mismatches = [
-            '{\n      "original": ' + writer.record(entry.original)
-            + ',\n      "shrunk": ' + writer.record(entry.shrunk) + "\n    }"
-            for entry in self.mismatches
-        ]
-        out += [',\n  "mismatches": ', *_json_array(mismatches, 2)]
+        first = len(out)
+        for entry in self.mismatches:
+            out += (
+                _NEXT_ITEM + '{\n      "original": ', writer.record(entry.original),
+                ',\n      "shrunk": ', writer.record(entry.shrunk), "\n    }",
+            )
+        _close_array(out, first)
         if self.records is not None:
-            # one string per block: the records' own strings are freed block
-            # by block, and the report's pieces are joined only once
+            out.append(',\n  "records": ')
             writer = _RecordWriter(3)
-            blocks = [text for text in map(writer.block, self.records.blocks) if text]
-            out += [',\n  "records": ', *_json_array(blocks, 2)]
+            first = len(out)
+            for block in self.records.blocks:
+                writer.block(block, out)
+            _close_array(out, first)
         out += [',\n  "totals": ', _indented(self.totals, 1), "\n}\n"]
         return "".join(out)
 
@@ -301,11 +307,7 @@ class AuditReport:
         texts: dict = {}
 
         def text(value) -> str:
-            key = _memo_key(value)
-            found = texts.get(key)
-            if found is None:
-                found = texts[key] = compact_json(value)
-            return found
+            return _memoised(texts, value, compact_json)
 
         for group, h, _, checks, rows in self.records.blocks:
             h_text = ",".join(h)
@@ -318,17 +320,52 @@ class AuditReport:
         return out.getvalue()
 
 
-def _memo_key(value):
-    """The key under which a check value's printed form is memoised: its
-    class and its repr.
+_PLAIN_SCALARS = frozenset({type(None), bool, int, float, str})
+_PLAIN_CONTAINERS = frozenset({tuple, list, set, frozenset})
 
-    Check values are built from None, bool, int, float, str, tuples, lists
-    and dicts, plus objects that ``jsonable`` prints by their repr, so two
-    values of one class with one repr print alike.  The value itself is no
-    key: ``True == 1``, ``(True,) == (1,)`` and ``0.0 == -0.0``, though
-    the two values of each pair print, and repr, differently.
+
+def _plain(value) -> bool:
+    """Whether a value is built only from None, bools, ints, floats and
+    strings in tuples, lists, sets, frozensets and dicts, each of exactly
+    that class, not a subclass."""
+    kind = type(value)
+    if kind in _PLAIN_SCALARS:
+        return True
+    if kind is dict:
+        value = (*value, *value.values())
+    elif kind not in _PLAIN_CONTAINERS:
+        return False
+    # most containers hold scalars only: that test needs no call per item
+    return _PLAIN_SCALARS.issuperset(map(type, value)) or all(map(_plain, value))
+
+
+def _memo_key(value) -> Optional[str]:
+    """The key under which a check value's printed form is memoised: its
+    repr when the value is ``_plain``, else None, and the value is printed
+    each time it is met.
+
+    The repr of a plain value is Python literal syntax, which spells out
+    the class of every part, so two plain values with one repr print
+    alike.  The value itself is no key: ``True == 1``, ``(True,) == (1,)``
+    and ``0.0 == -0.0``, though the two values of each pair print
+    differently.  Nor is the repr of any other value: ``jsonable`` prints
+    an unknown object by its repr, so a tuple holding an object whose repr
+    is ``'x'`` has the repr of the tuple holding the string ``'x'``, and a
+    subclass of str or int may have a repr that is not its value's.
     """
-    return value.__class__, repr(value)
+    return repr(value) if _plain(value) else None
+
+
+def _memoised(memo: dict, value, render: Callable[[object], str]) -> str:
+    """``render(value)``, kept in ``memo`` under the value's ``_memo_key``
+    and rendered afresh for a value that has none."""
+    key = _memo_key(value)
+    if key is None:
+        return render(value)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = render(value)
+    return text
 
 
 def jsonable(value):
@@ -362,28 +399,44 @@ def _indented(value, depth: int) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
-def _json_array(items: list[str], depth: int) -> list[str]:
-    """The pieces of an indent-2 array of already rendered items that sit
-    at the given depth.  The items are pieces themselves, not joined into
-    a copy."""
-    if not items:
-        return ["[]"]
-    pad = "\n" + "  " * depth
-    pieces = ["[" + pad]
-    for item in items:
-        pieces += [item, "," + pad]
-    pieces[-1] = pad[:-2] + "]"
-    return pieces
-
-
+# what leads each item of a top-level array: the item is at depth 2
+_NEXT_ITEM = ",\n    "
 # An AuditRecord's keys in sorted order, as sort_keys writes them
 _RECORD_KEYS = ("c", "check", "group", "h", "observed", "predicted", "verdict", "witness")
+
+
+def _close_array(out: list[str], first: int) -> None:
+    """Close an indent-2 array at depth 1 whose items were appended to
+    ``out`` from position ``first`` on, each led by ``_NEXT_ITEM``: the
+    first item's comma becomes the opening bracket."""
+    if len(out) == first:
+        out.append("[]")
+    else:
+        out[first] = "[" + out[first][1:]
+        out.append("\n  ]")
 
 
 class _RecordWriter:
     """Writes ``AuditRecord``s as indent-2 JSON objects whose keys sit at a
     fixed depth, byte for byte as ``json.dumps(..., indent=2,
     sort_keys=True)`` writes the record's fields.
+
+    A record is written as three pieces, which follow its keys in sorted
+    order:
+
+    - a head per row, ``{"c": C, "check": ``;
+    - a middle per (block, check), ``CHECK, "group": GROUP, "h": H,
+      "observed": ``;
+    - a tail per distinct outcome, ``OBSERVED, "predicted": PREDICTED,
+      "verdict": VERDICT, "witness": WITNESS}``.
+
+    Outcomes carried through an automorphism are one object on many rows,
+    so a tail is found by its outcome's identity first, then by the
+    outcome's ``_memo_key``, so that one string per distinct tail stays
+    alive.  A mismatch's record is written as one string, once however
+    many entries share it.  An id names one object only while that object lives, so only
+    outcomes and records that the report holds throughout ``to_json`` are
+    looked up by identity.
 
     Strings, None, booleans, ints and finite floats are formatted the way
     ``json`` formats them.  Every other value (a container such as the
@@ -394,15 +447,18 @@ class _RecordWriter:
 
     def __init__(self, depth: int):
         self._depth = depth
-        self._pad = pad = "\n" + "  " * depth
-        # the "check" slot also holds "group" and "h", the keys that follow
-        # it: that piece is shared by the rows of a block
-        fields = ",".join(
-            f'{pad}"{key}": %s' for key in _RECORD_KEYS if key not in ("group", "h")
+        pad = "\n" + "  " * depth
+        # a template's slots are %s; no key or pad holds a %
+        c, check, group, h, observed, predicted, verdict, witness = (
+            f'{pad}"{name}": ' for name in _RECORD_KEYS
         )
-        self._template = "{" + fields + pad[:-2] + "}"
-        self._joints = (f',{pad}"group": ', f',{pad}"h": ')
-        self._values: dict[tuple, str] = {}
+        self._head = "{" + c + "%s," + check
+        self._middle = "%s," + group + "%s," + h + "%s," + observed
+        self._tail = "%s," + predicted + "%s," + verdict + "%s," + witness + "%s" + pad[:-2] + "}"
+        self._values: dict[str, str] = {}
+        self._tails: dict[str, str] = {}
+        # id of an outcome or record the report holds -> its tail or text
+        self._held: dict[int, str] = {}
 
     def _value(self, value) -> str:
         if value is None:
@@ -417,43 +473,60 @@ class _RecordWriter:
             return int.__repr__(value)
         if isinstance(value, float) and math.isfinite(value):
             return float.__repr__(value)
-        key = _memo_key(value)
-        text = self._values.get(key)
-        if text is None:
-            text = self._values[key] = _indented(jsonable(value), self._depth)
-        return text
+        return _memoised(self._values, value, self._render)
 
-    def record(self, record: AuditRecord) -> str:
-        """One record, written as a block of one."""
-        outcome = (record.predicted, record.observed, record.verdict, record.witness)
-        row = (record.c_indices, record.c, (outcome,))
-        return self.block(
-            _RecordBlock(record.group, record.h, record.h_indices, (record.check,), (row,))
+    def _render(self, value) -> str:
+        return _indented(jsonable(value), self._depth)
+
+    def _head_of(self, c) -> str:
+        return self._head % self._value(c)
+
+    def _middle_of(self, check: str, group: str, h) -> str:
+        return self._middle % (
+            encode_basestring_ascii(check), encode_basestring_ascii(group), self._value(h)
         )
 
-    def block(self, block: _RecordBlock) -> str:
-        """The records of one block, in order, as items of an array at the
-        writer's depth less one; its group, H and each check are formatted
-        once, and each C once per row."""
-        template, value = self._template, self._value
-        to_group, to_h = self._joints
-        group_h = to_group + encode_basestring_ascii(block.group) + to_h + value(block.h)
-        shared = [encode_basestring_ascii(check) + group_h for check in block.checks]
-        texts = []
+    def _render_tail(self, outcome: _CheckResult) -> str:
+        predicted, observed, verdict, witness = outcome
+        value = self._value
+        return self._tail % (
+            value(observed), value(predicted), encode_basestring_ascii(verdict), value(witness)
+        )
+
+    def _tail_of(self, outcome: _CheckResult) -> str:
+        return _memoised(self._tails, outcome, self._render_tail)
+
+    def record(self, record: AuditRecord) -> str:
+        """A record that the report holds, written once however many
+        mismatch entries share it."""
+        text = self._held.get(id(record))
+        if text is None:
+            outcome = (record.predicted, record.observed, record.verdict, record.witness)
+            text = self._held[id(record)] = (
+                self._head_of(record.c)
+                + self._middle_of(record.check, record.group, record.h)
+                + self._tail_of(outcome)
+            )
+        return text
+
+    def block(self, block: _RecordBlock, out: list[str]) -> None:
+        """Append the pieces of a block's records, in order, to ``out``,
+        each record led by ``_NEXT_ITEM``; the report holds the block."""
+        held, tail_of = self._held, self._tail_of
+
+        def tail(outcome) -> str:
+            text = held.get(id(outcome))
+            if text is None:
+                text = held[id(outcome)] = tail_of(outcome)
+            return text
+
+        # one row's pieces: head, middle and tail for each check in turn
+        pieces = [""] * (3 * len(block.checks))
+        pieces[1::3] = [self._middle_of(check, block.group, block.h) for check in block.checks]
         for _, c, outcomes in block.rows:
-            c_text = value(c)
-            texts += [
-                template % (
-                    c_text,
-                    middle,
-                    value(observed),
-                    value(predicted),
-                    encode_basestring_ascii(verdict),
-                    value(witness),
-                )
-                for middle, (predicted, observed, verdict, witness) in zip(shared, outcomes)
-            ]
-        return ("," + self._pad[:-2]).join(texts)
+            pieces[::3] = [_NEXT_ITEM + self._head_of(c)] * len(outcomes)
+            pieces[2::3] = map(tail, outcomes)
+            out += pieces
 
 
 # --------------------------------------------------------------------------
@@ -1213,12 +1286,14 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     copied = 0
     results = []
     offset = 0
+    # the greedy passes of shrinking run so far, shared by the subgroups
+    passes: dict = {}
     for h, connection_sets in zip(subgroups, scans):
         totals: Counter = Counter()
         mismatches: list[AuditRecord] = []
         rows: list[_Row] = []
         errors: list[dict] = []
-        scanned = _ScanVerdicts(h.members, set(), {})
+        scanned = _ScanVerdicts(h.members, set(), {}, passes)
         for position, c in enumerate(connection_sets, offset):
             ctx = InstanceContext(group, h, c, limits)
             root = roots[position]
@@ -1418,11 +1493,19 @@ class _ScanVerdicts:
     """What a work item's scan found on one of its subgroups: the
     connection sets (member tuples) whose every check ran, and the record
     of each (connection set, check) pair among them that mismatched.  It
-    lives as long as its work item and is never returned from it."""
+    lives as long as its work item and is never returned from it.
+
+    ``passes`` is shared by the tables of all the item's subgroups: it maps
+    the (check, H members, C members) that a greedy pass of
+    ``shrink_counterexample`` starts from to the (H members, C members) it
+    ends at.  A pass is a function of where it starts, since the verdicts
+    it reads are the same whether they come from a scan or are evaluated,
+    and one work item has one group and one ``Limits``."""
 
     h_members: tuple[int, ...]
     evaluated: set[tuple[int, ...]]
     mismatches: dict[tuple[tuple[int, ...], str], AuditRecord]
+    passes: dict[tuple[str, tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]
 
     def lookup(self, h_members, c_members, check: str):
         """The scan's verdict on one candidate, as its mismatch record, or
@@ -1442,7 +1525,9 @@ def shrink_counterexample(
     smaller subgroups, as long as the same check still mismatches.
 
     ``scanned`` is the table of the scan that found the record; a candidate
-    it covers takes its verdict from there instead of being evaluated.
+    it covers takes its verdict from there instead of being evaluated, and
+    a pass that an earlier shrink of the same work item made from the same
+    start is not made again (``_ScanVerdicts.passes``).
 
     Idempotent: shrinking an already-minimal record returns it unchanged.
     """
@@ -1468,27 +1553,36 @@ def shrink_counterexample(
             return False
         return record.verdict == MISMATCH
 
-    changed = True
-    while changed:
-        changed = False
-        for orbit in inverse_orbits(group):
-            if not set(orbit) <= set(c_members):
+    orbits = [(orbit, sum(1 << x for x in orbit)) for orbit in inverse_orbits(group)]
+
+    def greedy_pass(h_members, c_members):
+        """Drop each connection-set orbit in turn while the check still
+        mismatches, then move to the first smaller subgroup of H where it
+        does; where the pass ends."""
+        c_mask = sum(1 << x for x in c_members)
+        for orbit, orbit_mask in orbits:
+            if orbit_mask & ~c_mask:
                 continue
             trial = tuple(x for x in c_members if x not in orbit)
             if still_mismatch(h_members, trial):
-                c_members = trial
-                changed = True
-        current = set(h_members)
+                c_members, c_mask = trial, c_mask & ~orbit_mask
+        h_mask = sum(1 << x for x in h_members)
         for candidate in enumerate_subgroups(group, limits.max_order):
-            cand_members = candidate.members
-            if len(cand_members) >= len(h_members):
+            if len(candidate.members) >= len(h_members) or candidate.mask & ~h_mask:
                 continue
-            if not set(cand_members) <= current:
-                continue
-            if still_mismatch(cand_members, c_members):
-                h_members = cand_members
-                changed = True
-                break
+            if still_mismatch(candidate.members, c_members):
+                return candidate.members, c_members
+        return h_members, c_members
+
+    passes = {} if scanned is None else scanned.passes
+    while True:
+        start = (check, h_members, c_members)
+        end = passes.get(start)
+        if end is None:
+            end = passes[start] = greedy_pass(h_members, c_members)
+        if end == start[1:]:
+            break
+        h_members, c_members = end
     return scan_verdict(h_members, c_members) or evaluate_check(
         spec, h_members, c_members, check, limits
     )

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -232,6 +233,18 @@ def test_shrinking_reads_the_scans_own_verdicts(monkeypatch, request):
     assert [h for h, own in built if h == own] == []
     # candidates on smaller subgroups are still evaluated afresh
     assert built
+
+
+def test_scan_shrinks_as_a_fresh_shrink_does(request):
+    # the scan's table and the work item's memo of greedy passes change
+    # what is evaluated, never where a shrink ends; D7 is sampled
+    limits = Limits()
+    report = run_audit((*catalog_up_to(8), "D7"), limits=limits)
+    assert {entry.original.group for entry in report.mismatches} >= {"D7", "S3", "C2xC2xC2"}
+    relcay.audit.evaluate_check.cache_clear()
+    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
+    for entry in report.mismatches:
+        assert shrink_counterexample(entry.original, limits) == entry.shrunk, entry.original
 
 
 def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypatch, no_sharing):
@@ -1147,6 +1160,15 @@ class _Opaque:
         return '<opaque "q" \\ \u00e9>'
 
 
+class _LookAlike:
+    """An unknown value whose repr is that of the string 'x', so a tuple
+    holding it has the repr of a tuple holding 'x'; ``jsonable`` writes it
+    as the string "'x'"."""
+
+    def __repr__(self):
+        return "'x'"
+
+
 # Values that compare equal but encode differently, and the strings and
 # containers the encoder treats specially.  Drawing from a fixed pool makes
 # records repeat values, so the writer's memo is hit across them.
@@ -1160,6 +1182,7 @@ _EDGE_VALUES = _EDGE_SCALARS + [
     {"k": True}, {"k": 1},
     {1: "int key", 2: [None]}, {"w": {"vertex": "a\"2", "formula": 3}},
     {True, 1.5, "x"}, frozenset({(), "\u00e9"}), [float("nan")], _Opaque(),
+    ("x",), (_LookAlike(),),
 ]
 _scalars = st.one_of(
     st.sampled_from(_EDGE_SCALARS),
@@ -1208,11 +1231,19 @@ def _table(records) -> RecordTable:
     )
 
 
+_outcomes = st.tuples(_values, _values, st.sampled_from(VERDICTS), st.none() | _values)
+# outcomes that compare equal but print differently, each its own object
+_TWINS = (
+    (True, True, AGREE, None), (1, 1, AGREE, None), (1.0, True, AGREE, None),
+    (0.0, (0.0,), MISMATCH, {"k": 0.0}), (-0.0, (-0.0,), MISMATCH, {"k": -0.0}),
+    ((True,), ("x",), AGREE, None), ((1,), (_LookAlike(),), AGREE, None),
+)
+
+
 @st.composite
-def _blocks(draw):
+def _blocks(draw, outcome=_outcomes):
     """A block of several rows and checks, as a work item keeps them."""
     checks = sorted(draw(st.sets(st.sampled_from(ALL_CHECKS) | st.text(max_size=3), max_size=3)))
-    outcome = st.tuples(_values, _values, st.sampled_from(VERDICTS), st.none() | _values)
     row = st.tuples(st.just(()), _names, st.tuples(*[outcome] * len(checks)))
     return relcay.audit._RecordBlock(
         draw(st.sampled_from(["C4", "S3"]) | st.text(max_size=3)),
@@ -1221,6 +1252,24 @@ def _blocks(draw):
         tuple(checks),
         tuple(draw(st.lists(row, max_size=3))),
     )
+
+
+@st.composite
+def _shared_tables(draw):
+    """Blocks whose rows take their outcomes from one pool of objects, as
+    outcomes carried through automorphisms are shared across rows and
+    subgroups; the pool may hold twins."""
+    pool = draw(st.lists(_outcomes, min_size=1, max_size=3))
+    pool += draw(st.lists(st.sampled_from(_TWINS), max_size=3))
+    return RecordTable(draw(st.lists(_blocks(st.sampled_from(pool)), max_size=3)))
+
+
+@st.composite
+def _shared_mismatches(draw):
+    """Mismatch entries whose records come from one pool of objects, as
+    many mismatches shrink to one record."""
+    pool = st.sampled_from(draw(st.lists(_records, min_size=1, max_size=3)))
+    return draw(st.lists(st.builds(MismatchEntry, pool, pool), max_size=4))
 
 
 def _report(records, mismatches=(), errors=()) -> AuditReport:
@@ -1239,8 +1288,10 @@ _reports = st.builds(
     _report,
     records=st.none()
     | st.lists(_records, max_size=6).map(_table)
-    | st.lists(_blocks(), max_size=3).map(RecordTable),
-    mismatches=st.lists(st.builds(MismatchEntry, _records, _records), max_size=2),
+    | st.lists(_blocks(), max_size=3).map(RecordTable)
+    | _shared_tables(),
+    mismatches=st.lists(st.builds(MismatchEntry, _records, _records), max_size=2)
+    | _shared_mismatches(),
     errors=st.lists(
         st.fixed_dictionaries({"group": st.text(max_size=3), "error": st.text()}),
         max_size=2,
@@ -1251,6 +1302,14 @@ _ONE = AuditRecord("C4", ("1",), ("a", "a3"), "tree", True, 1, MISMATCH, {"k": -
 _EVERY_EDGE = tuple(
     AuditRecord("C4", ("1",), ("a", "a3"), "tree", v, v, AGREE, v) for v in _EDGE_VALUES
 )
+# every twin on every row of two blocks, and one shrunk record shared
+_TWIN_BLOCKS = RecordTable(
+    relcay.audit._RecordBlock(
+        group, ("1",), (), tuple(map(str, range(len(_TWINS)))), (((), ("a",), _TWINS),) * 2
+    )
+    for group in ("C4", "S3")
+)
+_SHARED_ENTRIES = [MismatchEntry(r, _ONE) for r in (_ONE, *_EVERY_EDGE)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -1259,8 +1318,23 @@ _EVERY_EDGE = tuple(
 @example(_report(_table(()), errors=[{"group": "C4", "error": "E: \u00e9"}]))
 @example(_report(_table((_ONE,) * 2), [MismatchEntry(_ONE, _ONE)]))
 @example(_report(_table(_EVERY_EDGE), [MismatchEntry(r, r) for r in _EVERY_EDGE]))
+@example(_report(_TWIN_BLOCKS, _SHARED_ENTRIES))
 def test_to_json_writes_the_bytes_of_the_plain_encoder(report):
     assert report.to_json() == _reference_json(report)
+
+
+def test_to_json_keeps_one_copy_of_the_report():
+    # the pieces are shared and joined once: no second copy of the text,
+    # and no per-record or per-block strings beside it
+    report = run_audit(catalog_up_to(8), keep_records=True)
+    assert len(report.records) == 104_992
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * len(text), peak / len(text)
 
 
 def test_to_json_of_a_real_audit_is_the_plain_encoding(c4_report):
@@ -1311,6 +1385,18 @@ def test_to_csv_memo_keeps_equal_but_different_values_apart(records):
 @example({"k": True}, {"k": 1})
 @example({1: "x"}, {"1": "x"})
 @example(frozenset({(True,)}), frozenset({(1,)}))
+@example(("x",), (_LookAlike(),))
+@example([_Opaque()], [_Opaque()])
 def test_memo_key_is_shared_only_by_values_that_print_alike(first, second):
-    if relcay.audit._memo_key(first) == relcay.audit._memo_key(second):
+    # a value with no key (None) is printed each time, never memoised
+    key = relcay.audit._memo_key(first)
+    if key is not None and key == relcay.audit._memo_key(second):
         assert compact_json(first) == compact_json(second)
+
+
+def test_values_that_jsonable_prints_by_repr_have_no_memo_key():
+    assert relcay.audit._memo_key(("x",)) is not None
+    # a subclass of str may print otherwise than its repr says
+    label = type("Label", (str,), {})("x")
+    for value in (_LookAlike(), (_LookAlike(),), {"k": [_Opaque()]}, (label,), label):
+        assert relcay.audit._memo_key(value) is None
