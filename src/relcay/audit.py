@@ -58,6 +58,7 @@ from .group_core import (
     default_max_order,
     enumerate_subgroups,
     make_group,
+    subgroups_within,
 )
 from .oracles import (
     DEFAULT_EDGE_COLOR_CUTOFF,
@@ -832,20 +833,15 @@ def _move_vertex_values(outcome: _CheckResult, phi, ctx: InstanceContext) -> _Ch
     phi: new[phi(x)] = old[x]."""
     predicted, observed, verdict, witness = outcome
     inverse = sorted(range(len(phi)), key=phi.__getitem__)
-    return (
-        tuple(map(predicted.__getitem__, inverse)),
-        tuple(map(observed.__getitem__, inverse)),
-        verdict,
-        witness,
-    )
+    moved = tuple(map(predicted.__getitem__, inverse)), tuple(map(observed.__getitem__, inverse))
+    return outcome if moved == outcome[:2] else (*moved, verdict, witness)
 
 
 def _move_element_names(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
     predicted, observed, verdict, witness = outcome
     moved = _move_names(predicted, phi, ctx)
-    if observed != predicted:
-        return moved, _move_names(observed, phi, ctx), verdict, witness
-    return moved, moved, verdict, witness
+    moved = moved, (moved if observed == predicted else _move_names(observed, phi, ctx))
+    return outcome if moved == outcome[:2] else (*moved, verdict, witness)
 
 
 def _move_overlap_witness(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
@@ -855,6 +851,8 @@ def _move_overlap_witness(outcome: _CheckResult, phi, ctx: InstanceContext) -> _
     if witness is None:
         return outcome
     overlap = _move_names(witness["pair_product_overlap"], phi, ctx)
+    if overlap == witness["pair_product_overlap"]:
+        return outcome
     return predicted, observed, verdict, {**witness, "pair_product_overlap": overlap}
 
 
@@ -874,11 +872,11 @@ class Check:
     automorphism phi maps the evaluated one onto (see ``_scan_orbit``): an
     outcome whose verdict is in ``carried`` becomes ``move(outcome, phi,
     ctx)`` on the instance of ``ctx``, or stays as it is when ``move`` is
-    None; any other outcome is evaluated there.  By default an outcome
-    that agreed or did not apply is carried as it is, since values that
-    are None, booleans, numbers or dicts of them are equal on the two
-    instances.  Values that list one value per vertex or name elements
-    are moved.  An ``unevaluated`` outcome is never carried, nor a
+    None or phi leaves its values as they are; any other outcome is
+    evaluated there.  By default an outcome that agreed or did not apply
+    is carried as it is, since values that are None, booleans, numbers or
+    dicts of them are equal on the two instances.  Values that list one
+    value per vertex or name elements are moved.  An ``unevaluated`` outcome is never carried, nor a
     mismatch whose witness phi need not map onto the other instance's,
     such as the first disagreeing vertex in index order or
     ``connectivity``'s product witnesses.
@@ -1086,10 +1084,12 @@ def _sample_quota(counts: dict[int, int], cap: int) -> dict[int, int]:
     return quotas
 
 
+@lru_cache(maxsize=None)
 def _sampling_plan(group, limits: Limits):
     """Orbits, their sizes, the ways table, and the per-size counts and
     quotas of the stratified sample; None when every connection set fits
-    under the cap and the scan is exhaustive."""
+    under the cap and the scan is exhaustive.  Built once per (group,
+    limits)."""
     if connection_set_count(group) <= limits.max_connection_sets:
         return None
     orbits = inverse_orbits(group)
@@ -1286,14 +1286,12 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     copied = 0
     results = []
     offset = 0
-    # the greedy passes of shrinking run so far, shared by the subgroups
-    passes: dict = {}
     for h, connection_sets in zip(subgroups, scans):
         totals: Counter = Counter()
         mismatches: list[AuditRecord] = []
         rows: list[_Row] = []
         errors: list[dict] = []
-        scanned = _ScanVerdicts(h.members, set(), {}, passes)
+        scanned = _ScanVerdicts(h.members, set(), {})
         for position, c in enumerate(connection_sets, offset):
             ctx = InstanceContext(group, h, c, limits)
             root = roots[position]
@@ -1493,19 +1491,11 @@ class _ScanVerdicts:
     """What a work item's scan found on one of its subgroups: the
     connection sets (member tuples) whose every check ran, and the record
     of each (connection set, check) pair among them that mismatched.  It
-    lives as long as its work item and is never returned from it.
-
-    ``passes`` is shared by the tables of all the item's subgroups: it maps
-    the (check, H members, C members) that a greedy pass of
-    ``shrink_counterexample`` starts from to the (H members, C members) it
-    ends at.  A pass is a function of where it starts, since the verdicts
-    it reads are the same whether they come from a scan or are evaluated,
-    and one work item has one group and one ``Limits``."""
+    lives as long as its subgroup's scan and is never returned from it."""
 
     h_members: tuple[int, ...]
     evaluated: set[tuple[int, ...]]
     mismatches: dict[tuple[tuple[int, ...], str], AuditRecord]
-    passes: dict[tuple[str, tuple[int, ...], tuple[int, ...]], tuple[tuple[int, ...], ...]]
 
     def lookup(self, h_members, c_members, check: str):
         """The scan's verdict on one candidate, as its mismatch record, or
@@ -1525,9 +1515,7 @@ def shrink_counterexample(
     smaller subgroups, as long as the same check still mismatches.
 
     ``scanned`` is the table of the scan that found the record; a candidate
-    it covers takes its verdict from there instead of being evaluated, and
-    a pass that an earlier shrink of the same work item made from the same
-    start is not made again (``_ScanVerdicts.passes``).
+    it covers takes its verdict from there instead of being evaluated.
 
     Idempotent: shrinking an already-minimal record returns it unchanged.
     """
@@ -1558,7 +1546,8 @@ def shrink_counterexample(
     def greedy_pass(h_members, c_members):
         """Drop each connection-set orbit in turn while the check still
         mismatches, then move to the first smaller subgroup of H where it
-        does; where the pass ends."""
+        does; where the pass ends.  ``subgroups_within`` lists the subgroups
+        of H by size, H itself last."""
         c_mask = sum(1 << x for x in c_members)
         for orbit, orbit_mask in orbits:
             if orbit_mask & ~c_mask:
@@ -1566,22 +1555,14 @@ def shrink_counterexample(
             trial = tuple(x for x in c_members if x not in orbit)
             if still_mismatch(h_members, trial):
                 c_members, c_mask = trial, c_mask & ~orbit_mask
-        h_mask = sum(1 << x for x in h_members)
-        for candidate in enumerate_subgroups(group, limits.max_order):
-            if len(candidate.members) >= len(h_members) or candidate.mask & ~h_mask:
-                continue
+        for candidate in subgroups_within(group.subgroup(h_members)):
+            if len(candidate) >= len(h_members):
+                break
             if still_mismatch(candidate.members, c_members):
                 return candidate.members, c_members
         return h_members, c_members
 
-    passes = {} if scanned is None else scanned.passes
-    while True:
-        start = (check, h_members, c_members)
-        end = passes.get(start)
-        if end is None:
-            end = passes[start] = greedy_pass(h_members, c_members)
-        if end == start[1:]:
-            break
+    while (end := greedy_pass(h_members, c_members)) != (h_members, c_members):
         h_members, c_members = end
     return scan_verdict(h_members, c_members) or evaluate_check(
         spec, h_members, c_members, check, limits

@@ -18,8 +18,10 @@ Each subgroup is built and closure-checked once per group: ``subgroup``,
 object per member set, which also keeps its own tables (coset partitions,
 the A*B*A flag, see ``Subgroup``) once computed.  Each generator mask is
 closed once per group, and ``width``, ``psi`` and ``subgroups_within``
-answer each mask once per group.  ``GroupTable.automorphisms`` lists the
-automorphisms once per group, each verified against the table;
+answer each mask once per group; these per-mask tables are
+``functools.cache`` entries keyed by (group, mask), which live as long as
+the process, as ``make_group``'s groups do.  ``GroupTable.automorphisms``
+lists the automorphisms once per group, each verified against the table;
 ``GroupTable.automorphism_generators`` picks generators of them, and
 ``Subgroup.stabiliser_generators`` generators of those that fix a
 subgroup.  All objects here are immutable apart from these caches and safe
@@ -32,7 +34,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import compress
 from typing import Iterable, Iterator, Optional
 
@@ -184,22 +186,6 @@ class GroupTable:
         the same members get the same object back.
         """
         return _shared_subgroup(self, ElementSet(self, members).mask)
-
-    @cached_attribute
-    def _subgroups_by_mask(self) -> dict[int, "Subgroup"]:
-        return {}
-
-    @cached_attribute
-    def _generated_by_mask(self) -> dict[int, "Subgroup"]:
-        return {}
-
-    @cached_attribute
-    def _within_by_mask(self) -> dict[int, tuple["Subgroup", ...]]:
-        return {}
-
-    @cached_attribute
-    def _width_by_mask(self) -> dict[int, int]:
-        return {}
 
     @cached_attribute
     def _columns(self) -> tuple[tuple[int, ...], ...]:
@@ -521,9 +507,10 @@ class Subgroup(ElementSet):
       which ``product_within`` reads;
     - ``stabiliser_generators``, generators of the automorphisms that map
       it onto itself, which the audit's orbit classes are built from;
-    - ``is_aba``, whether it factors as A*B*A into proper subgroups;
-    - the shift-avoiding 3-part splits for each generator
-      (``shift_avoiding_splits``).
+    - ``is_aba``, whether it factors as A*B*A into proper subgroups.
+
+    Its shift-avoiding 3-part splits (``shift_avoiding_splits``) are cached
+    per (subgroup, step) in the module, like the per-mask tables.
     """
 
     def __init__(self, group: GroupTable, members: Iterable[int] = ()) -> None:
@@ -646,22 +633,16 @@ class Subgroup(ElementSet):
             out |= table[m]
         return _from_mask(group, out)
 
-    @cached_attribute
-    def _splits(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        return {}
-
     def shift_avoiding_splits(self, step: int) -> tuple[tuple[int, int, int], ...]:
         """Every split of H into three parts, as member masks, with no part
         holding both x and x*step; empty parts are allowed.
 
         Each split is listed once, with its parts in the order in which
         they first meet the members of H (so an empty part comes last).
-        The table is built on the first request for each step and kept.
+        The table is built on the first request for a (subgroup, step)
+        and the same tuple is returned to every later one.
         """
-        found = self._splits.get(step)
-        if found is None:
-            found = self._splits[step] = _split_table(self, step)
-        return found
+        return _split_table(self, step)
 
     @cached_attribute
     def is_aba(self) -> bool:
@@ -999,6 +980,7 @@ def _coset_masks(cosets, order: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@cache
 def _split_table(h: Subgroup, step: int) -> tuple[tuple[int, int, int], ...]:
     """The splits that ``Subgroup.shift_avoiding_splits`` lists.
 
@@ -1061,20 +1043,14 @@ def _closure_mask(g: GroupTable, seed_mask: int) -> int:
     return found
 
 
+@cache
 def _shared_subgroup(g: GroupTable, mask: int) -> Subgroup:
-    shared = g._subgroups_by_mask
-    found = shared.get(mask)
-    if found is None:
-        found = shared[mask] = Subgroup(g, bit_indices(mask))
-    return found
+    return Subgroup(g, bit_indices(mask))
 
 
+@cache
 def _generated(g: GroupTable, seed_mask: int) -> Subgroup:
-    shared = g._generated_by_mask
-    found = shared.get(seed_mask)
-    if found is None:
-        found = shared[seed_mask] = _shared_subgroup(g, _closure_mask(g, seed_mask))
-    return found
+    return _shared_subgroup(g, _closure_mask(g, seed_mask))
 
 
 def generated_subgroup(x: ElementSet) -> Subgroup:
@@ -1142,14 +1118,10 @@ def width(x: ElementSet) -> int:
 
     Each mask's width is computed once per group.
     """
-    g = x.group
-    shared = g._width_by_mask
-    found = shared.get(x.mask)
-    if found is None:
-        found = shared[x.mask] = _width(g, x.mask)
-    return found
+    return _width(x.group, x.mask)
 
 
+@cache
 def _width(g: GroupTable, mask: int) -> int:
     # the loop ends: once the union stops growing it is closed under
     # multiplication by the set, so it already holds all of <x>
@@ -1182,14 +1154,10 @@ def subgroups_within(x: ElementSet) -> tuple[Subgroup, ...]:
     Each starred mask is looked up once per group.
     """
     g = x.group
-    star = x.mask | 1 << g.identity
-    shared = g._within_by_mask
-    found = shared.get(star)
-    if found is None:
-        found = shared[star] = _subgroups_within(g, star)
-    return found
+    return _subgroups_within(g, x.mask | 1 << g.identity)
 
 
+@cache
 def _subgroups_within(g: GroupTable, star: int) -> tuple[Subgroup, ...]:
     return tuple(s for s in _all_subgroups(g) if not s.mask & ~star)
 

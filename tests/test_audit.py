@@ -6,7 +6,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import pytest
@@ -726,16 +726,17 @@ def test_each_generator_mask_is_closed_once_per_audit(monkeypatch):
 
 
 def _count_calls(monkeypatch, name: str) -> Counter:
-    """Calls of a group_core worker, keyed by the identity of its first
-    argument (a group or a subgroup) and its second (a mask or a step)."""
+    """Computations of a cached group_core worker, keyed by the identity of
+    its first argument (a group or a subgroup) and its second (a mask or a
+    step): the worker runs under a fresh cache that counts its misses."""
     calls: Counter = Counter()
-    real = getattr(relcay.group_core, name)
+    real = getattr(relcay.group_core, name).__wrapped__
 
     def counted(owner, key):
         calls[id(owner), key] += 1
         return real(owner, key)
 
-    monkeypatch.setattr(relcay.group_core, name, counted)
+    monkeypatch.setattr(relcay.group_core, name, cache(counted))
     return calls
 
 
@@ -749,7 +750,9 @@ def test_each_split_table_is_built_once_per_audit(monkeypatch, no_sharing):
     assert len(tables) == 7 and max(tables.values()) == 1
 
 
-@pytest.mark.parametrize("worker", ["_width", "_subgroups_within"])
+@pytest.mark.parametrize(
+    "worker", ["_width", "_subgroups_within", "_generated", "_shared_subgroup"]
+)
 def test_each_lattice_lookup_is_computed_once_per_mask(monkeypatch, worker):
     _fresh_group(monkeypatch, "D4")
     computed = _count_calls(monkeypatch, worker)
@@ -938,6 +941,42 @@ def test_a_square_free_witness_moves_its_overlap():
     overlap = tuple(names[x] for x in sorted((0, phi[1])))
     assert moved == (False, True, MISMATCH, {**witness, "pair_product_overlap": overlap})
     assert witness["pair_product_overlap"] == (names[0], names[1])
+
+
+def test_a_copy_that_phi_leaves_unchanged_holds_its_class_roots_outcome():
+    # a mover hands back the outcome it was given when phi leaves its values
+    # as they are, so the copy's row holds the class root's own object
+    report = run_audit(catalog_up_to(8), keep_records=True)
+    # the digest from before the movers kept their input
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "842fdd04bc57587fb51ae5e68b17a24fb2acefbb4f2ef806877c54903491cd1a"
+    outcomes = {
+        (group, h_indices, c_indices): dict(zip(checks, row))
+        for group, _, h_indices, checks, rows in report.records.blocks
+        for c_indices, _, row in rows
+    }
+    limits = Limits()
+    kept = set()
+    for spec in catalog_up_to(8):
+        g = make_group(spec)
+        subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
+        for orbit in relcay.audit._subgroup_orbits(g, subgroups):
+            item = [subgroups[k] for k in orbit]
+            scans = [relcay.audit._connection_sets_for(g, h.members, limits) for h in item]
+            pairs = [(g.spec, h.members, c.members) for h, scan in zip(item, scans) for c in scan]
+            roots, _ = relcay.audit._class_roots(item, scans)
+            for pair, root in zip(pairs, roots):
+                if pairs[root] == pair:
+                    continue
+                for check, outcome in outcomes[pair].items():
+                    first = outcomes[pairs[root]][check]
+                    carried, move = relcay.audit._CARRY[check]
+                    if move is not None and first[2] in carried and outcome == first:
+                        assert outcome is first, (pair, check)
+                        kept.add(check)
+    assert kept == {
+        "degree_formula", "full_degree_coset", "isolated_vertex", "square_free_as_printed",
+    }
 
 
 @pytest.mark.parametrize(
