@@ -10,10 +10,12 @@ per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 A work item is one orbit of proper subgroups of one group under its
 automorphisms.  Mismatches are shrunk to smaller witnesses inside the work
 item that found them, so a pooled audit shrinks in its workers.  Within a
-work item, an instance (H, C) that an automorphism phi maps an earlier one
-onto takes the earlier one's outcomes, moved through phi where they list
-vertices or name elements, instead of evaluating them again (see
-``Check`` and ``_scan_orbit``).
+work item, the scanned instances (H, C) are split into their orbits under
+the automorphisms of the group (``_class_roots``), sampled or not, and
+only the first instance of an orbit is evaluated: a later one, which an
+automorphism phi maps the first onto, takes its outcomes, moved through
+phi where they list vertices or name elements (see ``Check`` and
+``_scan_orbit``).
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -22,7 +24,6 @@ instance itself, and any degree of parallelism yields byte-identical output.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import time
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from operator import eq, ge, le
+from operator import eq, ge, getitem, le
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
 
 from .errors import (
@@ -290,35 +292,37 @@ class AuditReport:
         return "".join(out)
 
     def to_csv(self) -> str:
+        """The kept records as CSV, one line per record, as ``csv.writer``
+        writes the fields ``group``, ``h`` and ``c`` (names joined by
+        commas), ``check``, ``predicted`` and ``observed`` (through
+        ``compact_json``) and ``verdict``.
+
+        As in ``to_json``, a line is three pieces that other lines share:
+        ``GROUP,H,C,`` per row, ``CHECK,`` per (block, check) and
+        ``PREDICTED,OBSERVED,VERDICT`` per distinct outcome, each quoted by
+        ``csv.writer`` once.  A trailing empty field keeps a piece's last
+        field from being quoted as the only field of its line."""
         if self.records is None:
             raise PreconditionError("CSV export needs a run with keep_records")
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            [
-                "instance_group",
-                "instance_H",
-                "instance_C",
-                "check",
-                "predicted",
-                "observed",
-                "verdict",
-            ]
+        # writerow returns what the file's write returns: here, the line
+        line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+        cell = _Renderings(compact_json).of
+        tails = _Renderings(
+            lambda outcome: line((cell(outcome[0]), cell(outcome[1]), outcome[2]))
         )
-        texts: dict = {}
-
-        def text(value) -> str:
-            return _memoised(texts, value, compact_json)
-
+        out = [
+            line(("instance_group", "instance_H", "instance_C", "check", "predicted",
+                  "observed", "verdict"))
+        ]
         for group, h, _, checks, rows in self.records.blocks:
             h_text = ",".join(h)
+            pieces = [""] * (3 * len(checks))
+            pieces[1::3] = [line((check, ""))[:-1] for check in checks]
             for _, c, outcomes in rows:
-                c_text = ",".join(c)
-                writer.writerows(
-                    [group, h_text, c_text, check, text(predicted), text(observed), verdict]
-                    for check, (predicted, observed, verdict, _) in zip(checks, outcomes)
-                )
-        return out.getvalue()
+                pieces[::3] = [line((group, h_text, ",".join(c), ""))[:-1]] * len(outcomes)
+                pieces[2::3] = map(tails.of_held, outcomes)
+                out += pieces
+        return "".join(out)
 
 
 _PLAIN_SCALARS = frozenset({type(None), bool, int, float, str})
@@ -357,16 +361,35 @@ def _memo_key(value) -> Optional[str]:
     return repr(value) if _plain(value) else None
 
 
-def _memoised(memo: dict, value, render: Callable[[object], str]) -> str:
-    """``render(value)``, kept in ``memo`` under the value's ``_memo_key``
-    and rendered afresh for a value that has none."""
-    key = _memo_key(value)
-    if key is None:
-        return render(value)
-    text = memo.get(key)
-    if text is None:
-        text = memo[key] = render(value)
-    return text
+class _Renderings:
+    """``render`` of each distinct value once: a value is found by its
+    ``_memo_key`` (``of``), and one that has none is rendered each time it
+    is met.  A value that the report holds while it is written may be
+    found by its identity first (``of_held``): outcomes carried through an
+    automorphism are one object on many rows, so that finds most of them
+    without computing a key.  An id names one object only while that
+    object lives, so a value built for the lookup is found by its key
+    alone."""
+
+    def __init__(self, render: Callable[[object], str]):
+        self._render = render
+        self._memo: dict[str, str] = {}
+        self._held: dict[int, str] = {}
+
+    def of(self, value) -> str:
+        key = _memo_key(value)
+        if key is None:
+            return self._render(value)
+        text = self._memo.get(key)
+        if text is None:
+            text = self._memo[key] = self._render(value)
+        return text
+
+    def of_held(self, value) -> str:
+        text = self._held.get(id(value))
+        if text is None:
+            text = self._held[id(value)] = self.of(value)
+        return text
 
 
 def jsonable(value):
@@ -431,13 +454,9 @@ class _RecordWriter:
     - a tail per distinct outcome, ``OBSERVED, "predicted": PREDICTED,
       "verdict": VERDICT, "witness": WITNESS}``.
 
-    Outcomes carried through an automorphism are one object on many rows,
-    so a tail is found by its outcome's identity first, then by the
-    outcome's ``_memo_key``, so that one string per distinct tail stays
-    alive.  A mismatch's record is written as one string, once however
-    many entries share it.  An id names one object only while that object lives, so only
-    outcomes and records that the report holds throughout ``to_json`` are
-    looked up by identity.
+    A tail is rendered once per distinct outcome (``_Renderings``), so one
+    string per distinct tail stays alive.  A mismatch's record is written
+    as one string, once however many entries share it.
 
     Strings, None, booleans, ints and finite floats are formatted the way
     ``json`` formats them.  Every other value (a container such as the
@@ -456,10 +475,9 @@ class _RecordWriter:
         self._head = "{" + c + "%s," + check
         self._middle = "%s," + group + "%s," + h + "%s," + observed
         self._tail = "%s," + predicted + "%s," + verdict + "%s," + witness + "%s" + pad[:-2] + "}"
-        self._values: dict[str, str] = {}
-        self._tails: dict[str, str] = {}
-        # id of an outcome or record the report holds -> its tail or text
-        self._held: dict[int, str] = {}
+        self._values = _Renderings(self._render)
+        self._tails = _Renderings(self._render_tail)
+        self._records = _Renderings(self._render_record)
 
     def _value(self, value) -> str:
         if value is None:
@@ -474,7 +492,7 @@ class _RecordWriter:
             return int.__repr__(value)
         if isinstance(value, float) and math.isfinite(value):
             return float.__repr__(value)
-        return _memoised(self._values, value, self._render)
+        return self._values.of(value)
 
     def _render(self, value) -> str:
         return _indented(jsonable(value), self._depth)
@@ -494,39 +512,28 @@ class _RecordWriter:
             value(observed), value(predicted), encode_basestring_ascii(verdict), value(witness)
         )
 
-    def _tail_of(self, outcome: _CheckResult) -> str:
-        return _memoised(self._tails, outcome, self._render_tail)
+    def _render_record(self, record: AuditRecord) -> str:
+        outcome = (record.predicted, record.observed, record.verdict, record.witness)
+        return (
+            self._head_of(record.c)
+            + self._middle_of(record.check, record.group, record.h)
+            + self._tails.of(outcome)
+        )
 
     def record(self, record: AuditRecord) -> str:
         """A record that the report holds, written once however many
         mismatch entries share it."""
-        text = self._held.get(id(record))
-        if text is None:
-            outcome = (record.predicted, record.observed, record.verdict, record.witness)
-            text = self._held[id(record)] = (
-                self._head_of(record.c)
-                + self._middle_of(record.check, record.group, record.h)
-                + self._tail_of(outcome)
-            )
-        return text
+        return self._records.of_held(record)
 
     def block(self, block: _RecordBlock, out: list[str]) -> None:
         """Append the pieces of a block's records, in order, to ``out``,
         each record led by ``_NEXT_ITEM``; the report holds the block."""
-        held, tail_of = self._held, self._tail_of
-
-        def tail(outcome) -> str:
-            text = held.get(id(outcome))
-            if text is None:
-                text = held[id(outcome)] = tail_of(outcome)
-            return text
-
         # one row's pieces: head, middle and tail for each check in turn
         pieces = [""] * (3 * len(block.checks))
         pieces[1::3] = [self._middle_of(check, block.group, block.h) for check in block.checks]
         for _, c, outcomes in block.rows:
             pieces[::3] = [_NEXT_ITEM + self._head_of(c)] * len(outcomes)
-            pieces[2::3] = map(tail, outcomes)
+            pieces[2::3] = map(self._tails.of_held, outcomes)
             out += pieces
 
 
@@ -830,9 +837,9 @@ def _move_names(names: tuple[str, ...], phi, ctx: InstanceContext) -> tuple[str,
 
 def _move_vertex_values(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
     """An outcome whose values list one value per vertex, moved through
-    phi: new[phi(x)] = old[x]."""
+    phi (a ``_Map``): new[phi(x)] = old[x]."""
     predicted, observed, verdict, witness = outcome
-    inverse = sorted(range(len(phi)), key=phi.__getitem__)
+    inverse = phi.inverse
     moved = tuple(map(predicted.__getitem__, inverse)), tuple(map(observed.__getitem__, inverse))
     return outcome if moved == outcome[:2] else (*moved, verdict, witness)
 
@@ -1141,102 +1148,136 @@ def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
 # Scan driver
 
 
-def _with_inverses(automorphisms):
-    """Each automorphism and, when it differs, its inverse."""
-    for phi in automorphisms:
-        yield phi
-        inverse = tuple(sorted(range(len(phi)), key=phi.__getitem__))
-        if inverse != phi:
-            yield inverse
-
-
-def _classes(size: int, links, order: int) -> tuple[list[int], list]:
-    """For each of ``size`` items, the least item of its class and an
-    automorphism of a group of the given order that maps that item onto
-    it.  ``links(i)`` yields the pairs (j, phi) where phi maps item i onto
-    item j, and yields (i, phi^-1) from j in turn; the classes are the
-    finest partition that puts each such i and j together.
-
-    A breadth-first search from each least unvisited item finds them,
-    composing the maps along the way; equal maps are one tuple, so there
-    are no more of them than automorphisms."""
-    identity = tuple(range(order))
-    known = {identity: identity}
-    roots: list = [None] * size
-    maps: list = [None] * size
-    for start in range(size):
-        if roots[start] is not None:
-            continue
-        roots[start], maps[start] = start, identity
-        queue = [start]
-        for i in queue:
-            before = maps[i]
-            for j, phi in links(i):
-                if roots[j] is None:
-                    after = tuple(map(phi.__getitem__, before))
-                    roots[j], maps[j] = start, known.setdefault(after, after)
-                    queue.append(j)
-    return roots, maps
-
-
-def _subgroup_orbits(group, subgroups) -> list[list[int]]:
+def _subgroup_orbits(group, subgroups) -> list[tuple[list[int], list]]:
     """The positions of ``subgroups``, split into orbits of the group's
     automorphisms (``GroupTable.automorphism_generators``); the list must
     be closed under them, as a group's proper subgroups are.  Each orbit
-    is in position order, and the orbits are in the order of their least
-    positions."""
+    is in position order, with an automorphism for each position that maps
+    the orbit's first subgroup onto the one there; the orbits are in the
+    order of their least positions.
+
+    A breadth-first search from each least position not yet reached lists
+    its orbit, composing the maps along the way.  The group of
+    automorphisms is finite, so its generators reach every image without
+    their inverses."""
     index = {h.mask: k for k, h in enumerate(subgroups)}
-    moves = [(phi, [1 << y for y in phi]) for phi in _with_inverses(group.automorphism_generators)]
+    moves = [(phi, [1 << y for y in phi]) for phi in group.automorphism_generators]
+    carriers: list = [None] * len(subgroups)
+    orbits = []
+    for start in range(len(subgroups)):
+        if carriers[start] is not None:
+            continue
+        carriers[start] = tuple(range(group.order))
+        orbit = [start]
+        for k in orbit:
+            members = subgroups[k].members
+            for phi, bits in moves:
+                j = index[sum(map(bits.__getitem__, members))]
+                if carriers[j] is None:
+                    carriers[j] = tuple(map(phi.__getitem__, carriers[k]))
+                    orbit.append(j)
+        orbit.sort()
+        orbits.append((orbit, [carriers[k] for k in orbit]))
+    return orbits
 
-    def links(k):
-        members = subgroups[k].members
-        for phi, bits in moves:
-            yield index[sum(map(bits.__getitem__, members))], phi
 
-    orbits: dict[int, list[int]] = {}
-    for k, root in enumerate(_classes(len(subgroups), links, group.order)[0]):
-        orbits.setdefault(root, []).append(k)
-    return list(orbits.values())
+class _Map(tuple):
+    """An automorphism as the tuple of the images of the elements, which
+    works out its inverse once, when first asked."""
+
+    @cached_attribute
+    def inverse(self) -> tuple[int, ...]:
+        return tuple(sorted(range(len(self)), key=self.__getitem__))
 
 
-def _class_roots(subgroups, scans) -> tuple[list[int], list]:
+def _byte_tables(images: list[int], width: int) -> list[list[int]]:
+    """A permutation of bit positions (bit i goes to ``images[i]``) as one
+    table per byte of a ``width``-byte mask: entry v of table b is where
+    the bits of v, read as bits 8b.. of the mask, go."""
+    tables = []
+    for b in range(width):
+        table = [0]
+        for i in range(8 * b, 8 * b + 8):
+            bit = 1 << images[i] if i < len(images) else 0
+            table += [t | bit for t in table]
+        tables.append(table)
+    return tables
+
+
+def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list]:
     """For each (H, C) pair that a work item scans, numbered subgroup by
     subgroup (``scans[k]`` holds the connection sets of ``subgroups[k]``),
-    the number of the first pair of its class, and an automorphism phi
-    that maps that pair onto it (``_classes``).  (H, C) and (phi(H),
-    phi(C)) are in one class whenever both are scanned and phi or its
-    inverse is one of ``GroupTable.automorphism_generators``, which move H
-    inside the item's orbit, or one of H's own ``stabiliser_generators``.
+    the number of the first pair of its orbit under the group's
+    automorphisms, and an automorphism phi (a ``_Map``) that maps that
+    pair onto it; equal maps are one object.  ``carriers[k]`` maps the
+    item's first subgroup H0 onto ``subgroups[k]`` (``_subgroup_orbits``).
 
-    When every scan is exhaustive the classes are the orbits of Aut(G) on
-    the pairs.  A sampled scan's can only be finer, since a class never
-    leaves the sample; the stabiliser's generators link pairs there that
-    chains of the group's generators only reach through unsampled sets.
-    """
-    offsets = [0, *accumulate(map(len, scans))]
-    index = {
-        h.mask: {c.mask: i for i, c in enumerate(scan, offset)}
-        for h, scan, offset in zip(subgroups, scans, offsets)
-    }
-    # per subgroup: each generator or inverse, its images of single
-    # elements as bits, and the numbers of the image subgroup's pairs
-    moves = []
-    for h in subgroups:
-        found = []
-        for phi in _with_inverses((*h.group.automorphism_generators, *h.stabiliser_generators)):
-            bits = [1 << y for y in phi]
-            found.append((phi, bits, index[sum(map(bits.__getitem__, h.members))]))
-        moves.append(found)
-
-    def links(i):
-        k = bisect_right(offsets, i) - 1
-        members = scans[k][i - offsets[k]].members
-        for phi, bits, image in moves[k]:
-            j = image.get(sum(map(bits.__getitem__, members)))
-            if j is not None:
-                yield j, phi
-
-    return _classes(offsets[-1], links, subgroups[0].group.order)
+    A pair (H_k, C) is pulled back through its carrier to (H0, C'), so two
+    pairs lie in one orbit exactly when their C' lie in one orbit of H0's
+    stabiliser.  Every automorphism permutes the inverse orbits {x, x^-1}
+    of ``inverse_orbits``, so C' is a mask over them, and a stabiliser
+    generator moves masks through one lookup table per byte
+    (``_byte_tables``).  The first time the scan meets an orbit of masks,
+    a breadth-first search under those generators lists it, noting the
+    generator that reached each mask; the stabiliser is finite, so its
+    generators reach the whole orbit without their inverses.  A pair's phi
+    is its carrier after the map from the orbit's first pair onto
+    (H0, C'), which is composed along those steps and kept for the masks
+    it passes.  The classes are orbits whether the scan is exhaustive or
+    sampled.  When the group's automorphisms are not listed, H0's
+    stabiliser has no generators and each class is one pair."""
+    h0 = subgroups[0]
+    group = h0.group
+    orbits = inverse_orbits(group)
+    place = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+    width = (len(orbits) + 7) // 8
+    generators = [
+        (phi, _byte_tables([place[phi[orbit[0]]] for orbit in orbits], width))
+        for phi in h0.stabiliser_generators
+    ]
+    # pulled-back mask -> the number of the first pair of its orbit
+    orbit_roots: dict[int, int] = {}
+    # pulled-back mask -> the mask and generator the search reached it from
+    steps: dict[int, tuple] = {}
+    # pulled-back mask -> a map from the first pair of its orbit onto (H0, mask)
+    onto: dict[int, tuple] = {}
+    known: dict[tuple, _Map] = {}
+    roots: list[int] = []
+    maps: list = []
+    for scan, carrier in zip(scans, carriers):
+        back = _Map(carrier).inverse
+        # the bit of each element's pulled-back inverse orbit, on the least
+        # member of its own orbit only, so that a set's bits add up to its mask
+        pull = [0] * group.order
+        for orbit in orbits:
+            pull[orbit[0]] = 1 << place[back[orbit[0]]]
+        for c in scan:
+            mask = sum(map(pull.__getitem__, c.members))
+            if mask not in orbit_roots:
+                orbit_roots[mask], onto[mask] = len(roots), back
+                queue = [mask]
+                for here in queue:
+                    for phi, tables in generators:
+                        image = sum(map(getitem, tables, here.to_bytes(width, "little")))
+                        if image not in orbit_roots:
+                            orbit_roots[image] = len(roots)
+                            steps[image] = here, phi
+                            queue.append(image)
+            path = []
+            here = mask
+            while here not in onto:
+                path.append(here)
+                here = steps[here][0]
+            moved = onto[here]
+            for here in reversed(path):
+                moved = onto[here] = tuple(map(steps[here][1].__getitem__, moved))
+            phi = tuple(map(carrier.__getitem__, moved))
+            interned = known.get(phi)
+            if interned is None:
+                interned = known[phi] = _Map(phi)
+            roots.append(orbit_roots[mask])
+            maps.append(interned)
+    return roots, maps
 
 
 class _SubgroupResult(NamedTuple):
@@ -1257,10 +1298,10 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     class.  Mismatches are shrunk here when ``shrink`` is set, so a pooled
     audit shrinks in its workers.
 
-    The scanned (H, C) pairs are split into classes under automorphisms of
-    G (``_class_roots``); an automorphism phi maps the graph of (H, C)
-    onto that of (phi(H), phi(C)), so every check has one verdict on a
-    class.  The first instance of a class is evaluated in full.  A later
+    The scanned (H, C) pairs are split into their orbits under the
+    automorphisms of G, each a class (``_class_roots``); an automorphism
+    phi maps the graph of (H, C) onto that of (phi(H), phi(C)), so every
+    check has one verdict on a class.  The first instance of a class is evaluated in full.  A later
     one takes each outcome there that its check carries
     (``Check.carried``), moved through the phi that maps the first
     instance onto it (``Check.move``), and evaluates every other check
@@ -1269,11 +1310,11 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     is carried, a later one evaluates nothing.  Each pair's phi is dropped
     once used.  The classmates of a first instance that raised are
     evaluated in full."""
-    spec, h_list, checks, limits, keep_records, shrink = args
+    spec, h_list, carriers, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     subgroups = [group.subgroup(members) for members in h_list]
     scans = [_connection_sets_for(group, h.members, limits) for h in subgroups]
-    roots, maps = _class_roots(subgroups, scans)
+    roots, maps = _class_roots(subgroups, scans, carriers)
     # a row holds its outcomes in check-name order
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
     carries = [_CARRY[check][0] for check in checks]
@@ -1409,9 +1450,11 @@ def run_audit(
             }
         )
         first = sum(map(len, placements))
-        for orbit in _subgroup_orbits(group, subgroups):
+        for orbit, carriers in _subgroup_orbits(group, subgroups):
             members = tuple(subgroups[k].members for k in orbit)
-            work_items.append((group.spec, members, checks, limits, keep_records, shrink))
+            work_items.append(
+                (group.spec, members, tuple(carriers), checks, limits, keep_records, shrink)
+            )
             placements.append([first + k for k in orbit])
 
     if parallelism == 1:

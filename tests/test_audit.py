@@ -862,7 +862,7 @@ def test_conjugate_instances_get_the_same_verdicts(spec):
                     assert first[:2] == second[:2], where
                 if first[2] in carried:
                     if move is not None:
-                        first = move(first, phi, two)
+                        first = move(first, relcay.audit._Map(phi), two)
                         moved += first[2] == AGREE
                     assert first == second, where
                 compared += 1
@@ -955,16 +955,11 @@ def test_a_copy_that_phi_leaves_unchanged_holds_its_class_roots_outcome():
         for group, _, h_indices, checks, rows in report.records.blocks
         for c_indices, _, row in rows
     }
-    limits = Limits()
     kept = set()
     for spec in catalog_up_to(8):
-        g = make_group(spec)
-        subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
-        for orbit in relcay.audit._subgroup_orbits(g, subgroups):
-            item = [subgroups[k] for k in orbit]
-            scans = [relcay.audit._connection_sets_for(g, h.members, limits) for h in item]
-            pairs = [(g.spec, h.members, c.members) for h, scan in zip(item, scans) for c in scan]
-            roots, _ = relcay.audit._class_roots(item, scans)
+        for item, scans, carriers in _work_items(make_group(spec)):
+            pairs = [(spec, h.members, c.members) for h, scan in zip(item, scans) for c in scan]
+            roots, _ = relcay.audit._class_roots(item, scans, carriers)
             for pair, root in zip(pairs, roots):
                 if pairs[root] == pair:
                     continue
@@ -1005,6 +1000,20 @@ def test_only_carried_outcomes_skip_evaluation_on_classmates(monkeypatch, check,
     instances = report.catalog[0]["instances"]
     assert 0 < report.copied_instances < instances
     assert len(calls) == (instances - report.copied_instances if carried else instances)
+
+
+def _work_items(g) -> list:
+    """Each work item of the group as ``_scan_orbit`` sees it: its
+    subgroups, their connection sets and the maps from its first subgroup
+    onto each; nothing is evaluated."""
+    limits = Limits()
+    subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
+    items = []
+    for orbit, carriers in relcay.audit._subgroup_orbits(g, subgroups):
+        item = [subgroups[k] for k in orbit]
+        scans = [relcay.audit._connection_sets_for(g, h.members, limits) for h in item]
+        items.append((item, scans, carriers))
+    return items
 
 
 def _dispatched_items(monkeypatch, catalog) -> list:
@@ -1054,17 +1063,14 @@ def test_a_group_past_the_automorphism_cap_scans_one_subgroup_per_item(monkeypat
     assert len(items) == len(proper) == 373
 
 
-@pytest.mark.parametrize("spec", ["C2xC2xC2", "D4", "D7"])
+@pytest.mark.parametrize("spec", ["C2xC2xC2", "D4", "D7", "D8"])
 def test_each_class_map_takes_the_first_pair_of_the_class_onto_the_pair(spec):
     g = make_group(spec)
     automorphisms = set(g.automorphisms)
-    limits = Limits()
-    subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
-    for orbit in relcay.audit._subgroup_orbits(g, subgroups):
-        item = [subgroups[k] for k in orbit]
-        scans = [relcay.audit._connection_sets_for(g, h.members, limits) for h in item]
+    for item, scans, carriers in _work_items(g):
+        assert [_image(phi, item[0].members) for phi in carriers] == [h.members for h in item]
         pairs = [(h.members, c.members) for h, scan in zip(item, scans) for c in scan]
-        roots, maps = relcay.audit._class_roots(item, scans)
+        roots, maps = relcay.audit._class_roots(item, scans, carriers)
         assert len(roots) == len(maps) == len(pairs)
         for i, (root, phi) in enumerate(zip(roots, maps)):
             assert roots[root] == root <= i
@@ -1073,6 +1079,71 @@ def test_each_class_map_takes_the_first_pair_of_the_class_onto_the_pair(spec):
             assert (_image(phi, h), _image(phi, c)) == pairs[i]
         # one tuple per distinct map
         assert len({id(phi) for phi in maps}) == len(set(maps))
+
+
+@pytest.mark.parametrize(
+    "spec, orbits", [("D7", 307), ("D8", 3024), ("S4", 10886), ("E2^4", 645)]
+)
+def test_a_sampled_scans_classes_are_the_orbits_its_pairs_meet(spec, orbits):
+    # The orbits are found here independently of the scan, as the least
+    # (phi(H), phi(C)) masks over every listed automorphism; not on E2^4,
+    # whose 20,160 automorphisms make that slow.  Each class must be one
+    # orbit, rooted at its first pair.  The least pair has the least
+    # phi(H), so only the phi that give it are tried on C.
+    g = make_group(spec)
+    images = None if spec == "E2^4" else [[1 << y for y in phi] for phi in g.automorphisms]
+    count = 0
+    for item, scans, carriers in _work_items(g):
+        roots, _ = relcay.audit._class_roots(item, scans, carriers)
+        count += sum(root == i for i, root in enumerate(roots))
+        if images is None:
+            continue
+        keys = []
+        for h, scan in zip(item, scans):
+            h_images = [sum(map(b.__getitem__, h.members)) for b in images]
+            least = min(h_images)
+            onto = [b for b, image in zip(images, h_images) if image == least]
+            keys += [(least, min(sum(map(b.__getitem__, c.members)) for b in onto)) for c in scan]
+        first: dict = {}
+        assert roots == [first.setdefault(key, i) for i, key in enumerate(keys)]
+    assert count == orbits
+
+
+def _burnside(g) -> int:
+    """The number of orbits of the automorphisms on the (proper subgroup,
+    connection set) pairs: the mean over phi of the pairs phi fixes.  phi
+    fixes 2^k connection sets, k its cycles on the inverse orbits."""
+    orbits = inverse_orbits(g)
+    place = {x: i for i, orbit in enumerate(orbits) for x in orbit}
+    subgroups = [frozenset(s.members) for s in enumerate_subgroups(g) if s.is_proper]
+    fixed = 0
+    for phi in g.automorphisms:
+        moved = [place[phi[orbit[0]]] for orbit in orbits]
+        cycles, seen = 0, set()
+        for i in range(len(orbits)):
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = moved[i]
+        held = sum(frozenset(phi[x] for x in h) == h for h in subgroups)
+        fixed += held << cycles
+    return fixed // len(g.automorphisms)
+
+
+@pytest.mark.parametrize("spec, orbits", [("D7", 312), ("D8", 3996)])
+def test_the_tables_split_every_pair_into_burnsides_count_of_orbits(spec, orbits):
+    # every connection set on the first subgroup of each work item: one
+    # class per orbit of the automorphisms on all (H, C) pairs.  E2^4 (656
+    # orbits) takes over a second here, most of it in the maps.
+    g = make_group(spec)
+    every = relcay.audit._every_connection_set(g)
+    identity = tuple(range(g.order))
+    count = sum(
+        len(set(relcay.audit._class_roots(item[:1], [every], [identity])[0]))
+        for item, _, _ in _work_items(g)
+    )
+    assert count == orbits == _burnside(g)
 
 
 def test_an_exhaustive_scan_builds_each_groups_connection_sets_once(monkeypatch, request):
@@ -1093,9 +1164,10 @@ def test_an_exhaustive_scan_builds_each_groups_connection_sets_once(monkeypatch,
 @pytest.mark.parametrize(
     "catalog, copied",
     [
-        # before classes crossed subgroups, 2,715 and 2,968
+        # before classes crossed subgroups, 2,715 and 2,968; D7's classes
+        # were 4,041 copies before they were orbits of the sample
         (catalog_up_to(10), 3467),
-        (("D7",), 4041),
+        (("D7",), 4301),
     ],
 )
 def test_outcomes_are_shared_across_each_orbit_of_subgroups(catalog, copied):
