@@ -4,7 +4,7 @@ Enumerates (group, subgroup, connection set) instances over a catalog of
 small groups, evaluates every registered check on both the prediction side
 (group arithmetic) and the oracle side (brute force on adjacency), and
 classifies each pair as agree, mismatch, not-applicable, or unevaluated.
-The scan tallies each verdict as it comes and builds an ``AuditRecord``
+The scan tallies the verdicts of each instance and builds an ``AuditRecord``
 only for a mismatch.  When ``keep_records`` is set it also keeps one row
 per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 A work item is one orbit of proper subgroups of one group under its
@@ -14,8 +14,8 @@ work item, the scanned instances (H, C) are split into their orbits under
 the automorphisms of the group (``_class_roots``), sampled or not, and
 only the first instance of an orbit is evaluated: a later one, which an
 automorphism phi maps the first onto, takes its outcomes, moved through
-phi where they list vertices or name elements (see ``Check`` and
-``_scan_orbit``).
+phi where they list vertices or name elements, and is tallied with the
+first one's verdicts (see ``Check`` and ``_scan_orbit``).
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -54,6 +54,7 @@ from .graphs import (
     inverse_orbits,
 )
 from .group_core import (
+    GroupTable,
     Subgroup,
     bit_indices,
     cached_attribute,
@@ -459,10 +460,11 @@ class _RecordWriter:
     as one string, once however many entries share it.
 
     Strings, None, booleans, ints and finite floats are formatted the way
-    ``json`` formats them.  Every other value (a container such as the
-    ``h`` and ``c`` name tuples, or a float that ``json`` spells NaN or
-    Infinity) is rendered by ``json.dumps`` and re-indented, once per
-    distinct value under its ``_memo_key``.
+    ``json`` formats them, and so is a tuple of exact strings, such as the
+    ``h`` and ``c`` name tuples.  Every other value (another container, or
+    a float that ``json`` spells NaN or Infinity) is rendered by
+    ``json.dumps`` and re-indented, once per distinct value under its
+    ``_memo_key``.
     """
 
     def __init__(self, depth: int):
@@ -472,6 +474,8 @@ class _RecordWriter:
         c, check, group, h, observed, predicted, verdict, witness = (
             f'{pad}"{name}": ' for name in _RECORD_KEYS
         )
+        # a tuple of names: each name on its own line, one level deeper
+        self._open, self._comma, self._close = "[" + pad + "  ", "," + pad + "  ", pad + "]"
         self._head = "{" + c + "%s," + check
         self._middle = "%s," + group + "%s," + h + "%s," + observed
         self._tail = "%s," + predicted + "%s," + verdict + "%s," + witness + "%s" + pad[:-2] + "}"
@@ -492,6 +496,10 @@ class _RecordWriter:
             return int.__repr__(value)
         if isinstance(value, float) and math.isfinite(value):
             return float.__repr__(value)
+        if type(value) is tuple and all(type(item) is str for item in value):
+            if not value:
+                return "[]"
+            return self._open + self._comma.join(map(encode_basestring_ascii, value)) + self._close
         return self._values.of(value)
 
     def _render(self, value) -> str:
@@ -827,15 +835,15 @@ def _forbidden(kind: str, flag_name: Optional[str] = None) -> _CheckFn:
     return check
 
 
-def _move_names(names: tuple[str, ...], phi, ctx: InstanceContext) -> tuple[str, ...]:
+def _move_names(names: tuple[str, ...], phi, group: GroupTable) -> tuple[str, ...]:
     """Element names mapped through phi, in index order."""
     if not names:
         return names
-    index = ctx.group.name_index
-    return ctx.names(sorted(map(phi.__getitem__, map(index.__getitem__, names))))
+    moved = sorted(map(phi.__getitem__, map(group.name_index.__getitem__, names)))
+    return tuple(map(group.names.__getitem__, moved))
 
 
-def _move_vertex_values(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
+def _move_vertex_values(outcome: _CheckResult, phi, group: GroupTable) -> _CheckResult:
     """An outcome whose values list one value per vertex, moved through
     phi (a ``_Map``): new[phi(x)] = old[x]."""
     predicted, observed, verdict, witness = outcome
@@ -844,20 +852,20 @@ def _move_vertex_values(outcome: _CheckResult, phi, ctx: InstanceContext) -> _Ch
     return outcome if moved == outcome[:2] else (*moved, verdict, witness)
 
 
-def _move_element_names(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
+def _move_element_names(outcome: _CheckResult, phi, group: GroupTable) -> _CheckResult:
     predicted, observed, verdict, witness = outcome
-    moved = _move_names(predicted, phi, ctx)
-    moved = moved, (moved if observed == predicted else _move_names(observed, phi, ctx))
+    moved = _move_names(predicted, phi, group)
+    moved = moved, (moved if observed == predicted else _move_names(observed, phi, group))
     return outcome if moved == outcome[:2] else (*moved, verdict, witness)
 
 
-def _move_overlap_witness(outcome: _CheckResult, phi, ctx: InstanceContext) -> _CheckResult:
+def _move_overlap_witness(outcome: _CheckResult, phi, group: GroupTable) -> _CheckResult:
     """``square_free_as_printed``: only a mismatch's ``pair_product_overlap``
     names elements."""
     predicted, observed, verdict, witness = outcome
     if witness is None:
         return outcome
-    overlap = _move_names(witness["pair_product_overlap"], phi, ctx)
+    overlap = _move_names(witness["pair_product_overlap"], phi, group)
     if overlap == witness["pair_product_overlap"]:
         return outcome
     return predicted, observed, verdict, {**witness, "pair_product_overlap": overlap}
@@ -875,18 +883,21 @@ class Check:
     ``audited`` check's disagreement is a documented finding, not a defect:
     it never drives a failing exit status.
 
-    ``carried`` and ``move`` say how an outcome reaches an instance that an
-    automorphism phi maps the evaluated one onto (see ``_scan_orbit``): an
-    outcome whose verdict is in ``carried`` becomes ``move(outcome, phi,
-    ctx)`` on the instance of ``ctx``, or stays as it is when ``move`` is
-    None or phi leaves its values as they are; any other outcome is
-    evaluated there.  By default an outcome that agreed or did not apply
+    ``carried`` and ``move`` say how an outcome reaches a copy, an instance
+    that an automorphism phi maps the evaluated one onto (see
+    ``_scan_orbit``): an outcome whose verdict is in ``carried`` becomes
+    ``move(outcome, phi, group)`` on the copy, or stays as it is when
+    ``move`` is None or phi leaves its values as they are; any other
+    outcome is evaluated there.  A mover reads only the group's ``names``
+    and ``name_index``, so moving needs no ``InstanceContext``, and it
+    keeps the verdict, so a copy that evaluates nothing has its class
+    root's verdicts.  By default an outcome that agreed or did not apply
     is carried as it is, since values that are None, booleans, numbers or
     dicts of them are equal on the two instances.  Values that list one
-    value per vertex or name elements are moved.  An ``unevaluated`` outcome is never carried, nor a
-    mismatch whose witness phi need not map onto the other instance's,
-    such as the first disagreeing vertex in index order or
-    ``connectivity``'s product witnesses.
+    value per vertex or name elements are moved.  An ``unevaluated``
+    outcome is never carried, nor a mismatch whose witness phi need not
+    map onto the other instance's, such as the first disagreeing vertex in
+    index order or ``connectivity``'s product witnesses.
     """
 
     name: str
@@ -894,7 +905,7 @@ class Check:
     fn: _CheckFn
     audited: bool = False
     carried: frozenset = _AGREED_OR_NOT_APPLICABLE
-    move: Optional[Callable[[_CheckResult, tuple, InstanceContext], _CheckResult]] = None
+    move: Optional[Callable[[_CheckResult, tuple, GroupTable], _CheckResult]] = None
 
 
 # a check that only compares reads its prediction, observation and hypothesis in that order
@@ -991,11 +1002,9 @@ def _evaluate(ctx: InstanceContext, check: str) -> _CheckResult:
         return None, None, UNEVALUATED, {"capacity": str(err)}
 
 
-def _build_record(
-    ctx: InstanceContext, check: str, outcome: Optional[_CheckResult] = None
-) -> AuditRecord:
-    """The record of a check's outcome, evaluating the check if not given."""
-    predicted, observed, verdict, witness = outcome or _evaluate(ctx, check)
+def _build_record(ctx: InstanceContext, check: str) -> AuditRecord:
+    """The record of a check, evaluated on the instance of ``ctx``."""
+    predicted, observed, verdict, witness = _evaluate(ctx, check)
     return AuditRecord(
         group=ctx.group.spec,
         h=ctx.h_names,
@@ -1291,6 +1300,20 @@ class _SubgroupResult(NamedTuple):
     errors: list[dict]
 
 
+class _Class(NamedTuple):
+    """What a class root leaves its classmates (see ``_scan_orbit``): its
+    outcomes in the scan's check order, None where a classmate evaluates
+    the check itself; the positions a classmate evaluates or moves, in
+    that order (it moves only outcomes that are kept or recorded); and the
+    root's verdicts and the positions that mismatched, which are a
+    classmate's too when it evaluates nothing."""
+
+    row: tuple
+    todo: tuple[int, ...]
+    verdicts: tuple[str, ...]
+    mismatched: tuple[int, ...]
+
+
 def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     """Scan one work item, an orbit of proper subgroups of one group under
     its automorphisms, and return one ``_SubgroupResult`` per subgroup, in
@@ -1301,15 +1324,22 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     The scanned (H, C) pairs are split into their orbits under the
     automorphisms of G, each a class (``_class_roots``); an automorphism
     phi maps the graph of (H, C) onto that of (phi(H), phi(C)), so every
-    check has one verdict on a class.  The first instance of a class is evaluated in full.  A later
-    one takes each outcome there that its check carries
-    (``Check.carried``), moved through the phi that maps the first
-    instance onto it (``Check.move``), and evaluates every other check
-    itself, so each ``unevaluated`` outcome and each mismatch that is not
-    carried is still its own.  Where every outcome of the first instance
-    is carried, a later one evaluates nothing.  Each pair's phi is dropped
-    once used.  The classmates of a first instance that raised are
-    evaluated in full."""
+    check has one verdict on a class.  The first instance of a class, its
+    root, is evaluated in full.  While classmates are still to come, the
+    root keeps a row (``_Class``): each outcome that its check carries
+    (``Check.carried``), None for every other, and the positions a
+    classmate must touch, those it evaluates and those whose ``Check.move``
+    may change an outcome that is kept (``keep_records``) or recorded (a
+    mismatch).  A copy, a later instance of the class, starts from the
+    row and touches only those positions: it moves an outcome through the
+    phi that maps the root onto it, and evaluates each ``unevaluated``
+    outcome and each mismatch that is not carried itself, building an
+    ``InstanceContext`` only then.  Moving keeps the verdict, so a copy
+    that evaluates nothing has its root's verdicts: such copies are
+    counted by those verdicts, and each distinct row of verdicts is
+    tallied once per subgroup, times its count.  Each pair's phi is
+    dropped once used.
+    The classmates of a root that raised are evaluated in full."""
     spec, h_list, carriers, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     subgroups = [group.subgroup(members) for members in h_list]
@@ -1319,67 +1349,99 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
     carries = [_CARRY[check][0] for check in checks]
     moves = [_CARRY[check][1] for check in checks]
-    # per class root with classmates still to come: each check's outcome
-    # there, or None where they evaluate the check
-    shared: dict[int, list] = {}
+    # the row of each class root with classmates still to come
+    shared: dict[int, _Class] = {}
     unscanned = Counter(roots)
-    evaluate_all = [None] * len(checks)
     copied = 0
     results = []
     offset = 0
     for h, connection_sets in zip(subgroups, scans):
+        h_names = h.names()
         totals: Counter = Counter()
+        # how many copies here that evaluated nothing have each root's verdicts
+        unchanged: Counter = Counter()
         mismatches: list[AuditRecord] = []
         rows: list[_Row] = []
         errors: list[dict] = []
         scanned = _ScanVerdicts(h.members, set(), {})
         for position, c in enumerate(connection_sets, offset):
-            ctx = InstanceContext(group, h, c, limits)
             root = roots[position]
             unscanned[root] -= 1
-            carried = (shared.get if unscanned[root] else shared.pop)(root, evaluate_all)
-            # the map from the class's first instance is needed here only
+            kept = (shared.get if unscanned[root] else shared.pop)(root, None)
+            # the map from the class's root is needed here only
             phi, maps[position] = maps[position], None
-            outcomes = []
+            ctx = InstanceContext(group, h, c, limits) if kept is None else None
             try:
-                for check, move, outcome in zip(checks, moves, carried):
-                    if outcome is None:
-                        outcome = _evaluate(ctx, check)
-                    elif move is not None:
-                        outcome = move(outcome, phi, ctx)
-                    outcomes.append(outcome)
+                if ctx is not None:
+                    outcomes = []
+                    for check in checks:
+                        outcomes.append(_evaluate(ctx, check))
+                elif kept.todo:
+                    outcomes = list(kept.row)
+                    for i in kept.todo:
+                        check = checks[i]
+                        if outcomes[i] is not None:
+                            outcomes[i] = moves[i](outcomes[i], phi, group)
+                        else:
+                            if ctx is None:
+                                ctx = InstanceContext(group, h, c, limits)
+                            outcomes[i] = _evaluate(ctx, check)
+                else:
+                    outcomes = kept.row
             except (RelCayError, RecursionError) as err:
                 # one faulty instance is reported, not fatal to the scan
                 errors.append(
                     {
                         "group": group.spec,
-                        "h": list(ctx.h_names),
-                        "c": list(ctx.c_names),
+                        "h": list(h_names),
+                        "c": list(c.names()),
                         "check": check,
                         "error": f"{type(err).__name__}: {err}",
                     }
                 )
                 continue
-            if root == position and unscanned[root]:
-                shared[root] = [
-                    outcome if outcome[2] in verdicts else None
-                    for verdicts, outcome in zip(carries, outcomes)
-                ]
-            elif carried is not evaluate_all:
-                copied += 1
             scanned.evaluated.add(c.members)
-            verdicts = [outcome[2] for outcome in outcomes]
-            totals.update(zip(checks, verdicts))
+            if kept is not None:
+                copied += 1
+            if ctx is None:
+                # a copy that evaluated nothing has its root's verdicts
+                unchanged[kept.verdicts] += 1
+                mismatched = kept.mismatched
+            else:
+                verdicts = tuple(outcome[2] for outcome in outcomes)
+                totals.update(zip(checks, verdicts))
+                mismatched = tuple(i for i, verdict in enumerate(verdicts) if verdict == MISMATCH)
+                if root == position and unscanned[root]:
+                    row = tuple(
+                        outcome if outcome[2] in carried else None
+                        for carried, outcome in zip(carries, outcomes)
+                    )
+                    # a moved outcome is read only where it is kept or recorded
+                    todo = tuple(
+                        i
+                        for i, (outcome, move) in enumerate(zip(row, moves))
+                        if outcome is None
+                        or move is not None and (keep_records or outcome[2] == MISMATCH)
+                    )
+                    shared[root] = _Class(row, todo, verdicts, mismatched)
+            if mismatched or keep_records:
+                c_names = c.names()
             # a record is built only for a mismatch
-            if MISMATCH in verdicts:
-                for check, outcome in zip(checks, outcomes):
-                    if outcome[2] == MISMATCH:
-                        record = _build_record(ctx, check, outcome)
-                        mismatches.append(record)
-                        scanned.mismatches[c.members, check] = record
+            for i in mismatched:
+                predicted, observed, verdict, witness = outcomes[i]
+                record = AuditRecord(
+                    group=group.spec, h=h_names, c=c_names, check=checks[i],
+                    predicted=predicted, observed=observed, verdict=verdict, witness=witness,
+                    h_indices=h.members, c_indices=c.members,
+                )
+                mismatches.append(record)
+                scanned.mismatches[c.members, checks[i]] = record
             if keep_records:
-                rows.append((c.members, ctx.c_names, tuple(outcomes[i] for i in by_name)))
+                rows.append((c.members, c_names, tuple(map(outcomes.__getitem__, by_name))))
         offset += len(connection_sets)
+        for verdicts, count in unchanged.items():
+            for key in zip(checks, verdicts):
+                totals[key] += count
         mismatches.sort(key=lambda r: (r.c_indices, r.check))
         entries = [
             MismatchEntry(
@@ -1392,7 +1454,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
         if keep_records:
             rows.sort(key=lambda row: row[0])
             block = _RecordBlock(
-                group.spec, h.names(), h.members, tuple(checks[i] for i in by_name), tuple(rows)
+                group.spec, h_names, h.members, tuple(checks[i] for i in by_name), tuple(rows)
             )
         results.append(_SubgroupResult(dict(totals), entries, block, errors))
     return results, copied
@@ -1549,6 +1611,13 @@ class _ScanVerdicts:
         return self.mismatches.get((c_members, check), False)
 
 
+@lru_cache(maxsize=None)
+def _orbit_masks(group) -> tuple[int, ...]:
+    """The mask of each of ``inverse_orbits(group)``, the orbits a shrink
+    drops in turn; built once per group."""
+    return tuple(sum(1 << x for x in orbit) for orbit in inverse_orbits(group))
+
+
 def shrink_counterexample(
     record: AuditRecord,
     limits: Optional[Limits] = None,
@@ -1584,7 +1653,7 @@ def shrink_counterexample(
             return False
         return record.verdict == MISMATCH
 
-    orbits = [(orbit, sum(1 << x for x in orbit)) for orbit in inverse_orbits(group)]
+    orbit_masks = _orbit_masks(group)
 
     def greedy_pass(h_members, c_members):
         """Drop each connection-set orbit in turn while the check still
@@ -1592,10 +1661,10 @@ def shrink_counterexample(
         does; where the pass ends.  ``subgroups_within`` lists the subgroups
         of H by size, H itself last."""
         c_mask = sum(1 << x for x in c_members)
-        for orbit, orbit_mask in orbits:
+        for orbit_mask in orbit_masks:
             if orbit_mask & ~c_mask:
                 continue
-            trial = tuple(x for x in c_members if x not in orbit)
+            trial = tuple(x for x in c_members if not orbit_mask >> x & 1)
             if still_mismatch(h_members, trial):
                 c_members, c_mask = trial, c_mask & ~orbit_mask
         for candidate in subgroups_within(group.subgroup(h_members)):

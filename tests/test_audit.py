@@ -862,7 +862,7 @@ def test_conjugate_instances_get_the_same_verdicts(spec):
                     assert first[:2] == second[:2], where
                 if first[2] in carried:
                     if move is not None:
-                        first = move(first, relcay.audit._Map(phi), two)
+                        first = move(first, relcay.audit._Map(phi), g)
                         moved += first[2] == AGREE
                     assert first == second, where
                 compared += 1
@@ -897,8 +897,8 @@ def test_every_carried_outcome_equals_its_own_evaluation(monkeypatch):
     fired, changed = Counter(), Counter()
 
     def counted(name, move):
-        def moved(outcome, phi, ctx):
-            result = move(outcome, phi, ctx)
+        def moved(outcome, phi, group):
+            result = move(outcome, phi, group)
             fired[name, outcome[2]] += 1
             changed[name] += result != outcome
             return result
@@ -936,8 +936,7 @@ def test_a_square_free_witness_moves_its_overlap():
     phi = next(phi for phi in g.automorphisms if phi[1] != 1)
     names = g.names
     witness = {"induced_square_free": True, "pair_product_overlap": (names[0], names[1])}
-    ctx = InstanceContext(g, g.subgroup((0,)), ConnectionSet(g), Limits())
-    moved = relcay.audit._move_overlap_witness((False, True, MISMATCH, witness), phi, ctx)
+    moved = relcay.audit._move_overlap_witness((False, True, MISMATCH, witness), phi, g)
     overlap = tuple(names[x] for x in sorted((0, phi[1])))
     assert moved == (False, True, MISMATCH, {**witness, "pair_product_overlap": overlap})
     assert witness["pair_product_overlap"] == (names[0], names[1])
@@ -1176,6 +1175,62 @@ def test_outcomes_are_shared_across_each_orbit_of_subgroups(catalog, copied):
     assert not report.errors
 
 
+@pytest.mark.parametrize(
+    "catalog, evaluated", [(catalog_up_to(10), 645), (("D7",), 307)], ids=["wide", "D7"]
+)
+def test_a_context_is_built_once_per_instance_evaluated_in_full(monkeypatch, catalog, evaluated):
+    # a copy that evaluates nothing builds no InstanceContext, and with no
+    # records kept it moves only the mismatches it records
+    built, moved = Counter(), Counter()
+
+    class CountedContext(InstanceContext):
+        def __init__(self, group, h, c, limits):
+            super().__init__(group, h, c, limits)
+            built[group.spec, h.members, c.members] += 1
+
+    def counted(move):
+        def counted_move(outcome, phi, group):
+            moved[outcome[2]] += 1
+            return move(outcome, phi, group)
+
+        return counted_move
+
+    monkeypatch.setattr(relcay.audit, "InstanceContext", CountedContext)
+    for check, (carried, move) in list(relcay.audit._CARRY.items()):
+        if move is not None:
+            monkeypatch.setitem(relcay.audit._CARRY, check, (carried, counted(move)))
+    report = run_audit(catalog, shrink=False)
+    instances = sum(entry["instances"] for entry in report.catalog)
+    assert set(built.values()) == {1}
+    assert len(built) == instances - report.copied_instances == evaluated
+    assert set(moved) == {MISMATCH}
+
+
+@pytest.mark.parametrize(
+    "catalog, limits",
+    [
+        (catalog_up_to(8), Limits()),
+        (("D7",), Limits()),
+        # chromatic_equality is unevaluated wherever condition (ii) decides
+        # it, so 73 copies evaluate it themselves and are tallied one by one
+        (("D4", "Q8"), Limits(chromatic_ii_cap=1)),
+    ],
+    ids=["up-to-8", "D7", "copies-evaluate"],
+)
+def test_totals_are_the_verdicts_of_the_kept_rows(catalog, limits):
+    # copies that evaluate nothing are tallied by their root's verdicts, times their count
+    report = run_audit(catalog, limits=limits, keep_records=True, shrink=False)
+    assert report.copied_instances > 0
+    counted = Counter()
+    for _, _, _, checks, rows in report.records.blocks:
+        for _, _, outcomes in rows:
+            counted.update(zip(checks, (outcome[2] for outcome in outcomes)))
+    assert report.totals == {
+        check: {verdict: counted[check, verdict] for verdict in VERDICTS}
+        for check in report.config["checks"]
+    }
+
+
 def _totals_by_subgroup(report) -> Counter:
     return Counter((r.h, r.check, r.verdict) for r in report.records)
 
@@ -1187,7 +1242,9 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
     through an automorphism: the first subgroup of the orbit, where the
     classes are rooted, for a check whose outcomes are copied as they are,
     or the last, where most outcomes of a moving check arrive from
-    classes rooted on the other subgroups."""
+    classes rooted on the other subgroups.  A copy builds no context, so a
+    mover sees its instance's subgroup only through the class map onto the
+    pair, which is marked for the faulty subgroup's pairs."""
     relcay.audit.evaluate_check.cache_clear()
     request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
     g = make_group("C2xC2xC2")
@@ -1206,12 +1263,29 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
         fault(ctx)
         return real(ctx)
 
-    def flaky_move(outcome, phi, ctx):
-        fault(ctx)
-        return move(outcome, phi, ctx)
+    class Marked(relcay.audit._Map):
+        """A class map onto a pair of the faulty subgroup."""
+
+    class_roots = relcay.audit._class_roots
+
+    def marking(subgroups, scans, carriers):
+        roots, maps = class_roots(subgroups, scans, carriers)
+        start = 0
+        for h, scan in zip(subgroups, scans):
+            end = start + len(scan)
+            if h.members == faulty.members:
+                maps[start:end] = map(Marked, maps[start:end])
+            start = end
+        return roots, maps
+
+    def flaky_move(outcome, phi, group):
+        if isinstance(phi, Marked):
+            raise InternalConsistencyError("injected")
+        return move(outcome, phi, group)
 
     monkeypatch.setitem(relcay.audit._CHECK_FNS, check, flaky)
     if move is not None:
+        monkeypatch.setattr(relcay.audit, "_class_roots", marking)
         monkeypatch.setitem(relcay.audit._CARRY, check, (carried, flaky_move))
     reports = [
         run_audit(("C2xC2xC2",), keep_records=True, shrink=False, parallelism=p)
@@ -1271,6 +1345,13 @@ class _Opaque:
         return '<opaque "q" \\ \u00e9>'
 
 
+class _Label(str):
+    """A str subclass, which ``json`` writes as its text whatever its repr."""
+
+    def __repr__(self):
+        return "_Label()"
+
+
 class _LookAlike:
     """An unknown value whose repr is that of the string 'x', so a tuple
     holding it has the repr of a tuple holding 'x'; ``jsonable`` writes it
@@ -1293,7 +1374,7 @@ _EDGE_VALUES = _EDGE_SCALARS + [
     {"k": True}, {"k": 1},
     {1: "int key", 2: [None]}, {"w": {"vertex": "a\"2", "formula": 3}},
     {True, 1.5, "x"}, frozenset({(), "\u00e9"}), [float("nan")], _Opaque(),
-    ("x",), (_LookAlike(),),
+    ("x",), (_LookAlike(),), _Label("x"), (_Label("x"), "y"),
 ]
 _scalars = st.one_of(
     st.sampled_from(_EDGE_SCALARS),
@@ -1432,6 +1513,16 @@ _SHARED_ENTRIES = [MismatchEntry(r, _ONE) for r in (_ONE, *_EVERY_EDGE)]
 @example(_report(_TWIN_BLOCKS, _SHARED_ENTRIES))
 def test_to_json_writes_the_bytes_of_the_plain_encoder(report):
     assert report.to_json() == _reference_json(report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(), max_size=4).map(tuple), st.sampled_from([3, 4]))
+@example((), 3)
+@example(('a"', "\\b", "\n\t\x00", "\u00e9", "\U0001f600", "\ud800", ""), 4)
+def test_a_name_tuple_is_written_as_the_plain_encoder_writes_it(names, depth):
+    # the writer formats a tuple of exact strings itself
+    written = relcay.audit._RecordWriter(depth)._value(names)
+    assert written == relcay.audit._indented(jsonable(names), depth)
 
 
 def test_to_json_keeps_one_copy_of_the_report():
