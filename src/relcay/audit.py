@@ -1335,9 +1335,9 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     phi that maps the root onto it, and evaluates each ``unevaluated``
     outcome and each mismatch that is not carried itself, building an
     ``InstanceContext`` only then.  Moving keeps the verdict, so a copy
-    that evaluates nothing has its root's verdicts: such copies are
-    counted by those verdicts, and each distinct row of verdicts is
-    tallied once per subgroup, times its count.  Each pair's phi is
+    that evaluates nothing has its root's verdicts.  Every instance is
+    counted by its row of verdicts, and each distinct row is tallied into
+    the totals once per subgroup, times its count.  Each pair's phi is
     dropped once used.
     The classmates of a root that raised are evaluated in full."""
     spec, h_list, carriers, checks, limits, keep_records, shrink = args
@@ -1357,9 +1357,8 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     offset = 0
     for h, connection_sets in zip(subgroups, scans):
         h_names = h.names()
-        totals: Counter = Counter()
-        # how many copies here that evaluated nothing have each root's verdicts
-        unchanged: Counter = Counter()
+        # how many instances here have each tuple of verdicts
+        tally: Counter = Counter()
         mismatches: list[AuditRecord] = []
         rows: list[_Row] = []
         errors: list[dict] = []
@@ -1405,11 +1404,10 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                 copied += 1
             if ctx is None:
                 # a copy that evaluated nothing has its root's verdicts
-                unchanged[kept.verdicts] += 1
+                verdicts = kept.verdicts
                 mismatched = kept.mismatched
             else:
                 verdicts = tuple(outcome[2] for outcome in outcomes)
-                totals.update(zip(checks, verdicts))
                 mismatched = tuple(i for i, verdict in enumerate(verdicts) if verdict == MISMATCH)
                 if root == position and unscanned[root]:
                     row = tuple(
@@ -1424,6 +1422,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                         or move is not None and (keep_records or outcome[2] == MISMATCH)
                     )
                     shared[root] = _Class(row, todo, verdicts, mismatched)
+            tally[verdicts] += 1
             if mismatched or keep_records:
                 c_names = c.names()
             # a record is built only for a mismatch
@@ -1439,7 +1438,8 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
             if keep_records:
                 rows.append((c.members, c_names, tuple(map(outcomes.__getitem__, by_name))))
         offset += len(connection_sets)
-        for verdicts, count in unchanged.items():
+        totals: Counter = Counter()
+        for verdicts, count in tally.items():
             for key in zip(checks, verdicts):
                 totals[key] += count
         mismatches.sort(key=lambda r: (r.c_indices, r.check))

@@ -1212,13 +1212,13 @@ def test_a_context_is_built_once_per_instance_evaluated_in_full(monkeypatch, cat
         (catalog_up_to(8), Limits()),
         (("D7",), Limits()),
         # chromatic_equality is unevaluated wherever condition (ii) decides
-        # it, so 73 copies evaluate it themselves and are tallied one by one
+        # it, so 73 copies evaluate it themselves and count their own verdicts
         (("D4", "Q8"), Limits(chromatic_ii_cap=1)),
     ],
     ids=["up-to-8", "D7", "copies-evaluate"],
 )
 def test_totals_are_the_verdicts_of_the_kept_rows(catalog, limits):
-    # copies that evaluate nothing are tallied by their root's verdicts, times their count
+    # each distinct row of verdicts is tallied once per subgroup, times its count
     report = run_audit(catalog, limits=limits, keep_records=True, shrink=False)
     assert report.copied_instances > 0
     counted = Counter()
