@@ -104,6 +104,7 @@ __all__ = [
     "RecordTable",
     "catalog_up_to",
     "compact_json",
+    "evaluate",
     "evaluate_check",
     "jsonable",
     "run_audit",
@@ -664,14 +665,6 @@ class InstanceContext:
         except InternalConsistencyError as err:
             return None, str(err)
 
-    @cached_attribute
-    def h_names(self) -> tuple[str, ...]:
-        return self.h.names()
-
-    @cached_attribute
-    def c_names(self) -> tuple[str, ...]:
-        return self.c.names()
-
     def names(self, indices) -> tuple[str, ...]:
         return tuple(self.group.names[x] for x in indices)
 
@@ -863,16 +856,14 @@ def _move_overlap_witness(outcome: _CheckResult, phi, group: GroupTable) -> _Che
     """``square_free_as_printed``: only a mismatch's ``pair_product_overlap``
     names elements."""
     predicted, observed, verdict, witness = outcome
-    if witness is None:
-        return outcome
     overlap = _move_names(witness["pair_product_overlap"], phi, group)
     if overlap == witness["pair_product_overlap"]:
         return outcome
     return predicted, observed, verdict, {**witness, "pair_product_overlap": overlap}
 
 
-_AGREED = frozenset({AGREE})
-_AGREED_OR_NOT_APPLICABLE = frozenset({AGREE, NOT_APPLICABLE})
+# by default an outcome that agreed or did not apply is carried as it is
+_AS_IS = {AGREE: None, NOT_APPLICABLE: None}
 
 
 @dataclass(frozen=True)
@@ -883,36 +874,36 @@ class Check:
     ``audited`` check's disagreement is a documented finding, not a defect:
     it never drives a failing exit status.
 
-    ``carried`` and ``move`` say how an outcome reaches a copy, an instance
-    that an automorphism phi maps the evaluated one onto (see
-    ``_scan_orbit``): an outcome whose verdict is in ``carried`` becomes
-    ``move(outcome, phi, group)`` on the copy, or stays as it is when
-    ``move`` is None or phi leaves its values as they are; any other
-    outcome is evaluated there.  A mover reads only the group's ``names``
-    and ``name_index``, so moving needs no ``InstanceContext``, and it
-    keeps the verdict, so a copy that evaluates nothing has its class
-    root's verdicts.  By default an outcome that agreed or did not apply
-    is carried as it is, since values that are None, booleans, numbers or
-    dicts of them are equal on the two instances.  Values that list one
-    value per vertex or name elements are moved.  An ``unevaluated``
-    outcome is never carried, nor a mismatch whose witness phi need not
-    map onto the other instance's, such as the first disagreeing vertex in
-    index order or ``connectivity``'s product witnesses.
+    ``carry`` says how an outcome reaches a copy, an instance that an
+    automorphism phi maps the evaluated one onto (see ``_scan_orbit``): it
+    maps each verdict that is carried to its mover.  An outcome with such
+    a verdict becomes ``mover(outcome, phi, group)`` on the copy, or stays
+    as it is when the mover is None or phi leaves its values as they are;
+    an outcome with any other verdict is evaluated there.  A mover reads
+    only the group's ``names`` and ``name_index``, so moving needs no
+    ``InstanceContext``, and it keeps the verdict, so a copy that
+    evaluates nothing has its class root's verdicts.  By default an
+    outcome that agreed or did not apply is carried as it is, since values
+    that are None, booleans, numbers or dicts of them are equal on the two
+    instances.  Values that list one value per vertex or name elements are
+    moved.  An ``unevaluated`` outcome is never carried, nor a mismatch
+    whose witness phi need not map onto the other instance's, such as the
+    first disagreeing vertex in index order or ``connectivity``'s product
+    witnesses.
     """
 
     name: str
     family: str
     fn: _CheckFn
     audited: bool = False
-    carried: frozenset = _AGREED_OR_NOT_APPLICABLE
-    move: Optional[Callable[[_CheckResult, tuple, GroupTable], _CheckResult]] = None
+    # a dict is unhashable: left out of the hash, so a Check stays hashable
+    carry: dict[str, Optional[Callable]] = field(default_factory=_AS_IS.copy, hash=False)
 
 
 # a check that only compares reads its prediction, observation and hypothesis in that order
 CHECKS: tuple[Check, ...] = (
     Check(
-        "degree_formula", "valency", _check_degree_formula,
-        carried=_AGREED, move=_move_vertex_values,
+        "degree_formula", "valency", _check_degree_formula, carry={AGREE: _move_vertex_values}
     ),
     Check("edge_count", "valency", _check_edge_count),
     Check("valency_bound", "valency", _check_valency_bound),
@@ -923,11 +914,10 @@ CHECKS: tuple[Check, ...] = (
     )),
     Check(
         "full_degree_coset", "valency", _check_full_degree_coset,
-        carried=_AGREED, move=_move_element_names,
+        carry={AGREE: _move_element_names},
     ),
     Check(
-        "isolated_vertex", "valency", _check_isolated_vertex,
-        carried=_AGREED, move=_move_element_names,
+        "isolated_vertex", "valency", _check_isolated_vertex, carry={AGREE: _move_element_names}
     ),
     Check("connectivity", "connectivity", _check_connectivity),
     Check("connectivity_disjoint", "connectivity", lambda ctx: _compared(
@@ -977,7 +967,7 @@ CHECKS: tuple[Check, ...] = (
     Check(
         "square_free_as_printed", "forbidden",
         _forbidden("square_free_as_printed", "square_subgraph_free"), audited=True,
-        carried=frozenset({AGREE, NOT_APPLICABLE, MISMATCH}), move=_move_overlap_witness,
+        carry={**_AS_IS, MISMATCH: _move_overlap_witness},
     ),
     Check("bipartite_sufficient", "forbidden", _forbidden("bipartite_sufficient", "bipartite")),
 )
@@ -985,38 +975,22 @@ CHECKS: tuple[Check, ...] = (
 _CHECK_FNS = {check.name: check.fn for check in CHECKS}
 ALL_CHECKS = tuple(_CHECK_FNS)
 AUDITED_CHECKS = frozenset(check.name for check in CHECKS if check.audited)
-# each check's verdicts that reach its classmates, and how they move
-_CARRY = {check.name: (check.carried, check.move) for check in CHECKS}
+# each check's verdicts that reach its classmates, each with its mover
+_CARRY = {check.name: check.carry for check in CHECKS}
 
 
-def _evaluate(ctx: InstanceContext, check: str) -> _CheckResult:
+def evaluate(ctx: InstanceContext, check: str) -> _CheckResult:
     """One check's (predicted, observed, verdict, witness) on one instance.
 
-    The one place a check runs: the scan, ``evaluate_check`` and shrinking
-    all come through here.
+    The one place a check runs: the scan, ``relcay check`` (one context
+    for all the checks it prints) and ``evaluate_check``, which shrinking
+    calls, all come through here.
     """
     try:
         return _CHECK_FNS[check](ctx)
     except CapacityError as err:
         # an exact search ran past its node budget: no observed value
         return None, None, UNEVALUATED, {"capacity": str(err)}
-
-
-def _build_record(ctx: InstanceContext, check: str) -> AuditRecord:
-    """The record of a check, evaluated on the instance of ``ctx``."""
-    predicted, observed, verdict, witness = _evaluate(ctx, check)
-    return AuditRecord(
-        group=ctx.group.spec,
-        h=ctx.h_names,
-        c=ctx.c_names,
-        check=check,
-        predicted=predicted,
-        observed=observed,
-        verdict=verdict,
-        witness=witness,
-        h_indices=ctx.h.members,
-        c_indices=ctx.c.members,
-    )
 
 
 def _resolve_checks(checks) -> tuple[str, ...]:
@@ -1143,14 +1117,6 @@ def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
             members = _unrank_subset(orbits, sizes, ways, size, rank)
             result.append(ConnectionSet(group, members))
     return result
-
-
-def _scanned_per_subgroup(group, limits: Limits) -> tuple[int, bool]:
-    plan = _sampling_plan(group, limits)
-    if plan is None:
-        return connection_set_count(group), False
-    quotas = plan[-1]
-    return sum(quotas.values()), True
 
 
 # --------------------------------------------------------------------------
@@ -1306,7 +1272,8 @@ class _Class(NamedTuple):
     the check itself; the positions a classmate evaluates or moves, in
     that order (it moves only outcomes that are kept or recorded); and the
     root's verdicts and the positions that mismatched, which are a
-    classmate's too when it evaluates nothing."""
+    classmate's too when it evaluates nothing.  A root starts from the
+    class with nothing carried, whose every position is to be done."""
 
     row: tuple
     todo: tuple[int, ...]
@@ -1324,22 +1291,22 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     The scanned (H, C) pairs are split into their orbits under the
     automorphisms of G, each a class (``_class_roots``); an automorphism
     phi maps the graph of (H, C) onto that of (phi(H), phi(C)), so every
-    check has one verdict on a class.  The first instance of a class, its
-    root, is evaluated in full.  While classmates are still to come, the
-    root keeps a row (``_Class``): each outcome that its check carries
-    (``Check.carried``), None for every other, and the positions a
-    classmate must touch, those it evaluates and those whose ``Check.move``
-    may change an outcome that is kept (``keep_records``) or recorded (a
-    mismatch).  A copy, a later instance of the class, starts from the
-    row and touches only those positions: it moves an outcome through the
-    phi that maps the root onto it, and evaluates each ``unevaluated``
-    outcome and each mismatch that is not carried itself, building an
-    ``InstanceContext`` only then.  Moving keeps the verdict, so a copy
-    that evaluates nothing has its root's verdicts.  Every instance is
-    counted by its row of verdicts, and each distinct row is tallied into
-    the totals once per subgroup, times its count.  Each pair's phi is
-    dropped once used.
-    The classmates of a root that raised are evaluated in full."""
+    check has one verdict on a class.  Every instance starts from a row of
+    its class (``_Class``) and runs one loop over the positions the row
+    leaves to do: it moves an outcome through the phi that maps the
+    class's first instance, its root, onto it, by the mover that its
+    check's rule (``Check.carry``) names for the verdict, and evaluates a
+    position that holds no outcome, building an ``InstanceContext`` on
+    first need.  A root starts from the class with nothing carried.  While
+    classmates are still to come, it keeps its own row: each outcome that
+    its check carries, None for every other, and the positions a classmate
+    must touch, those it evaluates and those whose mover may change an
+    outcome that is kept (``keep_records``) or recorded (a mismatch).
+    Moving keeps the verdict, so a copy that evaluates nothing has its
+    root's verdicts.  Every instance is counted by its row of verdicts,
+    and each distinct row is tallied into the totals once per subgroup,
+    times its count.  Each pair's phi is dropped once used.  The
+    classmates of a root that raised are evaluated in full."""
     spec, h_list, carriers, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     subgroups = [group.subgroup(members) for members in h_list]
@@ -1347,8 +1314,9 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     roots, maps = _class_roots(subgroups, scans, carriers)
     # a row holds its outcomes in check-name order
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
-    carries = [_CARRY[check][0] for check in checks]
-    moves = [_CARRY[check][1] for check in checks]
+    carries = [_CARRY[check] for check in checks]
+    # the class with nothing carried, which a root starts from
+    uncarried = _Class((None,) * len(checks), tuple(range(len(checks))), (), ())
     # the row of each class root with classmates still to come
     shared: dict[int, _Class] = {}
     unscanned = Counter(roots)
@@ -1366,27 +1334,21 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
         for position, c in enumerate(connection_sets, offset):
             root = roots[position]
             unscanned[root] -= 1
-            kept = (shared.get if unscanned[root] else shared.pop)(root, None)
+            kept = (shared.get if unscanned[root] else shared.pop)(root, uncarried)
             # the map from the class's root is needed here only
             phi, maps[position] = maps[position], None
-            ctx = InstanceContext(group, h, c, limits) if kept is None else None
+            outcomes = list(kept.row) if kept.todo else kept.row
+            ctx = None
             try:
-                if ctx is not None:
-                    outcomes = []
-                    for check in checks:
-                        outcomes.append(_evaluate(ctx, check))
-                elif kept.todo:
-                    outcomes = list(kept.row)
-                    for i in kept.todo:
-                        check = checks[i]
-                        if outcomes[i] is not None:
-                            outcomes[i] = moves[i](outcomes[i], phi, group)
-                        else:
-                            if ctx is None:
-                                ctx = InstanceContext(group, h, c, limits)
-                            outcomes[i] = _evaluate(ctx, check)
-                else:
-                    outcomes = kept.row
+                for i in kept.todo:
+                    check = checks[i]
+                    outcome = outcomes[i]
+                    if outcome is not None:
+                        outcomes[i] = carries[i][outcome[2]](outcome, phi, group)
+                    else:
+                        if ctx is None:
+                            ctx = InstanceContext(group, h, c, limits)
+                        outcomes[i] = evaluate(ctx, check)
             except (RelCayError, RecursionError) as err:
                 # one faulty instance is reported, not fatal to the scan
                 errors.append(
@@ -1400,28 +1362,26 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                 )
                 continue
             scanned.evaluated.add(c.members)
-            if kept is not None:
-                copied += 1
+            copied += kept is not uncarried
             if ctx is None:
                 # a copy that evaluated nothing has its root's verdicts
-                verdicts = kept.verdicts
-                mismatched = kept.mismatched
+                verdicts, mismatched = kept.verdicts, kept.mismatched
             else:
                 verdicts = tuple(outcome[2] for outcome in outcomes)
                 mismatched = tuple(i for i, verdict in enumerate(verdicts) if verdict == MISMATCH)
-                if root == position and unscanned[root]:
-                    row = tuple(
-                        outcome if outcome[2] in carried else None
-                        for carried, outcome in zip(carries, outcomes)
-                    )
-                    # a moved outcome is read only where it is kept or recorded
-                    todo = tuple(
-                        i
-                        for i, (outcome, move) in enumerate(zip(row, moves))
-                        if outcome is None
-                        or move is not None and (keep_records or outcome[2] == MISMATCH)
-                    )
-                    shared[root] = _Class(row, todo, verdicts, mismatched)
+            if root == position and unscanned[root]:
+                row = tuple(
+                    outcome if outcome[2] in carry else None
+                    for carry, outcome in zip(carries, outcomes)
+                )
+                # a moved outcome is read only where it is kept or recorded
+                todo = tuple(
+                    i
+                    for i, (outcome, carry) in enumerate(zip(row, carries))
+                    if outcome is None
+                    or carry[outcome[2]] is not None and (keep_records or outcome[2] == MISMATCH)
+                )
+                shared[root] = _Class(row, todo, verdicts, mismatched)
             tally[verdicts] += 1
             if mismatched or keep_records:
                 c_names = c.names()
@@ -1499,15 +1459,18 @@ def run_audit(
         subgroups = [
             s for s in enumerate_subgroups(group, limits.max_order) if s.is_proper
         ]
-        scanned, sampled = _scanned_per_subgroup(group, limits)
+        count = connection_set_count(group)
+        plan = _sampling_plan(group, limits)
+        # a sampled scan takes each size's quota of connection sets
+        scanned = count if plan is None else sum(plan[-1].values())
         catalog_entries.append(
             {
                 "spec": group.spec,
                 "order": group.order,
                 "proper_subgroups": len(subgroups),
-                "connection_sets": connection_set_count(group),
+                "connection_sets": count,
                 "scanned_per_subgroup": scanned,
-                "sampled": sampled,
+                "sampled": plan is not None,
                 "instances": scanned * len(subgroups),
             }
         )
@@ -1588,7 +1551,8 @@ def evaluate_check(
     group = make_group(spec, max_order=limits.max_order)
     h = group.subgroup(h_members)
     c = ConnectionSet(group, c_members)
-    return _build_record(InstanceContext(group, h, c, limits), check)
+    outcome = evaluate(InstanceContext(group, h, c, limits), check)
+    return AuditRecord(group.spec, h.names(), c.names(), check, *outcome, h.members, c.members)
 
 
 @dataclass(frozen=True)

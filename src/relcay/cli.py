@@ -194,14 +194,14 @@ def _cmd_check(args) -> int:
 
     group = make_group(args.spec, max_order=args.max_order)
     h, c = _instance(group, args.subgroup, args.conn)
-    limits = _limits(args)
+    # one context, so each oracle and prediction is computed once for all checks
+    ctx = audit.InstanceContext(group, h, c, _limits(args))
     blocking = False
     for check in _resolve_theorem(args.theorem):
-        record = audit.evaluate_check(group.spec, h.members, c.members, check, limits)
-        predicted = audit.compact_json(record.predicted)
-        observed = audit.compact_json(record.observed)
-        print(f"{check}: predicted={predicted} observed={observed} verdict={record.verdict}")
-        if record.verdict == audit.MISMATCH and check not in audit.AUDITED_CHECKS:
+        predicted, observed, verdict, _ = audit.evaluate(ctx, check)
+        predicted, observed = audit.compact_json(predicted), audit.compact_json(observed)
+        print(f"{check}: predicted={predicted} observed={observed} verdict={verdict}")
+        if verdict == audit.MISMATCH and check not in audit.AUDITED_CHECKS:
             blocking = True
     return 2 if blocking else 0
 

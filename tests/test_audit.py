@@ -410,6 +410,8 @@ def test_registry_families_cover_all_checks_in_order():
     ]
     assert grouped == list(ALL_CHECKS)
     assert len(set(ALL_CHECKS)) == len(ALL_CHECKS) == 34
+    # a registry entry is hashable, though its carry rule is a dict
+    assert len(set(CHECKS)) == 34
     assert AUDITED_CHECKS == {"square_free_as_printed"}
 
 
@@ -458,23 +460,35 @@ def test_a_graph_breaking_the_closed_form_is_a_mismatch_not_an_error():
     assert broken.edge_count == 9
     ctx = InstanceContext(g, h, c, Limits())
     ctx.graph = broken
-    records = {name: relcay.audit._build_record(ctx, name) for name in ALL_CHECKS}
-    edges = records["edge_count"]
-    assert (edges.predicted, edges.observed, edges.verdict) == (10, 9, MISMATCH)
-    degrees = records["degree_formula"]
-    assert degrees.verdict == MISMATCH
-    assert degrees.witness == {"vertex": "1", "formula": 3, "adjacency": 2}
+    outcomes = {name: relcay.audit.evaluate(ctx, name) for name in ALL_CHECKS}
+    assert outcomes["edge_count"][:3] == (10, 9, MISMATCH)
+    _, _, verdict, witness = outcomes["degree_formula"]
+    assert verdict == MISMATCH
+    assert witness == {"vertex": "1", "formula": 3, "adjacency": 2}
 
 
-def test_records_of_one_instance_share_name_tuples():
-    g = make_group("D5")
-    h = generated_subgroup(g.element_set([g.element("a")]))
-    c = ConnectionSet(g, (g.element(x) for x in ("a", "a4", "b")))
-    ctx = InstanceContext(g, h, c, Limits())
-    records = [relcay.audit._build_record(ctx, name) for name in ALL_CHECKS]
-    assert records[0].h == ("1", "a", "a2", "a3", "a4")
-    assert records[0].c == ("a", "a4", "b")
-    assert all(r.h is records[0].h and r.c is records[0].c for r in records)
+def test_records_of_one_instance_share_name_tuples(monkeypatch):
+    # the scan's mismatch records of one instance hold one h and one c tuple;
+    # edge_count mismatches everywhere, so an instance where
+    # square_free_as_printed mismatches too, on a root or on a copy, has two
+    monkeypatch.setitem(
+        relcay.audit._CHECK_FNS, "edge_count", lambda ctx: (0, 1, MISMATCH, None)
+    )
+    checks = ("edge_count", "square_free_as_printed")
+    report = run_audit(("D4",), checks=checks, shrink=False)
+    assert report.copied_instances > 0
+    by_instance = {}
+    for entry in report.mismatches:
+        record = entry.original
+        by_instance.setdefault((record.h_indices, record.c_indices), []).append(record)
+    shared = [records for records in by_instance.values() if len(records) > 1]
+    assert shared
+    names = make_group("D4").names
+    for records in shared:
+        first = records[0]
+        assert first.h == tuple(names[x] for x in first.h_indices)
+        assert first.c == tuple(names[x] for x in first.c_indices)
+        assert all(r.h is first.h and r.c is first.c for r in records)
 
 
 def test_inverse_orbits_computed_once_per_group():
@@ -829,7 +843,7 @@ def test_conjugate_instances_get_the_same_verdicts(spec):
     automorphisms = g.automorphisms
     orbits = inverse_orbits(g)
     carry = relcay.audit._CARRY
-    moving = {name for name, (_, move) in carry.items() if move is not None}
+    moving = {name for name, rule in carry.items() if any(rule.values())}
     assert moving == {
         "degree_formula", "full_degree_coset", "isolated_vertex", "square_free_as_printed",
     }
@@ -853,14 +867,14 @@ def test_conjugate_instances_get_the_same_verdicts(spec):
             one = InstanceContext(g, h, c, limits)
             two = InstanceContext(g, h2, c2, limits)
             for name in ALL_CHECKS:
-                first = relcay.audit._evaluate(one, name)
-                second = relcay.audit._evaluate(two, name)
+                first = relcay.audit.evaluate(one, name)
+                second = relcay.audit.evaluate(two, name)
                 where = (name, h.names(), c.names(), phi)
                 assert first[2] == second[2], where
-                carried, move = carry[name]
-                if move is None:
+                if name not in moving:
                     assert first[:2] == second[:2], where
-                if first[2] in carried:
+                if first[2] in carry[name]:
+                    move = carry[name][first[2]]
                     if move is not None:
                         first = move(first, relcay.audit._Map(phi), g)
                         moved += first[2] == AGREE
@@ -905,9 +919,9 @@ def test_every_carried_outcome_equals_its_own_evaluation(monkeypatch):
 
         return moved
 
-    for name, (carried, move) in relcay.audit._CARRY.items():
-        if move is not None:
-            monkeypatch.setitem(relcay.audit._CARRY, name, (carried, counted(name, move)))
+    for name, rule in relcay.audit._CARRY.items():
+        counted_rule = {verdict: move and counted(name, move) for verdict, move in rule.items()}
+        monkeypatch.setitem(relcay.audit._CARRY, name, counted_rule)
     limits = Limits()
     report = run_audit((*catalog_up_to(8), "D7"), keep_records=True, shrink=False)
     assert report.copied_instances > 0 and not report.errors
@@ -916,7 +930,7 @@ def test_every_carried_outcome_equals_its_own_evaluation(monkeypatch):
         h = g.subgroup(h_indices)
         for c_indices, c, outcomes in rows:
             ctx = InstanceContext(g, h, ConnectionSet(g, c_indices), limits)
-            evaluated = tuple(relcay.audit._evaluate(ctx, check) for check in checks)
+            evaluated = tuple(relcay.audit.evaluate(ctx, check) for check in checks)
             assert outcomes == evaluated, (group, h.names(), c)
     assert {
         ("degree_formula", AGREE),
@@ -929,6 +943,38 @@ def test_every_carried_outcome_equals_its_own_evaluation(monkeypatch):
     assert {name for name, count in changed.items() if count} == {
         "degree_formula", "full_degree_coset", "isolated_vertex",
     }
+
+
+def test_a_mover_runs_only_on_the_verdicts_its_rule_names(monkeypatch):
+    # square_free_as_printed carries an agreeing outcome as it is and moves
+    # only a mismatch's witness; the other movers move every agreeing outcome
+    calls = Counter()
+
+    def counted(name, move):
+        def moved(outcome, phi, group):
+            calls[name, outcome[2]] += 1
+            return move(outcome, phi, group)
+
+        return moved
+
+    for name, rule in relcay.audit._CARRY.items():
+        counted_rule = {verdict: move and counted(name, move) for verdict, move in rule.items()}
+        monkeypatch.setitem(relcay.audit._CARRY, name, counted_rule)
+    report = run_audit(("D7",), keep_records=True, shrink=False)
+    assert report.copied_instances == 4301
+    assert calls == {
+        ("degree_formula", AGREE): 4301,
+        ("full_degree_coset", AGREE): 4301,
+        ("isolated_vertex", AGREE): 4301,
+        ("square_free_as_printed", MISMATCH): 1921,
+    }
+
+
+def test_an_audit_of_no_checks_still_shares_classes():
+    report = run_audit(("C4", "S3"), checks=())
+    assert report.totals == {}
+    assert report.mismatches == () and report.errors == ()
+    assert report.copied_instances == 52
 
 
 def test_a_square_free_witness_moves_its_overlap():
@@ -964,8 +1010,8 @@ def test_a_copy_that_phi_leaves_unchanged_holds_its_class_roots_outcome():
                     continue
                 for check, outcome in outcomes[pair].items():
                     first = outcomes[pairs[root]][check]
-                    carried, move = relcay.audit._CARRY[check]
-                    if move is not None and first[2] in carried and outcome == first:
+                    move = relcay.audit._CARRY[check].get(first[2])
+                    if move is not None and outcome == first:
                         assert outcome is first, (pair, check)
                         kept.add(check)
     assert kept == {
@@ -1196,9 +1242,9 @@ def test_a_context_is_built_once_per_instance_evaluated_in_full(monkeypatch, cat
         return counted_move
 
     monkeypatch.setattr(relcay.audit, "InstanceContext", CountedContext)
-    for check, (carried, move) in list(relcay.audit._CARRY.items()):
-        if move is not None:
-            monkeypatch.setitem(relcay.audit._CARRY, check, (carried, counted(move)))
+    for check, rule in list(relcay.audit._CARRY.items()):
+        counted_rule = {verdict: move and counted(move) for verdict, move in rule.items()}
+        monkeypatch.setitem(relcay.audit._CARRY, check, counted_rule)
     report = run_audit(catalog, shrink=False)
     instances = sum(entry["instances"] for entry in report.catalog)
     assert set(built.values()) == {1}
@@ -1253,7 +1299,7 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
     faulty = order_two[place]
     clean = run_audit(("C2xC2xC2",), keep_records=True, shrink=False)
     real = relcay.audit._CHECK_FNS[check]
-    carried, move = relcay.audit._CARRY[check]
+    rule = relcay.audit._CARRY[check]
 
     def fault(ctx):
         if ctx.h.members == faulty.members:
@@ -1278,15 +1324,19 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
             start = end
         return roots, maps
 
-    def flaky_move(outcome, phi, group):
-        if isinstance(phi, Marked):
-            raise InternalConsistencyError("injected")
-        return move(outcome, phi, group)
+    def failing(move):
+        def flaky_move(outcome, phi, group):
+            if isinstance(phi, Marked):
+                raise InternalConsistencyError("injected")
+            return move(outcome, phi, group)
+
+        return flaky_move
 
     monkeypatch.setitem(relcay.audit._CHECK_FNS, check, flaky)
-    if move is not None:
+    if any(rule.values()):
         monkeypatch.setattr(relcay.audit, "_class_roots", marking)
-        monkeypatch.setitem(relcay.audit._CARRY, check, (carried, flaky_move))
+        flaky_rule = {verdict: move and failing(move) for verdict, move in rule.items()}
+        monkeypatch.setitem(relcay.audit._CARRY, check, flaky_rule)
     reports = [
         run_audit(("C2xC2xC2",), keep_records=True, shrink=False, parallelism=p)
         for p in (1, 2)

@@ -5,18 +5,24 @@ import os
 import subprocess
 import sys
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 import relcay.cli
 import relcay.oracles
+from relcay import audit
 from relcay.audit import (
     DEFAULT_CATALOG,
     AuditRecord,
     AuditReport,
     Limits,
     MismatchEntry,
+    compact_json,
     run_audit,
 )
+from relcay.graphs import build_relcay
 from relcay.cli import _build_parser, execute_command, parse_elements, split_elements
 from relcay.errors import GroupSpecError
 from relcay.group_core import make_group
@@ -46,6 +52,70 @@ def test_check_chromatic_example(capsys):
     assert status == 0
     assert out[0] == "chromatic_upper: predicted=4 observed=3 verdict=agree"
     assert out[1] == "chromatic_equality: predicted=false observed=false verdict=agree"
+
+
+# (instance, sha256 of the output of ``relcay check`` with no --theorem, exit status)
+CHECK_INSTANCES = [
+    (
+        ["S4", "--subgroup", "(12),(34)", "--conn", "(1234),(1432),(13)"],
+        "4770def8cbb9415ed3aaf5e9ded096b247afb50df070facc95a94dab9ad18b45", 0,
+    ),
+    (
+        ["D5", "--subgroup", "a", "--conn", "a,a4,b"],
+        "f3800e88b6e863fe3f25dad4e509e5c20211731ffbf4861be33662ed68264b12", 0,
+    ),
+    # the shrunk witness of the S4 audit's blocking diam_half_sum mismatch
+    (
+        ["S4", "--subgroup", "(34),(23)", "--conn", "(24),(1243),(1342),(13)(24),(14)(23)"],
+        "0239a2f1cb2093784d2106675d598b46642a859c74463624d49af25e5189db15", 2,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, digest, status", CHECK_INSTANCES, ids=["S4", "D5", "S4-half-sum-witness"]
+)
+def test_check_prints_each_check_as_evaluated_alone(monkeypatch, capsys, instance, digest, status):
+    # every line and exit status as each check evaluated on a context of its
+    # own gives them, from one context and one graph per command
+    spec, _, h_text, _, c_text = instance
+    group = make_group(spec)
+    h, c = relcay.cli._instance(group, h_text, c_text)
+    expected = {}
+    for check in audit.ALL_CHECKS:
+        record = audit.evaluate_check(spec, h.members, c.members, check, Limits())
+        predicted, observed = (compact_json(record.predicted), compact_json(record.observed))
+        blocking = record.verdict == audit.MISMATCH and check not in audit.AUDITED_CHECKS
+        line = f"{check}: predicted={predicted} observed={observed} verdict={record.verdict}\n"
+        expected[check] = line, blocking
+    built = Counter()
+
+    class CountedContext(audit.InstanceContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built["contexts"] += 1
+
+    def counted_build(*args):
+        built["graphs"] += 1
+        return build_relcay(*args)
+
+    monkeypatch.setattr(audit, "InstanceContext", CountedContext)
+    monkeypatch.setattr(audit, "build_relcay", counted_build)
+    families = {check.family for check in audit.CHECKS}
+    for theorem in (None, *sorted(families)):
+        checks = [
+            check.name for check in audit.CHECKS if theorem in (None, check.family)
+        ]
+        built.clear()
+        argv = ["check", *instance] + ([] if theorem is None else ["--theorem", theorem])
+        exit_status = execute_command(argv)
+        out = capsys.readouterr().out
+        assert out == "".join(expected[check][0] for check in checks), theorem
+        assert exit_status == (2 if any(expected[check][1] for check in checks) else 0)
+        assert built == {"contexts": 1, "graphs": 1}, theorem
+        if theorem is None:
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            assert exit_status == status
 
 
 def test_check_unknown_theorem(capsys):
@@ -488,10 +558,9 @@ def test_audit_blocking_mismatch_exits_two(monkeypatch, capsys):
 
 def test_check_blocking_mismatch_exits_two(monkeypatch, capsys):
     record = _fake_blocking_report().mismatches[0].original
+    outcome = (record.predicted, record.observed, record.verdict, record.witness)
 
-    monkeypatch.setattr(
-        "relcay.audit.evaluate_check", lambda *args, **kwargs: record
-    )
+    monkeypatch.setattr("relcay.audit.evaluate", lambda *args, **kwargs: outcome)
     status = execute_command(
         ["check", "C4", "--subgroup", "a", "--conn", "a,a3", "--theorem", "edge_count"]
     )

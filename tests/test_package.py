@@ -14,8 +14,11 @@ SOURCE_DIR = Path(relcay.__file__).parent
 
 
 def test_no_module_imports_a_private_name_from_another():
+    # neither ``from .audit import _name`` nor ``audit._name`` in another module
+    paths = sorted(SOURCE_DIR.glob("*.py"))
+    stems = {path.stem for path in paths}
     offenders = []
-    for path in sorted(SOURCE_DIR.glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [
@@ -23,6 +26,13 @@ def test_no_module_imports_a_private_name_from_another():
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in stems - {path.stem}
+                and node.attr.startswith("_")
+            ):
+                offenders.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert offenders == []
 
 
