@@ -8,14 +8,16 @@ The scan tallies the verdicts of each instance and builds an ``AuditRecord``
 only for a mismatch.  When ``keep_records`` is set it also keeps one row
 per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 A work item is one orbit of proper subgroups of one group under its
-automorphisms.  Mismatches are shrunk to smaller witnesses inside the work
-item that found them, so a pooled audit shrinks in its workers.  Within a
-work item, the scanned instances (H, C) are split into their orbits under
-the automorphisms of the group (``_class_roots``), sampled or not, and
-only the first instance of an orbit is evaluated: a later one, which an
-automorphism phi maps the first onto, takes its outcomes, moved through
-phi where they list vertices or name elements, and is tallied with the
-first one's verdicts (see ``Check`` and ``_scan_orbit``).
+automorphisms.  Within a work item, the scanned instances (H, C) are split
+into their orbits under the automorphisms of the group (``_class_roots``),
+sampled or not, and only the first instance of an orbit is evaluated: a
+later one, which an automorphism phi maps the first onto, takes its
+outcomes, moved through phi where they list vertices or name elements,
+and is tallied with the first one's verdicts (see ``Check`` and
+``_scan_orbit``).  Mismatches are shrunk to smaller witnesses inside the
+work item that found them, once it is scanned, so a pooled audit shrinks
+in its workers; a candidate whose orbit the scan met takes that orbit's
+verdict when the check carries it.
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -1179,13 +1181,16 @@ def _byte_tables(images: list[int], width: int) -> list[list[int]]:
     return tables
 
 
-def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list]:
+def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list, Callable]:
     """For each (H, C) pair that a work item scans, numbered subgroup by
     subgroup (``scans[k]`` holds the connection sets of ``subgroups[k]``),
     the number of the first pair of its orbit under the group's
     automorphisms, and an automorphism phi (a ``_Map``) that maps that
     pair onto it; equal maps are one object.  ``carriers[k]`` maps the
     item's first subgroup H0 onto ``subgroups[k]`` (``_subgroup_orbits``).
+    Also ``class_of(h_members, c_members)``, which finds the first pair of
+    the orbit of any pair on a subgroup of the item by the same pull-back
+    and mask: None when the scan did not meet that orbit.
 
     A pair (H_k, C) is pulled back through its carrier to (H0, C'), so two
     pairs lie in one orbit exactly when their C' lie in one orbit of H0's
@@ -1219,11 +1224,12 @@ def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list]:
     known: dict[tuple, _Map] = {}
     roots: list[int] = []
     maps: list = []
-    for scan, carrier in zip(scans, carriers):
+    # H members -> the bit of each element's pulled-back inverse orbit, on the
+    # least member of its own orbit only, so that a set's bits add up to its mask
+    pulls: dict[tuple[int, ...], list[int]] = {}
+    for h, scan, carrier in zip(subgroups, scans, carriers):
         back = _Map(carrier).inverse
-        # the bit of each element's pulled-back inverse orbit, on the least
-        # member of its own orbit only, so that a set's bits add up to its mask
-        pull = [0] * group.order
+        pull = pulls[h.members] = [0] * group.order
         for orbit in orbits:
             pull[orbit[0]] = 1 << place[back[orbit[0]]]
         for c in scan:
@@ -1252,7 +1258,12 @@ def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list]:
                 interned = known[phi] = _Map(phi)
             roots.append(orbit_roots[mask])
             maps.append(interned)
-    return roots, maps
+
+    def class_of(h_members, c_members) -> Optional[int]:
+        pull = pulls.get(h_members)
+        return None if pull is None else orbit_roots.get(sum(map(pull.__getitem__, c_members)))
+
+    return roots, maps, class_of
 
 
 class _SubgroupResult(NamedTuple):
@@ -1267,10 +1278,10 @@ class _SubgroupResult(NamedTuple):
 
 
 class _Class(NamedTuple):
-    """What a class root leaves its classmates (see ``_scan_orbit``): its
-    outcomes in the scan's check order, None where a classmate evaluates
-    the check itself; the positions a classmate evaluates or moves, in
-    that order (it moves only outcomes that are kept or recorded); and the
+    """What a class root leaves its classmates and the item's shrinks (see
+    ``_scan_orbit``): its outcomes in the scan's check order, None where a
+    classmate evaluates the check itself; the positions a classmate
+    evaluates or moves (only outcomes that are kept or recorded); and the
     root's verdicts and the positions that mismatched, which are a
     classmate's too when it evaluates nothing.  A root starts from the
     class with nothing carried, whose every position is to be done."""
@@ -1285,8 +1296,8 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     """Scan one work item, an orbit of proper subgroups of one group under
     its automorphisms, and return one ``_SubgroupResult`` per subgroup, in
     the item's order, and how many instances took outcomes from their
-    class.  Mismatches are shrunk here when ``shrink`` is set, so a pooled
-    audit shrinks in its workers.
+    class.  Mismatches are shrunk here once the item is scanned, when
+    ``shrink`` is set, so a pooled audit shrinks in its workers.
 
     The scanned (H, C) pairs are split into their orbits under the
     automorphisms of G, each a class (``_class_roots``); an automorphism
@@ -1297,29 +1308,33 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     class's first instance, its root, onto it, by the mover that its
     check's rule (``Check.carry``) names for the verdict, and evaluates a
     position that holds no outcome, building an ``InstanceContext`` on
-    first need.  A root starts from the class with nothing carried.  While
-    classmates are still to come, it keeps its own row: each outcome that
-    its check carries, None for every other, and the positions a classmate
+    first need.  A root starts from the class with nothing carried, and
+    keeps its own row for the rest of the item: each outcome that its
+    check carries, None for every other, and the positions a classmate
     must touch, those it evaluates and those whose mover may change an
     outcome that is kept (``keep_records``) or recorded (a mismatch).
     Moving keeps the verdict, so a copy that evaluates nothing has its
     root's verdicts.  Every instance is counted by its row of verdicts,
     and each distinct row is tallied into the totals once per subgroup,
     times its count.  Each pair's phi is dropped once used.  The
-    classmates of a root that raised are evaluated in full."""
+    classmates of a root that raised are evaluated in full.  A shrink
+    reads a candidate's verdict from the item (``known``): the scan's
+    record of it, else its class root's verdict if the check carries that
+    verdict (never ``unevaluated``), else it evaluates the candidate."""
     spec, h_list, carriers, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     subgroups = [group.subgroup(members) for members in h_list]
     scans = [_connection_sets_for(group, h.members, limits) for h in subgroups]
-    roots, maps = _class_roots(subgroups, scans, carriers)
+    roots, maps, class_of = _class_roots(subgroups, scans, carriers)
     # a row holds its outcomes in check-name order
     by_name = sorted(range(len(checks)), key=checks.__getitem__)
     carries = [_CARRY[check] for check in checks]
     # the class with nothing carried, which a root starts from
     uncarried = _Class((None,) * len(checks), tuple(range(len(checks))), (), ())
-    # the row of each class root with classmates still to come
-    shared: dict[int, _Class] = {}
-    unscanned = Counter(roots)
+    # the row of each class root that did not raise
+    classes: dict[int, _Class] = {}
+    # the scan's record of each (H, C, check) that mismatched
+    recorded: dict[tuple, AuditRecord] = {}
     copied = 0
     results = []
     offset = 0
@@ -1330,11 +1345,9 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
         mismatches: list[AuditRecord] = []
         rows: list[_Row] = []
         errors: list[dict] = []
-        scanned = _ScanVerdicts(h.members, set(), {})
         for position, c in enumerate(connection_sets, offset):
             root = roots[position]
-            unscanned[root] -= 1
-            kept = (shared.get if unscanned[root] else shared.pop)(root, uncarried)
+            kept = classes.get(root, uncarried)
             # the map from the class's root is needed here only
             phi, maps[position] = maps[position], None
             outcomes = list(kept.row) if kept.todo else kept.row
@@ -1361,7 +1374,6 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                     }
                 )
                 continue
-            scanned.evaluated.add(c.members)
             copied += kept is not uncarried
             if ctx is None:
                 # a copy that evaluated nothing has its root's verdicts
@@ -1369,7 +1381,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
             else:
                 verdicts = tuple(outcome[2] for outcome in outcomes)
                 mismatched = tuple(i for i, verdict in enumerate(verdicts) if verdict == MISMATCH)
-            if root == position and unscanned[root]:
+            if root == position:
                 row = tuple(
                     outcome if outcome[2] in carry else None
                     for carry, outcome in zip(carries, outcomes)
@@ -1381,7 +1393,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                     if outcome is None
                     or carry[outcome[2]] is not None and (keep_records or outcome[2] == MISMATCH)
                 )
-                shared[root] = _Class(row, todo, verdicts, mismatched)
+                classes[root] = _Class(row, todo, verdicts, mismatched)
             tally[verdicts] += 1
             if mismatched or keep_records:
                 c_names = c.names()
@@ -1394,7 +1406,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                     h_indices=h.members, c_indices=c.members,
                 )
                 mismatches.append(record)
-                scanned.mismatches[c.members, checks[i]] = record
+                recorded[h.members, c.members, checks[i]] = record
             if keep_records:
                 rows.append((c.members, c_names, tuple(map(outcomes.__getitem__, by_name))))
         offset += len(connection_sets)
@@ -1403,20 +1415,27 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
             for key in zip(checks, verdicts):
                 totals[key] += count
         mismatches.sort(key=lambda r: (r.c_indices, r.check))
-        entries = [
-            MismatchEntry(
-                original=record,
-                shrunk=shrink_counterexample(record, limits, scanned) if shrink else record,
-            )
-            for record in mismatches
-        ]
         block = None
         if keep_records:
             rows.sort(key=lambda row: row[0])
             block = _RecordBlock(
                 group.spec, h_names, h.members, tuple(checks[i] for i in by_name), tuple(rows)
             )
-        results.append(_SubgroupResult(dict(totals), entries, block, errors))
+        results.append(_SubgroupResult(dict(totals), mismatches, block, errors))
+
+    place = {check: i for i, check in enumerate(checks)}
+
+    def known(h_members, c_members, check):
+        # a root's row holds only the outcomes whose verdict its check carries
+        carried = classes.get(class_of(h_members, c_members), uncarried).row[place[check]]
+        return recorded.get((h_members, c_members, check), carried and carried[2])
+
+    # each subgroup's mismatch records become its entries once the item is scanned
+    for result in results:
+        result.mismatches[:] = [
+            MismatchEntry(r, shrink_counterexample(r, limits, known) if shrink else r)
+            for r in result.mismatches
+        ]
     return results, copied
 
 
@@ -1555,26 +1574,6 @@ def evaluate_check(
     return AuditRecord(group.spec, h.names(), c.names(), check, *outcome, h.members, c.members)
 
 
-@dataclass(frozen=True)
-class _ScanVerdicts:
-    """What a work item's scan found on one of its subgroups: the
-    connection sets (member tuples) whose every check ran, and the record
-    of each (connection set, check) pair among them that mismatched.  It
-    lives as long as its subgroup's scan and is never returned from it."""
-
-    h_members: tuple[int, ...]
-    evaluated: set[tuple[int, ...]]
-    mismatches: dict[tuple[tuple[int, ...], str], AuditRecord]
-
-    def lookup(self, h_members, c_members, check: str):
-        """The scan's verdict on one candidate, as its mismatch record, or
-        ``False`` when the scan saw it agree or not apply; None when the
-        scan did not evaluate the candidate."""
-        if h_members != self.h_members or c_members not in self.evaluated:
-            return None
-        return self.mismatches.get((c_members, check), False)
-
-
 @lru_cache(maxsize=None)
 def _orbit_masks(group) -> tuple[int, ...]:
     """The mask of each of ``inverse_orbits(group)``, the orbits a shrink
@@ -1585,13 +1584,15 @@ def _orbit_masks(group) -> tuple[int, ...]:
 def shrink_counterexample(
     record: AuditRecord,
     limits: Optional[Limits] = None,
-    scanned: Optional[_ScanVerdicts] = None,
+    known: Optional[Callable[[tuple[int, ...], tuple[int, ...], str], object]] = None,
 ) -> AuditRecord:
     """Greedily minimize a mismatch: drop connection-set orbits, then move to
     smaller subgroups, as long as the same check still mismatches.
 
-    ``scanned`` is the table of the scan that found the record; a candidate
-    it covers takes its verdict from there instead of being evaluated.
+    ``known(h_members, c_members, check)`` is what the work item that
+    found the record knows of a candidate (see ``_scan_orbit``): the
+    scan's mismatch record, a verdict, or None, when (as without
+    ``known``) the candidate is evaluated.
 
     Idempotent: shrinking an already-minimal record returns it unchanged.
     """
@@ -1604,18 +1605,14 @@ def shrink_counterexample(
     c_members = record.c_indices
     check = record.check
 
-    def scan_verdict(h_m, c_m):
-        return None if scanned is None else scanned.lookup(h_m, c_m, check)
-
     def still_mismatch(h_m, c_m):
-        found = scan_verdict(h_m, c_m)
-        if found is not None:
-            return bool(found)
-        try:
-            record = evaluate_check(spec, h_m, c_m, check, limits)
-        except (RelCayError, RecursionError):
-            return False
-        return record.verdict == MISMATCH
+        found = known and known(h_m, c_m, check)
+        if found is None:
+            try:
+                found = evaluate_check(spec, h_m, c_m, check, limits)
+            except (RelCayError, RecursionError):
+                return False
+        return (found if isinstance(found, str) else found.verdict) == MISMATCH
 
     orbit_masks = _orbit_masks(group)
 
@@ -1640,6 +1637,7 @@ def shrink_counterexample(
 
     while (end := greedy_pass(h_members, c_members)) != (h_members, c_members):
         h_members, c_members = end
-    return scan_verdict(h_members, c_members) or evaluate_check(
-        spec, h_members, c_members, check, limits
-    )
+    found = known and known(h_members, c_members, check)
+    if isinstance(found, AuditRecord):
+        return found
+    return evaluate_check(spec, h_members, c_members, check, limits)

@@ -91,7 +91,7 @@ def split_elements(text: str) -> list[str]:
 
 
 def parse_elements(group, text: str) -> tuple[int, ...]:
-    index = {name: i for i, name in enumerate(group.names)}
+    index = group.name_index
     members = []
     for name in split_elements(text):
         if name not in index:

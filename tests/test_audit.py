@@ -77,6 +77,16 @@ def c4_report():
 
 
 @pytest.fixture
+def fresh_evaluations():
+    """The process-wide cache of ``evaluate_check``, which shrinking fills,
+    emptied before and after the test, so no record that the test reads
+    was made before it and none made under its patches outlives it."""
+    relcay.audit.evaluate_check.cache_clear()
+    yield
+    relcay.audit.evaluate_check.cache_clear()
+
+
+@pytest.fixture
 def no_sharing(monkeypatch):
     """Every instance evaluated in full: no group has an automorphism
     generator and no subgroup a stabiliser generator, so every work item
@@ -187,9 +197,9 @@ def test_pooled_audit_shrinks_in_its_workers(monkeypatch):
     shrinks = Counter()
     shrink = relcay.audit.shrink_counterexample
 
-    def counted(record, limits=None, scanned=None):
+    def counted(record, limits=None, known=None):
         shrinks["calls"] += 1  # counted only in the process that shrinks
-        return shrink(record, limits, scanned)
+        return shrink(record, limits, known)
 
     monkeypatch.setattr(relcay.audit, "shrink_counterexample", counted)
     serial = run_audit(["C4"])
@@ -201,50 +211,153 @@ def test_pooled_audit_shrinks_in_its_workers(monkeypatch):
     assert parallel.to_json() == serial.to_json()
 
 
-def test_shrinking_reads_the_scans_own_verdicts(monkeypatch, request):
-    # no candidate may come from another test's cached evaluations
-    relcay.audit.evaluate_check.cache_clear()
-    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
-    shrinking: list[AuditRecord] = []
-    built = []
+def _shrink_contexts(monkeypatch) -> list:
+    """Record each ``InstanceContext`` built inside a shrink, as the
+    record being shrunk, the lookup the scan gave it, and the candidate's
+    H and C members."""
+    shrinking, built = [], []
 
     class RecordedContext(InstanceContext):
         def __init__(self, group, h, c, limits):
             super().__init__(group, h, c, limits)
             if shrinking:
-                built.append((h.members, shrinking[-1].h_indices))
+                built.append((*shrinking[-1], h.members, c.members))
 
     shrink = relcay.audit.shrink_counterexample
 
-    def tracked(record, *args):
-        shrinking.append(record)
+    def tracked(record, limits=None, known=None):
+        shrinking.append((record, known))
         try:
-            return shrink(record, *args)
+            return shrink(record, limits, known)
         finally:
             shrinking.pop()
 
     monkeypatch.setattr(relcay.audit, "InstanceContext", RecordedContext)
     monkeypatch.setattr(relcay.audit, "shrink_counterexample", tracked)
+    return built
+
+
+def test_shrinking_reads_the_scans_own_verdicts(monkeypatch, fresh_evaluations):
+    # no candidate may come from another test's cached evaluations
+    built = _shrink_contexts(monkeypatch)
     report = run_audit(catalog_up_to(8))
     # every group of order <= 8 is scanned exhaustively, so the scan of a
     # record's subgroup evaluated every candidate on that subgroup
     assert not any(entry["sampled"] for entry in report.catalog)
     assert report.mismatches and not report.errors
-    assert [h for h, own in built if h == own] == []
+    assert [h for record, _, h, _ in built if h == record.h_indices] == []
     # candidates on smaller subgroups are still evaluated afresh
     assert built
 
 
-def test_scan_shrinks_as_a_fresh_shrink_does(request):
-    # the scan's table and the work item's memo of greedy passes change
-    # what is evaluated, never where a shrink ends; D7 is sampled
+def test_scan_shrinks_as_a_fresh_shrink_does(fresh_evaluations):
+    # the scan's mismatch records and its classes' verdicts change what is
+    # evaluated, never where a shrink ends; D7 is sampled
     limits = Limits()
     report = run_audit((*catalog_up_to(8), "D7"), limits=limits)
     assert {entry.original.group for entry in report.mismatches} >= {"D7", "S3", "C2xC2xC2"}
     relcay.audit.evaluate_check.cache_clear()
-    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
     for entry in report.mismatches:
         assert shrink_counterexample(entry.original, limits) == entry.shrunk, entry.original
+
+
+def test_shrinking_reads_the_verdicts_of_the_classes_its_scan_met(monkeypatch, fresh_evaluations):
+    # D7 is sampled, so most candidates on a mismatch's own subgroup were
+    # not scanned themselves; their orbits under Aut(D7) mostly were.  The
+    # orbits are found here as the least (phi(H), phi(C)) masks over every
+    # automorphism, and each one's verdicts from a scan that keeps records.
+    g = make_group("D7")
+    images = [[1 << y for y in phi] for phi in g.automorphisms]
+
+    @cache
+    def onto(h):
+        h_images = [sum(map(b.__getitem__, h)) for b in images]
+        least = min(h_images)
+        return least, [b for b, image in zip(images, h_images) if image == least]
+
+    def orbit(h, c):
+        least, maps = onto(h)
+        return least, min(sum(map(b.__getitem__, c)) for b in maps)
+
+    verdicts = {}
+    full = run_audit(("D7",), keep_records=True, shrink=False)
+    for _, _, h, checks, rows in full.records.blocks:
+        for c, _, outcomes in rows:
+            key = orbit(h, c)
+            for check, outcome in zip(checks, outcomes):
+                verdicts.setdefault((key, check), set()).add(outcome[2])
+
+    def carried(h, c, check):
+        """Whether the scan met the orbit of (H, C) and its one verdict
+        there is one the check carries."""
+        found = verdicts.get((orbit(h, c), check), set())
+        return len(found) == 1 and found <= relcay.audit._CARRY[check].keys()
+
+    def item(record):
+        return {_image(phi, record.h_indices) for phi in g.automorphisms}
+
+    built = _shrink_contexts(monkeypatch)
+    report = run_audit(("D7",))
+    assert report.catalog[0]["sampled"] and len(report.mismatches) == 2063
+    assert [
+        (record.check, h, c)
+        for record, _, h, c in built
+        if h in item(record) and carried(h, c, record.check)
+    ] == []
+    # without the scan's lookup such candidates are evaluated: the three
+    # mismatches of a subgroup of each order
+    monkeypatch.undo()
+    relcay.audit.evaluate_check.cache_clear()
+    built = _shrink_contexts(monkeypatch)
+    firsts = {len(e.original.h_indices): e.original for e in report.mismatches}
+    for record in firsts.values():
+        relcay.audit.shrink_counterexample(record)
+    assert [
+        (record.check, h, c)
+        for record, _, h, c in built
+        if h in item(record) and carried(h, c, record.check)
+    ]
+
+
+def test_an_unevaluated_class_verdict_is_never_read(monkeypatch, fresh_evaluations):
+    # clique_upper mismatches on every D4 instance whose C is the whole
+    # group but the identity and runs out of its search budget on every
+    # other: every class rooted elsewhere is unevaluated, so a shrink
+    # evaluates each candidate on the mismatch's subgroup itself
+    everything = tuple(range(1, 8))
+
+    def fixed(ctx):
+        if ctx.c.members == everything:
+            return 0, 1, MISMATCH, None
+        raise CapacityError("node budget exhausted")
+
+    monkeypatch.setitem(relcay.audit._CHECK_FNS, "clique_upper", fixed)
+    built = _shrink_contexts(monkeypatch)
+    report = run_audit(("D4",), checks=("clique_upper",))
+    assert not report.catalog[0]["sampled"]
+    assert report.totals["clique_upper"]["unevaluated"] > 0
+    own = [(known, h, c) for record, known, h, c in built if h == record.h_indices]
+    assert own
+    for known, h, c in own:
+        assert c != everything
+        assert known(h, c, "clique_upper") is None
+        assert known(h, everything, "clique_upper").verdict == MISMATCH
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("E2^4", "ba1c54a9bbfb8494efc4354fb0aeb4f36b8804dc76c23b0356e801112f2cd614"),
+        ("D8", "0a86a1b5b12fb75c5b4dbabd1111681bc2cf50da775a36562e1dd3aa38d47508"),
+    ],
+)
+def test_a_sampled_groups_serial_audit_keeps_its_bytes(spec, digest):
+    # the goldens hold D7 as their only sampled group; these two shrink
+    # thousands of mismatches (the digests are from before shrinking read
+    # the scan's classes)
+    report = run_audit((spec,))
+    assert report.catalog[0]["sampled"]
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 def test_induced_coloring_is_built_once_per_subgroup_and_generating_set(monkeypatch, no_sharing):
@@ -500,10 +613,8 @@ def test_inverse_orbits_computed_once_per_group():
 
 
 @pytest.mark.parametrize("error", [InternalConsistencyError, RecursionError])
-def test_a_raising_check_is_reported_not_fatal(monkeypatch, capsys, request, error):
+def test_a_raising_check_is_reported_not_fatal(monkeypatch, capsys, fresh_evaluations, error):
     # shrinking caches records of the patched check: none may outlive it
-    relcay.audit.evaluate_check.cache_clear()
-    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
     real = relcay.audit._CHECK_FNS["edge_count"]
 
     def flaky(ctx):
@@ -1004,7 +1115,7 @@ def test_a_copy_that_phi_leaves_unchanged_holds_its_class_roots_outcome():
     for spec in catalog_up_to(8):
         for item, scans, carriers in _work_items(make_group(spec)):
             pairs = [(spec, h.members, c.members) for h, scan in zip(item, scans) for c in scan]
-            roots, _ = relcay.audit._class_roots(item, scans, carriers)
+            roots, _, _ = relcay.audit._class_roots(item, scans, carriers)
             for pair, root in zip(pairs, roots):
                 if pairs[root] == pair:
                     continue
@@ -1115,7 +1226,7 @@ def test_each_class_map_takes_the_first_pair_of_the_class_onto_the_pair(spec):
     for item, scans, carriers in _work_items(g):
         assert [_image(phi, item[0].members) for phi in carriers] == [h.members for h in item]
         pairs = [(h.members, c.members) for h, scan in zip(item, scans) for c in scan]
-        roots, maps = relcay.audit._class_roots(item, scans, carriers)
+        roots, maps, _ = relcay.audit._class_roots(item, scans, carriers)
         assert len(roots) == len(maps) == len(pairs)
         for i, (root, phi) in enumerate(zip(roots, maps)):
             assert roots[root] == root <= i
@@ -1139,7 +1250,7 @@ def test_a_sampled_scans_classes_are_the_orbits_its_pairs_meet(spec, orbits):
     images = None if spec == "E2^4" else [[1 << y for y in phi] for phi in g.automorphisms]
     count = 0
     for item, scans, carriers in _work_items(g):
-        roots, _ = relcay.audit._class_roots(item, scans, carriers)
+        roots, _, _ = relcay.audit._class_roots(item, scans, carriers)
         count += sum(root == i for i, root in enumerate(roots))
         if images is None:
             continue
@@ -1282,7 +1393,9 @@ def _totals_by_subgroup(report) -> Counter:
 
 
 @pytest.mark.parametrize("check, place", [("edge_count", 0), ("degree_formula", -1)])
-def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, request, check, place):
+def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(
+    monkeypatch, fresh_evaluations, check, place
+):
     """One check raises on every instance of one order-2 subgroup of
     C2xC2xC2, where it is evaluated and where its outcome is moved there
     through an automorphism: the first subgroup of the orbit, where the
@@ -1291,8 +1404,6 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
     classes rooted on the other subgroups.  A copy builds no context, so a
     mover sees its instance's subgroup only through the class map onto the
     pair, which is marked for the faulty subgroup's pairs."""
-    relcay.audit.evaluate_check.cache_clear()
-    request.addfinalizer(relcay.audit.evaluate_check.cache_clear)
     g = make_group("C2xC2xC2")
     order_two = [s for s in enumerate_subgroups(g) if len(s) == 2]
     assert len(order_two) == 7
@@ -1315,14 +1426,14 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(monkeypatch, reques
     class_roots = relcay.audit._class_roots
 
     def marking(subgroups, scans, carriers):
-        roots, maps = class_roots(subgroups, scans, carriers)
+        roots, maps, class_of = class_roots(subgroups, scans, carriers)
         start = 0
         for h, scan in zip(subgroups, scans):
             end = start + len(scan)
             if h.members == faulty.members:
                 maps[start:end] = map(Marked, maps[start:end])
             start = end
-        return roots, maps
+        return roots, maps, class_of
 
     def failing(move):
         def flaky_move(outcome, phi, group):
