@@ -8,16 +8,21 @@ The scan tallies the verdicts of each instance and builds an ``AuditRecord``
 only for a mismatch.  When ``keep_records`` is set it also keeps one row
 per instance, which becomes ``AuditRecord``s only when read (``RecordTable``).
 A work item is one orbit of proper subgroups of one group under its
-automorphisms.  Within a work item, the scanned instances (H, C) are split
-into their orbits under the automorphisms of the group (``_class_roots``),
-sampled or not, and only the first instance of an orbit is evaluated: a
-later one, which an automorphism phi maps the first onto, takes its
-outcomes, moved through phi where they list vertices or name elements,
-and is tallied with the first one's verdicts (see ``Check`` and
-``_scan_orbit``).  Mismatches are shrunk to smaller witnesses inside the
-work item that found them, once it is scanned, so a pooled audit shrinks
-in its workers; a candidate whose orbit the scan met takes that orbit's
-verdict when the check carries it.
+automorphisms.  A scanned connection set is a mask over the inverse orbits
+{x, x^-1} (``_connection_sets_for``), which the sampler draws, the orbit
+tables classify and the item's records and shrinks are keyed by; it is
+built into a ``ConnectionSet`` once per mask, and only when an instance on
+it is evaluated, recorded or kept (``_connection_set``).  Within a work
+item, the scanned instances (H, C) are split into their orbits under the
+automorphisms of the group (``_class_roots``), sampled or not, and only
+the first instance of an orbit is evaluated: a later one, which an
+automorphism phi maps the first onto, takes its outcomes, moved through
+phi where they list vertices or name elements, and is tallied with the
+first one's verdicts (see ``Check`` and ``_scan_orbit``).  Mismatches are
+shrunk to smaller witnesses inside the work item that found them, once it
+is scanned, so a pooled audit shrinks in its workers; a candidate whose
+orbit the scan met takes that orbit's verdict when the check carries it,
+and the item's shrinks share their greedy passes (``_Known``).
 
 Determinism is a hard requirement here: reports carry no timestamps or
 iteration-order artifacts in their JSON form, sampling is keyed off the
@@ -33,7 +38,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, getitem, le
@@ -52,7 +57,6 @@ from .graphs import (
     RelCayGraph,
     build_relcay,
     connection_set_count,
-    enumerate_connection_sets,
     inverse_orbits,
 )
 from .group_core import (
@@ -464,7 +468,8 @@ class _RecordWriter:
 
     Strings, None, booleans, ints and finite floats are formatted the way
     ``json`` formats them, and so is a tuple of exact strings, such as the
-    ``h`` and ``c`` name tuples.  Every other value (another container, or
+    ``h`` and ``c`` name tuples, or of exact ints, such as the degree
+    sequences of ``degree_formula``.  Every other value (another container, or
     a float that ``json`` spells NaN or Infinity) is rendered by
     ``json.dumps`` and re-indented, once per distinct value under its
     ``_memo_key``.
@@ -499,11 +504,18 @@ class _RecordWriter:
             return int.__repr__(value)
         if isinstance(value, float) and math.isfinite(value):
             return float.__repr__(value)
-        if type(value) is tuple and all(type(item) is str for item in value):
-            if not value:
-                return "[]"
-            return self._open + self._comma.join(map(encode_basestring_ascii, value)) + self._close
+        if type(value) is tuple:
+            if all(type(item) is str for item in value):
+                return self._listed(map(encode_basestring_ascii, value))
+            # a bool's type is not int, so a tuple holding one is left to json
+            if all(type(item) is int for item in value):
+                return self._listed(map(int.__repr__, value))
         return self._values.of(value)
+
+    def _listed(self, items) -> str:
+        """A tuple's items, already formatted, as an indent-2 array."""
+        text = self._comma.join(items)
+        return self._open + text + self._close if text else "[]"
 
     def _render(self, value) -> str:
         return _indented(jsonable(value), self._depth)
@@ -1043,18 +1055,20 @@ def _size_count_table(sizes: list[int]) -> list[list[int]]:
     return ways
 
 
-def _unrank_subset(orbits, sizes, ways, target: int, rank: int) -> list[int]:
-    members: list[int] = []
-    for i in range(len(orbits)):
+def _unrank_subset(sizes, ways, target: int, rank: int) -> int:
+    """The subset of the given rank among those whose orbits hold
+    ``target`` elements, as a mask over the orbits (bit i = orbit i)."""
+    mask = 0
+    for i, size in enumerate(sizes):
         if target == 0:
             break
         without = ways[i + 1][target]
         if rank < without:
             continue
         rank -= without
-        members.extend(orbits[i])
-        target -= sizes[i]
-    return members
+        mask |= 1 << i
+        target -= size
+    return mask
 
 
 def _sample_quota(counts: dict[int, int], cap: int) -> dict[int, int]:
@@ -1078,33 +1092,33 @@ def _sample_quota(counts: dict[int, int], cap: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _sampling_plan(group, limits: Limits):
-    """Orbits, their sizes, the ways table, and the per-size counts and
-    quotas of the stratified sample; None when every connection set fits
-    under the cap and the scan is exhaustive.  Built once per (group,
-    limits)."""
+    """The sizes of the inverse orbits, the ways table, and the per-size
+    counts and quotas of the stratified sample; None when every connection
+    set fits under the cap and the scan is exhaustive.  Built once per
+    (group, limits)."""
     if connection_set_count(group) <= limits.max_connection_sets:
         return None
-    orbits = inverse_orbits(group)
-    sizes = [len(o) for o in orbits]
+    sizes = [len(o) for o in inverse_orbits(group)]
     ways = _size_count_table(sizes)
     counts = {r: ways[0][r] for r in range(sum(sizes) + 1) if ways[0][r]}
     quotas = _sample_quota(counts, limits.max_connection_sets)
-    return orbits, sizes, ways, counts, quotas
-
-
-@lru_cache(maxsize=None)
-def _every_connection_set(group) -> tuple[ConnectionSet, ...]:
-    """An exhaustive scan's connection sets, built once per group."""
-    return tuple(enumerate_connection_sets(group))
+    return sizes, ways, counts, quotas
 
 
 def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
+    """The connection sets scanned on the subgroup with these members, in
+    scan order, each a mask over ``inverse_orbits(group)`` (bit i = orbit
+    i), which stays a mask until an instance on it is evaluated, recorded
+    or kept (``_connection_set``).  An exhaustive scan takes every mask in
+    binary-counter order, the order of ``enumerate_connection_sets``; a
+    sampled one takes each |C| stratum's quota of ranks, drawn from a
+    stream keyed by the group, the subgroup and the size."""
     plan = _sampling_plan(group, limits)
     if plan is None:
-        return _every_connection_set(group)
-    orbits, sizes, ways, counts, quotas = plan
+        return range(connection_set_count(group))
+    sizes, ways, counts, quotas = plan
     key_h = ",".join(map(str, h_members))
-    result = []
+    masks = []
     for size in sorted(counts):
         quota = quotas[size]
         if quota == counts[size]:
@@ -1115,10 +1129,46 @@ def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
             while len(chosen) < quota:
                 chosen.add(next(stream) % counts[size])
             ranks = sorted(chosen)
-        for rank in ranks:
-            members = _unrank_subset(orbits, sizes, ways, size, rank)
-            result.append(ConnectionSet(group, members))
-    return result
+        masks += [_unrank_subset(sizes, ways, size, rank) for rank in ranks]
+    return masks
+
+
+@lru_cache(maxsize=None)
+def _orbit_masks(group) -> tuple[int, ...]:
+    """The element mask of each of ``inverse_orbits(group)``; built once
+    per group."""
+    return tuple(sum(1 << x for x in orbit) for orbit in inverse_orbits(group))
+
+
+@cache
+def _connection_set(group, mask: int) -> ConnectionSet:
+    """The connection set of a mask over ``inverse_orbits(group)``, built
+    and validated once per (group, mask), when an instance on it is first
+    evaluated, recorded or kept, and shared by every subgroup."""
+    orbit_masks = _orbit_masks(group)
+    return ConnectionSet(group, bit_indices(sum(map(orbit_masks.__getitem__, bit_indices(mask)))))
+
+
+@lru_cache(maxsize=None)
+def _orbit_bits(group) -> tuple[int, ...]:
+    """Bit i for the least member of inverse orbit i, 0 for every other
+    element, so that a connection set's members add up to its mask."""
+    bits = [0] * group.order
+    for i, orbit in enumerate(inverse_orbits(group)):
+        bits[orbit[0]] = 1 << i
+    return tuple(bits)
+
+
+def _mask_of(group, members: tuple[int, ...]) -> int:
+    """The mask over ``inverse_orbits(group)`` of the connection set with
+    these members; anything else is rejected as ``ConnectionSet`` rejects
+    it."""
+    bits = _orbit_bits(group)
+    mask = sum(bits[x] for x in members if 0 <= x < len(bits))
+    if _connection_set(group, mask).members != members:
+        # members out of order or repeated, or no connection set: this rejects it
+        return _mask_of(group, ConnectionSet(group, members).members)
+    return mask
 
 
 # --------------------------------------------------------------------------
@@ -1183,38 +1233,45 @@ def _byte_tables(images: list[int], width: int) -> list[list[int]]:
 
 def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list, Callable]:
     """For each (H, C) pair that a work item scans, numbered subgroup by
-    subgroup (``scans[k]`` holds the connection sets of ``subgroups[k]``),
-    the number of the first pair of its orbit under the group's
-    automorphisms, and an automorphism phi (a ``_Map``) that maps that
-    pair onto it; equal maps are one object.  ``carriers[k]`` maps the
-    item's first subgroup H0 onto ``subgroups[k]`` (``_subgroup_orbits``).
-    Also ``class_of(h_members, c_members)``, which finds the first pair of
-    the orbit of any pair on a subgroup of the item by the same pull-back
-    and mask: None when the scan did not meet that orbit.
+    subgroup (``scans[k]`` holds the connection-set masks of
+    ``subgroups[k]``, see ``_connection_sets_for``), the number of the
+    first pair of its orbit under the group's automorphisms, and an
+    automorphism phi (a ``_Map``) that maps that pair onto it; equal maps
+    are one object.  ``carriers[k]`` maps the item's first subgroup H0 onto
+    ``subgroups[k]`` (``_subgroup_orbits``).  Also ``class_of(h_members,
+    c_mask)``, which finds the first pair of the orbit of any pair on a
+    subgroup of the item by the same pull-back: None when the scan did not
+    meet that orbit.
 
     A pair (H_k, C) is pulled back through its carrier to (H0, C'), so two
     pairs lie in one orbit exactly when their C' lie in one orbit of H0's
     stabiliser.  Every automorphism permutes the inverse orbits {x, x^-1}
-    of ``inverse_orbits``, so C' is a mask over them, and a stabiliser
-    generator moves masks through one lookup table per byte
-    (``_byte_tables``).  The first time the scan meets an orbit of masks,
-    a breadth-first search under those generators lists it, noting the
-    generator that reached each mask; the stabiliser is finite, so its
-    generators reach the whole orbit without their inverses.  A pair's phi
-    is its carrier after the map from the orbit's first pair onto
-    (H0, C'), which is composed along those steps and kept for the masks
-    it passes.  The classes are orbits whether the scan is exhaustive or
-    sampled.  When the group's automorphisms are not listed, H0's
-    stabiliser has no generators and each class is one pair."""
+    of ``inverse_orbits``, so it moves a mask over them through one lookup
+    table per byte (``_byte_tables``): the pull-back is one lookup per
+    byte, and none for H0, whose carrier is the identity.  The first time
+    the scan meets an orbit of masks, a breadth-first search under the
+    stabiliser's generators lists it, noting the generator that reached
+    each mask; the stabiliser is finite, so its generators reach the whole
+    orbit without their inverses.  A pair's phi is its carrier after the
+    map from the orbit's first pair onto (H0, C'), which is composed along
+    those steps and kept for the masks it passes.  The classes are orbits
+    whether the scan is exhaustive or sampled.  When the group's
+    automorphisms are not listed, H0's stabiliser has no generators and
+    each class is one pair."""
     h0 = subgroups[0]
     group = h0.group
     orbits = inverse_orbits(group)
     place = {x: i for i, orbit in enumerate(orbits) for x in orbit}
     width = (len(orbits) + 7) // 8
-    generators = [
-        (phi, _byte_tables([place[phi[orbit[0]]] for orbit in orbits], width))
-        for phi in h0.stabiliser_generators
-    ]
+
+    def tables(phi) -> list[list[int]]:
+        return _byte_tables([place[phi[orbit[0]]] for orbit in orbits], width)
+
+    def moved(table, mask: int) -> int:
+        return sum(map(getitem, table, mask.to_bytes(width, "little")))
+
+    generators = [(phi, tables(phi)) for phi in h0.stabiliser_generators]
+    identity = tuple(range(group.order))
     # pulled-back mask -> the number of the first pair of its orbit
     orbit_roots: dict[int, int] = {}
     # pulled-back mask -> the mask and generator the search reached it from
@@ -1224,22 +1281,20 @@ def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list, Callable]
     known: dict[tuple, _Map] = {}
     roots: list[int] = []
     maps: list = []
-    # H members -> the bit of each element's pulled-back inverse orbit, on the
-    # least member of its own orbit only, so that a set's bits add up to its mask
-    pulls: dict[tuple[int, ...], list[int]] = {}
+    # H members -> the tables that pull a mask back through its carrier,
+    # None where the carrier is the identity
+    pulls: dict[tuple[int, ...], Optional[list]] = {}
     for h, scan, carrier in zip(subgroups, scans, carriers):
         back = _Map(carrier).inverse
-        pull = pulls[h.members] = [0] * group.order
-        for orbit in orbits:
-            pull[orbit[0]] = 1 << place[back[orbit[0]]]
+        pull = pulls[h.members] = None if back == identity else tables(back)
         for c in scan:
-            mask = sum(map(pull.__getitem__, c.members))
+            mask = c if pull is None else moved(pull, c)
             if mask not in orbit_roots:
                 orbit_roots[mask], onto[mask] = len(roots), back
                 queue = [mask]
                 for here in queue:
-                    for phi, tables in generators:
-                        image = sum(map(getitem, tables, here.to_bytes(width, "little")))
+                    for phi, step in generators:
+                        image = moved(step, here)
                         if image not in orbit_roots:
                             orbit_roots[image] = len(roots)
                             steps[image] = here, phi
@@ -1249,19 +1304,21 @@ def _class_roots(subgroups, scans, carriers) -> tuple[list[int], list, Callable]
             while here not in onto:
                 path.append(here)
                 here = steps[here][0]
-            moved = onto[here]
+            composed = onto[here]
             for here in reversed(path):
-                moved = onto[here] = tuple(map(steps[here][1].__getitem__, moved))
-            phi = tuple(map(carrier.__getitem__, moved))
+                composed = onto[here] = tuple(map(steps[here][1].__getitem__, composed))
+            phi = tuple(map(carrier.__getitem__, composed))
             interned = known.get(phi)
             if interned is None:
                 interned = known[phi] = _Map(phi)
             roots.append(orbit_roots[mask])
             maps.append(interned)
 
-    def class_of(h_members, c_members) -> Optional[int]:
-        pull = pulls.get(h_members)
-        return None if pull is None else orbit_roots.get(sum(map(pull.__getitem__, c_members)))
+    def class_of(h_members, c_mask: int) -> Optional[int]:
+        if h_members not in pulls:
+            return None
+        pull = pulls[h_members]
+        return orbit_roots.get(c_mask if pull is None else moved(pull, c_mask))
 
     return roots, maps, class_of
 
@@ -1292,6 +1349,30 @@ class _Class(NamedTuple):
     mismatched: tuple[int, ...]
 
 
+class _Known:
+    """What a work item knows of the instances its shrinks try, on any of
+    its subgroups (see ``_scan_orbit``).  ``known(h_members, c_mask,
+    check)`` is the scan's record of the instance if it mismatched there,
+    else the verdict of its class root if the check carries that verdict
+    (never ``unevaluated``), else None.  ``passes`` is the memo that the
+    item's shrinks share (``shrink_counterexample``): each state a greedy
+    pass went through, as (check, H members, C mask, orbit position), and
+    where that pass ended."""
+
+    def __init__(self, classes: dict, class_of: Callable, recorded: dict, checks) -> None:
+        self._classes = classes
+        self._class_of = class_of
+        self._recorded = recorded
+        self._place = {check: i for i, check in enumerate(checks)}
+        self.passes: dict[tuple, tuple] = {}
+
+    def __call__(self, h_members, c_mask: int, check: str):
+        kept = self._classes.get(self._class_of(h_members, c_mask))
+        # a root's row holds only the outcomes whose verdict its check carries
+        carried = kept and kept.row[self._place[check]]
+        return self._recorded.get((h_members, c_mask, check), carried and carried[2])
+
+
 def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     """Scan one work item, an orbit of proper subgroups of one group under
     its automorphisms, and return one ``_SubgroupResult`` per subgroup, in
@@ -1299,7 +1380,8 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     class.  Mismatches are shrunk here once the item is scanned, when
     ``shrink`` is set, so a pooled audit shrinks in its workers.
 
-    The scanned (H, C) pairs are split into their orbits under the
+    The scanned (H, C) pairs, each C a mask over the inverse orbits
+    (``_connection_sets_for``), are split into their orbits under the
     automorphisms of G, each a class (``_class_roots``); an automorphism
     phi maps the graph of (H, C) onto that of (phi(H), phi(C)), so every
     check has one verdict on a class.  Every instance starts from a row of
@@ -1308,19 +1390,21 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     class's first instance, its root, onto it, by the mover that its
     check's rule (``Check.carry``) names for the verdict, and evaluates a
     position that holds no outcome, building an ``InstanceContext`` on
-    first need.  A root starts from the class with nothing carried, and
-    keeps its own row for the rest of the item: each outcome that its
-    check carries, None for every other, and the positions a classmate
-    must touch, those it evaluates and those whose mover may change an
-    outcome that is kept (``keep_records``) or recorded (a mismatch).
-    Moving keeps the verdict, so a copy that evaluates nothing has its
-    root's verdicts.  Every instance is counted by its row of verdicts,
-    and each distinct row is tallied into the totals once per subgroup,
-    times its count.  Each pair's phi is dropped once used.  The
-    classmates of a root that raised are evaluated in full.  A shrink
-    reads a candidate's verdict from the item (``known``): the scan's
-    record of it, else its class root's verdict if the check carries that
-    verdict (never ``unevaluated``), else it evaluates the candidate."""
+    first need.  Only then, or when the instance is recorded or kept, is
+    its ``ConnectionSet`` taken from ``_connection_set``.  A root starts
+    from the class with nothing carried, and keeps its own row for the
+    rest of the item: each outcome that its check carries, None for every
+    other, and the positions a classmate must touch, those it evaluates
+    and those whose mover may change an outcome that is kept
+    (``keep_records``) or recorded (a mismatch).  Moving keeps the
+    verdict, so a copy that evaluates nothing has its root's verdicts.
+    Every instance is counted by its row of verdicts, and each distinct
+    row is tallied into the totals once per subgroup, times its count.
+    Each pair's phi is dropped once used.  The classmates of a root that
+    raised are evaluated in full.  The item's shrinks read what it knows
+    (``_Known``): a candidate's scan record, else its class root's verdict
+    if the check carries that verdict (never ``unevaluated``), else they
+    evaluate it; and they share the states of their greedy passes."""
     spec, h_list, carriers, checks, limits, keep_records, shrink = args
     group = make_group(spec, max_order=limits.max_order)
     subgroups = [group.subgroup(members) for members in h_list]
@@ -1338,14 +1422,14 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
     copied = 0
     results = []
     offset = 0
-    for h, connection_sets in zip(subgroups, scans):
+    for h, masks in zip(subgroups, scans):
         h_names = h.names()
         # how many instances here have each tuple of verdicts
         tally: Counter = Counter()
         mismatches: list[AuditRecord] = []
         rows: list[_Row] = []
         errors: list[dict] = []
-        for position, c in enumerate(connection_sets, offset):
+        for position, mask in enumerate(masks, offset):
             root = roots[position]
             kept = classes.get(root, uncarried)
             # the map from the class's root is needed here only
@@ -1360,7 +1444,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                         outcomes[i] = carries[i][outcome[2]](outcome, phi, group)
                     else:
                         if ctx is None:
-                            ctx = InstanceContext(group, h, c, limits)
+                            ctx = InstanceContext(group, h, _connection_set(group, mask), limits)
                         outcomes[i] = evaluate(ctx, check)
             except (RelCayError, RecursionError) as err:
                 # one faulty instance is reported, not fatal to the scan
@@ -1368,7 +1452,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                     {
                         "group": group.spec,
                         "h": list(h_names),
-                        "c": list(c.names()),
+                        "c": list(_connection_set(group, mask).names()),
                         "check": check,
                         "error": f"{type(err).__name__}: {err}",
                     }
@@ -1396,6 +1480,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                 classes[root] = _Class(row, todo, verdicts, mismatched)
             tally[verdicts] += 1
             if mismatched or keep_records:
+                c = _connection_set(group, mask)
                 c_names = c.names()
             # a record is built only for a mismatch
             for i in mismatched:
@@ -1406,10 +1491,10 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
                     h_indices=h.members, c_indices=c.members,
                 )
                 mismatches.append(record)
-                recorded[h.members, c.members, checks[i]] = record
+                recorded[h.members, mask, checks[i]] = record
             if keep_records:
                 rows.append((c.members, c_names, tuple(map(outcomes.__getitem__, by_name))))
-        offset += len(connection_sets)
+        offset += len(masks)
         totals: Counter = Counter()
         for verdicts, count in tally.items():
             for key in zip(checks, verdicts):
@@ -1423,13 +1508,7 @@ def _scan_orbit(args) -> tuple[list[_SubgroupResult], int]:
             )
         results.append(_SubgroupResult(dict(totals), mismatches, block, errors))
 
-    place = {check: i for i, check in enumerate(checks)}
-
-    def known(h_members, c_members, check):
-        # a root's row holds only the outcomes whose verdict its check carries
-        carried = classes.get(class_of(h_members, c_members), uncarried).row[place[check]]
-        return recorded.get((h_members, c_members, check), carried and carried[2])
-
+    known = _Known(classes, class_of, recorded, checks)
     # each subgroup's mismatch records become its entries once the item is scanned
     for result in results:
         result.mismatches[:] = [
@@ -1569,30 +1648,27 @@ def evaluate_check(
     """
     group = make_group(spec, max_order=limits.max_order)
     h = group.subgroup(h_members)
-    c = ConnectionSet(group, c_members)
+    c = _connection_set(group, _mask_of(group, c_members))
     outcome = evaluate(InstanceContext(group, h, c, limits), check)
     return AuditRecord(group.spec, h.names(), c.names(), check, *outcome, h.members, c.members)
-
-
-@lru_cache(maxsize=None)
-def _orbit_masks(group) -> tuple[int, ...]:
-    """The mask of each of ``inverse_orbits(group)``, the orbits a shrink
-    drops in turn; built once per group."""
-    return tuple(sum(1 << x for x in orbit) for orbit in inverse_orbits(group))
 
 
 def shrink_counterexample(
     record: AuditRecord,
     limits: Optional[Limits] = None,
-    known: Optional[Callable[[tuple[int, ...], tuple[int, ...], str], object]] = None,
+    known: Optional[_Known] = None,
 ) -> AuditRecord:
     """Greedily minimize a mismatch: drop connection-set orbits, then move to
     smaller subgroups, as long as the same check still mismatches.
 
-    ``known(h_members, c_members, check)`` is what the work item that
-    found the record knows of a candidate (see ``_scan_orbit``): the
-    scan's mismatch record, a verdict, or None, when (as without
-    ``known``) the candidate is evaluated.
+    The connection set is a mask over ``inverse_orbits`` (bit i = orbit
+    i), built into a ``ConnectionSet`` only for a candidate that is
+    evaluated.  ``known`` is what the work item that found the record
+    knows (see ``_Known``): of a candidate, the scan's mismatch record, a
+    verdict, or None, when (as without ``known``) the candidate is
+    evaluated; and the memo of the greedy passes of the item's shrinks,
+    so a pass that reaches a state an earlier one went through ends where
+    that one did, trying nothing more.
 
     Idempotent: shrinking an already-minimal record returns it unchanged.
     """
@@ -1601,43 +1677,54 @@ def shrink_counterexample(
     limits = limits or Limits()
     spec = record.group
     group = make_group(spec, max_order=limits.max_order)
-    h_members = record.h_indices
-    c_members = record.c_indices
     check = record.check
+    passes = {} if known is None else known.passes
+    # the move to a smaller subgroup comes after the last orbit
+    moving = len(inverse_orbits(group))
 
-    def still_mismatch(h_m, c_m):
-        found = known and known(h_m, c_m, check)
+    def verdict_record(h_m, c_mask):
+        return evaluate_check(spec, h_m, _connection_set(group, c_mask).members, check, limits)
+
+    def still_mismatch(h_m, c_mask):
+        found = known and known(h_m, c_mask, check)
         if found is None:
             try:
-                found = evaluate_check(spec, h_m, c_m, check, limits)
+                found = verdict_record(h_m, c_mask)
             except (RelCayError, RecursionError):
                 return False
         return (found if isinstance(found, str) else found.verdict) == MISMATCH
 
-    orbit_masks = _orbit_masks(group)
-
-    def greedy_pass(h_members, c_members):
+    def greedy_pass(h_members, c_mask):
         """Drop each connection-set orbit in turn while the check still
         mismatches, then move to the first smaller subgroup of H where it
         does; where the pass ends.  ``subgroups_within`` lists the subgroups
-        of H by size, H itself last."""
-        c_mask = sum(1 << x for x in c_members)
-        for orbit_mask in orbit_masks:
-            if orbit_mask & ~c_mask:
-                continue
-            trial = tuple(x for x in c_members if not orbit_mask >> x & 1)
-            if still_mismatch(h_members, trial):
-                c_members, c_mask = trial, c_mask & ~orbit_mask
-        for candidate in subgroups_within(group.subgroup(h_members)):
-            if len(candidate) >= len(h_members):
+        of H by size, H itself last.  Each state the pass goes through, the
+        next orbit it tries (``moving`` for the move) with H and C, is noted
+        in ``passes`` with that end."""
+        states = []
+        for i in (*bit_indices(c_mask), moving):
+            state = check, h_members, c_mask, i
+            end = passes.get(state)
+            if end is not None:
                 break
-            if still_mismatch(candidate.members, c_members):
-                return candidate.members, c_members
-        return h_members, c_members
+            states.append(state)
+            if i < moving and still_mismatch(h_members, c_mask & ~(1 << i)):
+                c_mask &= ~(1 << i)
+        else:
+            end = h_members, c_mask
+            for candidate in subgroups_within(group.subgroup(h_members)):
+                if len(candidate) >= len(h_members):
+                    break
+                if still_mismatch(candidate.members, c_mask):
+                    end = candidate.members, c_mask
+                    break
+        passes.update(dict.fromkeys(states, end))
+        return end
 
-    while (end := greedy_pass(h_members, c_members)) != (h_members, c_members):
-        h_members, c_members = end
-    found = known and known(h_members, c_members, check)
+    h_members, c_mask = record.h_indices, _mask_of(group, record.c_indices)
+    while (end := greedy_pass(h_members, c_mask)) != (h_members, c_mask):
+        h_members, c_mask = end
+    found = known and known(h_members, c_mask, check)
     if isinstance(found, AuditRecord):
         return found
-    return evaluate_check(spec, h_members, c_members, check, limits)
+    return verdict_record(h_members, c_mask)

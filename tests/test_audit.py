@@ -49,6 +49,7 @@ from relcay.graphs import (
     ConnectionSet,
     RelCayGraph,
     build_relcay,
+    connection_set_count,
     enumerate_connection_sets,
     inverse_orbits,
 )
@@ -78,12 +79,15 @@ def c4_report():
 
 @pytest.fixture
 def fresh_evaluations():
-    """The process-wide cache of ``evaluate_check``, which shrinking fills,
-    emptied before and after the test, so no record that the test reads
-    was made before it and none made under its patches outlives it."""
+    """The process-wide caches of ``evaluate_check``, which shrinking
+    fills, and of the connection sets the audit builds, emptied before and
+    after the test, so no record or set that the test reads was made
+    before it and none made under its patches outlives it."""
     relcay.audit.evaluate_check.cache_clear()
+    relcay.audit._connection_set.cache_clear()
     yield
     relcay.audit.evaluate_check.cache_clear()
+    relcay.audit._connection_set.cache_clear()
 
 
 @pytest.fixture
@@ -338,10 +342,12 @@ def test_an_unevaluated_class_verdict_is_never_read(monkeypatch, fresh_evaluatio
     assert report.totals["clique_upper"]["unevaluated"] > 0
     own = [(known, h, c) for record, known, h, c in built if h == record.h_indices]
     assert own
+    # the lookup takes a connection set as its mask over the inverse orbits
+    g = make_group("D4")
     for known, h, c in own:
         assert c != everything
-        assert known(h, c, "clique_upper") is None
-        assert known(h, everything, "clique_upper").verdict == MISMATCH
+        assert known(h, relcay.audit._mask_of(g, c), "clique_upper") is None
+        assert known(h, relcay.audit._mask_of(g, everything), "clique_upper").verdict == MISMATCH
 
 
 @pytest.mark.parametrize(
@@ -1113,8 +1119,11 @@ def test_a_copy_that_phi_leaves_unchanged_holds_its_class_roots_outcome():
     }
     kept = set()
     for spec in catalog_up_to(8):
-        for item, scans, carriers in _work_items(make_group(spec)):
-            pairs = [(spec, h.members, c.members) for h, scan in zip(item, scans) for c in scan]
+        g = make_group(spec)
+        for item, scans, carriers in _work_items(g):
+            pairs = [
+                (spec, h.members, _members(g, c)) for h, scan in zip(item, scans) for c in scan
+            ]
             roots, _, _ = relcay.audit._class_roots(item, scans, carriers)
             for pair, root in zip(pairs, roots):
                 if pairs[root] == pair:
@@ -1158,10 +1167,15 @@ def test_only_carried_outcomes_skip_evaluation_on_classmates(monkeypatch, check,
     assert len(calls) == (instances - report.copied_instances if carried else instances)
 
 
+def _members(g, mask: int) -> tuple[int, ...]:
+    """The members of the connection set of a mask over the inverse orbits."""
+    return relcay.audit._connection_set(g, mask).members
+
+
 def _work_items(g) -> list:
     """Each work item of the group as ``_scan_orbit`` sees it: its
-    subgroups, their connection sets and the maps from its first subgroup
-    onto each; nothing is evaluated."""
+    subgroups, their connection sets' masks over the inverse orbits and
+    the maps from its first subgroup onto each; nothing is evaluated."""
     limits = Limits()
     subgroups = [s for s in enumerate_subgroups(g) if s.is_proper]
     items = []
@@ -1225,7 +1239,7 @@ def test_each_class_map_takes_the_first_pair_of_the_class_onto_the_pair(spec):
     automorphisms = set(g.automorphisms)
     for item, scans, carriers in _work_items(g):
         assert [_image(phi, item[0].members) for phi in carriers] == [h.members for h in item]
-        pairs = [(h.members, c.members) for h, scan in zip(item, scans) for c in scan]
+        pairs = [(h.members, _members(g, c)) for h, scan in zip(item, scans) for c in scan]
         roots, maps, _ = relcay.audit._class_roots(item, scans, carriers)
         assert len(roots) == len(maps) == len(pairs)
         for i, (root, phi) in enumerate(zip(roots, maps)):
@@ -1259,7 +1273,9 @@ def test_a_sampled_scans_classes_are_the_orbits_its_pairs_meet(spec, orbits):
             h_images = [sum(map(b.__getitem__, h.members)) for b in images]
             least = min(h_images)
             onto = [b for b, image in zip(images, h_images) if image == least]
-            keys += [(least, min(sum(map(b.__getitem__, c.members)) for b in onto)) for c in scan]
+            keys += [
+                (least, min(sum(map(b.__getitem__, _members(g, c))) for b in onto)) for c in scan
+            ]
         first: dict = {}
         assert roots == [first.setdefault(key, i) for i, key in enumerate(keys)]
     assert count == orbits
@@ -1293,7 +1309,7 @@ def test_the_tables_split_every_pair_into_burnsides_count_of_orbits(spec, orbits
     # class per orbit of the automorphisms on all (H, C) pairs.  E2^4 (656
     # orbits) takes over a second here, most of it in the maps.
     g = make_group(spec)
-    every = relcay.audit._every_connection_set(g)
+    every = range(connection_set_count(g))
     identity = tuple(range(g.order))
     count = sum(
         len(set(relcay.audit._class_roots(item[:1], [every], [identity])[0]))
@@ -1302,19 +1318,92 @@ def test_the_tables_split_every_pair_into_burnsides_count_of_orbits(spec, orbits
     assert count == orbits == _burnside(g)
 
 
-def test_an_exhaustive_scan_builds_each_groups_connection_sets_once(monkeypatch, request):
+def _expanded(g, mask: int) -> tuple[int, ...]:
+    """The members of the union of the inverse orbits that a mask's set
+    bits name (bit i = orbit i), found without the audit's tables."""
+    orbits = inverse_orbits(g)
+    return tuple(sorted(x for i, orbit in enumerate(orbits) if mask >> i & 1 for x in orbit))
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("D7", "edd79f8c3399a78a41917f382264870a30b912dc50e5e6c66bb532c7bdcc2781"),
+        ("S4", "69128402bdfe9fd921791ab22a458f02c0d8084e7d77ec07db081b55afaac77f"),
+        ("E2^4", "560287a48ed5beda1bf69e14064d75b004162a653c1af657fdfd71a2d2cf6020"),
+    ],
+)
+def test_the_sample_of_each_subgroup_keeps_its_connection_sets(spec, digest):
+    # the sha256 of the repr of the list of (H members, C members) pairs
+    # the default limits scan, in scan order, taken when the sampler still
+    # built every connection set; S4's sample is in no report digest
+    g = make_group(spec)
+    limits = Limits()
+    pairs = [
+        (h.members, _expanded(g, mask))
+        for h in enumerate_subgroups(g)
+        if h.is_proper
+        for mask in relcay.audit._connection_sets_for(g, h.members, limits)
+    ]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec", ["C2xC2xC2", "D4"])
+def test_an_exhaustive_scan_lists_every_connection_set_in_order(spec):
+    g = make_group(spec)
+    every = [c.members for c in enumerate_connection_sets(g)]
+    for h in enumerate_subgroups(g):
+        if h.is_proper:
+            masks = relcay.audit._connection_sets_for(g, h.members, Limits())
+            assert [_expanded(g, mask) for mask in masks] == every
+
+
+def test_a_connection_set_is_built_once_per_mask_in_use(monkeypatch, fresh_evaluations):
+    # a scanned connection set stays a mask until an instance on it is
+    # evaluated (by the scan or a shrink), recorded or kept, and is then
+    # built once for every subgroup and shrink; before, D7's audit built
+    # 4,611 connection sets and C2xC2xC2's 134
     built = Counter()
-    real = relcay.audit.enumerate_connection_sets
+    used = set()
+    build = ConnectionSet.__init__
 
-    def counted(group):
-        built[group.spec] += 1
-        return real(group)
+    def counted(self, group, members=()):
+        build(self, group, members)
+        built[group.spec, self.mask] += 1
 
-    monkeypatch.setattr(relcay.audit, "enumerate_connection_sets", counted)
-    relcay.audit._every_connection_set.cache_clear()
-    request.addfinalizer(relcay.audit._every_connection_set.cache_clear)
-    run_audit(("C2xC2xC2", "D4"), shrink=False)
-    assert built == {"C2xC2xC2": 1, "D4": 1}
+    class Evaluated(InstanceContext):
+        def __init__(self, group, h, c, limits):
+            super().__init__(group, h, c, limits)
+            used.add((group.spec, c.mask))
+
+    monkeypatch.setattr(ConnectionSet, "__init__", counted)
+    monkeypatch.setattr(relcay.audit, "InstanceContext", Evaluated)
+    for spec in ("D7", "C2xC2xC2"):
+        report = run_audit((spec,))
+        for entry in report.mismatches:
+            for record in (entry.original, entry.shrunk):
+                used.add((spec, sum(1 << x for x in record.c_indices)))
+    assert set(built.values()) == {1}
+    assert set(built) <= used
+    per_group = Counter(spec for spec, _ in built)
+    assert per_group["D7"] <= 847 and per_group["C2xC2xC2"] <= 128
+
+
+def test_the_shrinks_of_a_work_item_share_their_greedy_passes(monkeypatch):
+    # a pass that reaches a state an earlier shrink of its work item went
+    # through ends where that one did, without a look-up; before, D7's
+    # shrinks made 11,552 look-ups
+    lookups = Counter()
+    look_up = relcay.audit._Known.__call__
+
+    def counted(known, h_members, c_mask, check):
+        lookups[check] += 1
+        return look_up(known, h_members, c_mask, check)
+
+    monkeypatch.setattr(relcay.audit._Known, "__call__", counted)
+    report = run_audit(("D7",))
+    assert len(report.mismatches) == 2063
+    assert sum(lookups.values()) <= 4532
 
 
 @pytest.mark.parametrize(
@@ -1456,7 +1545,8 @@ def test_a_faulty_subgroup_inside_an_orbit_is_reported_alone(
     report = reports[0]
     scanned = relcay.audit._connection_sets_for(g, faulty.members, Limits())
     assert [(e["h"], e["c"], e["check"]) for e in report.errors] == [
-        (list(faulty.names()), list(c.names()), check) for c in scanned
+        (list(faulty.names()), list(relcay.audit._connection_set(g, c).names()), check)
+        for c in scanned
     ]
     others = {k: v for k, v in _totals_by_subgroup(clean).items() if k[0] != faulty.names()}
     assert _totals_by_subgroup(report) == others
@@ -1684,6 +1774,28 @@ def test_a_name_tuple_is_written_as_the_plain_encoder_writes_it(names, depth):
     # the writer formats a tuple of exact strings itself
     written = relcay.audit._RecordWriter(depth)._value(names)
     assert written == relcay.audit._indented(jsonable(names), depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(), max_size=5).map(tuple), st.sampled_from([3, 4]))
+@example((), 3)
+@example((), 4)
+@example((-1, 0, -(2**70), 2**100, 7), 3)
+@example((-(10**40), 10**40), 4)
+def test_an_int_tuple_is_written_as_the_plain_encoder_writes_it(values, depth):
+    # the writer formats a tuple of exact ints itself, as degree sequences are
+    written = relcay.audit._RecordWriter(depth)._value(values)
+    assert written == json.dumps(list(values), indent=2).replace("\n", "\n" + "  " * depth)
+
+
+@pytest.mark.parametrize("value", [(True, 1), (1, False), (True,)])
+def test_a_tuple_holding_a_bool_is_left_to_the_encoder(value):
+    writer = relcay.audit._RecordWriter(3)
+    left = []
+    render = writer._values.of
+    writer._values.of = lambda v: left.append(v) or render(v)
+    assert writer._value(value) == relcay.audit._indented(jsonable(value), 3)
+    assert left == [value]
 
 
 def test_to_json_keeps_one_copy_of_the_report():

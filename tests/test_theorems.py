@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute
-from relcay.audit import MISMATCH, Limits, _connection_sets_for, catalog_up_to, evaluate_check
+from relcay.audit import (
+    MISMATCH,
+    Limits,
+    _connection_set,
+    _connection_sets_for,
+    catalog_up_to,
+    evaluate_check,
+)
 from relcay.errors import (
     InternalConsistencyError,
     PreconditionError,
@@ -812,8 +819,8 @@ def audited_instances(spec):
     limits = Limits()
     for h in enumerate_subgroups(g):
         if h.is_proper:
-            for c in _connection_sets_for(g, h.members, limits):
-                yield g, h, c
+            for mask in _connection_sets_for(g, h.members, limits):
+                yield g, h, _connection_set(g, mask)
 
 
 @pytest.mark.parametrize("spec", [*catalog_up_to(8), "S4"])
