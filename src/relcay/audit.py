@@ -1133,20 +1133,13 @@ def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
     return masks
 
 
-@lru_cache(maxsize=None)
-def _orbit_masks(group) -> tuple[int, ...]:
-    """The element mask of each of ``inverse_orbits(group)``; built once
-    per group."""
-    return tuple(sum(1 << x for x in orbit) for orbit in inverse_orbits(group))
-
-
 @cache
 def _connection_set(group, mask: int) -> ConnectionSet:
     """The connection set of a mask over ``inverse_orbits(group)``, built
     and validated once per (group, mask), when an instance on it is first
     evaluated, recorded or kept, and shared by every subgroup."""
-    orbit_masks = _orbit_masks(group)
-    return ConnectionSet(group, bit_indices(sum(map(orbit_masks.__getitem__, bit_indices(mask)))))
+    orbits = inverse_orbits(group)
+    return ConnectionSet(group, [x for i in bit_indices(mask) for x in orbits[i]])
 
 
 @lru_cache(maxsize=None)
