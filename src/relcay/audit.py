@@ -56,6 +56,7 @@ from .graphs import (
     ConnectionSet,
     RelCayGraph,
     build_relcay,
+    cayley_adjacency,
     connection_set_count,
     inverse_orbits,
 )
@@ -66,6 +67,7 @@ from .group_core import (
     cached_attribute,
     default_max_order,
     enumerate_subgroups,
+    image_mask,
     make_group,
     subgroups_within,
 )
@@ -84,7 +86,6 @@ from .theorems import (
     DEFAULT_CHROMATIC_II_CAP,
     InstanceSets,
     build_class_one_coloring,
-    cayley_adjacency,
     predict_alpha_beta,
     predict_chromatic,
     predict_clique,
@@ -1137,7 +1138,8 @@ def _connection_sets_for(group, h_members: tuple[int, ...], limits: Limits):
 def _connection_set(group, mask: int) -> ConnectionSet:
     """The connection set of a mask over ``inverse_orbits(group)``, built
     and validated once per (group, mask), when an instance on it is first
-    evaluated, recorded or kept, and shared by every subgroup."""
+    evaluated, recorded or kept, and shared by every subgroup.  ``run_audit``
+    empties the cache when it returns or raises."""
     orbits = inverse_orbits(group)
     return ConnectionSet(group, [x for i in bit_indices(mask) for x in orbits[i]])
 
@@ -1181,7 +1183,6 @@ def _subgroup_orbits(group, subgroups) -> list[tuple[list[int], list]]:
     automorphisms is finite, so its generators reach every image without
     their inverses."""
     index = {h.mask: k for k, h in enumerate(subgroups)}
-    moves = [(phi, [1 << y for y in phi]) for phi in group.automorphism_generators]
     carriers: list = [None] * len(subgroups)
     orbits = []
     for start in range(len(subgroups)):
@@ -1191,8 +1192,8 @@ def _subgroup_orbits(group, subgroups) -> list[tuple[list[int], list]]:
         orbit = [start]
         for k in orbit:
             members = subgroups[k].members
-            for phi, bits in moves:
-                j = index[sum(map(bits.__getitem__, members))]
+            for phi in group.automorphism_generators:
+                j = index[image_mask(phi, members)]
                 if carriers[j] is None:
                     carriers[j] = tuple(map(phi.__getitem__, carriers[k]))
                     orbit.append(j)
@@ -1533,7 +1534,8 @@ def run_audit(
 
     Each work item is one orbit of a group's proper subgroups under its
     automorphisms (``_scan_orbit``); their results are put back in subgroup
-    order.
+    order.  The connection sets the run builds (``_connection_set``) are
+    dropped when it returns or raises.
     """
     started = time.monotonic()
     limits = limits or Limits()
@@ -1573,13 +1575,17 @@ def run_audit(
             )
             placements.append([first + k for k in orbit])
 
-    if parallelism == 1:
-        results = [_scan_orbit(item) for item in work_items]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if parallelism == 1:
+            results = [_scan_orbit(item) for item in work_items]
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_scan_orbit, work_items))
+            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+                results = list(pool.map(_scan_orbit, work_items))
+    finally:
+        # the connection sets are shared by the run's work items, and go with it
+        _connection_set.cache_clear()
 
     # each subgroup's result goes to its place in the subgroup order, so the
     # bytes do not depend on how the subgroups were grouped into items

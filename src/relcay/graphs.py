@@ -24,6 +24,7 @@ from .group_core import (
     Subgroup,
     bit_indices,
     cached_attribute,
+    image_mask,
 )
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "connection_set_count",
     "enumerate_connection_sets",
     "RelCayGraph",
+    "cayley_adjacency",
     "build_relcay",
     "InducedCayleyGraph",
     "export_dot",
@@ -160,6 +162,13 @@ class RelCayGraph:
         )
 
 
+def cayley_adjacency(group: GroupTable, c: ElementSet) -> tuple[int, ...]:
+    """Bitset adjacency of the plain Cayley graph on all of G with set C:
+    the row of x is its left translate x*C."""
+    members = c.members
+    return tuple([image_mask(row, members) for row in group.mul])
+
+
 def build_relcay(group: GroupTable, h: Subgroup, c: ConnectionSet) -> RelCayGraph:
     """Construct the graph; the subgroup must be proper."""
     if h.group is not group or c.group is not group:
@@ -168,19 +177,13 @@ def build_relcay(group: GroupTable, h: Subgroup, c: ConnectionSet) -> RelCayGrap
         raise ImproperSubgroupError(
             "the whole group is not allowed as the subgroup argument"
         )
-    n = group.order
-    mul = group.mul
     h_mask = h.mask
-    members = c.members
-    rows = []
-    for x in range(n):
-        row = 0
-        mul_x = mul[x]
-        for cc in members:
-            row |= 1 << mul_x[cc]
-        # a vertex outside H keeps only its neighbors inside H
-        rows.append(row if h_mask >> x & 1 else row & h_mask)
-    return RelCayGraph(group=group, h=h, c=c, adjacency=tuple(rows))
+    # a vertex outside H keeps only its neighbors inside H
+    rows = tuple([
+        row if h_mask >> x & 1 else row & h_mask
+        for x, row in enumerate(cayley_adjacency(group, c))
+    ])
+    return RelCayGraph(group=group, h=h, c=c, adjacency=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,19 +209,13 @@ class InducedCayleyGraph:
         rows = []
         h_mask = parent.h.mask
         for v in vertices:
-            row = 0
-            for u in parent.neighbor_lists[v]:
-                if h_mask >> u & 1:
-                    row |= 1 << pos[u]
-            expected = 0
-            for gen in generators.members:
-                expected |= 1 << pos[g.mul[v][gen]]
-            if row != expected:
+            row = parent.adjacency[v] & h_mask
+            if row != image_mask(g.mul[v], generators.members):
                 raise InternalConsistencyError(
                     "induced subgraph disagrees with the Cayley construction "
                     f"at {g.names[v]}"
                 )
-            rows.append(row)
+            rows.append(image_mask(pos, bit_indices(row)))
         return cls(
             parent=parent,
             vertices=vertices,

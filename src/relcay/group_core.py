@@ -13,6 +13,9 @@ identity.
 
 A set of elements is an integer bit mask (bit x set when element x is a
 member); products, cosets, closures and subset tests are mask arithmetic.
+The image of a set under a map of the elements is one primitive,
+``image_mask``, from which translates, products, cosets, widths and the
+Cayley rows of ``graphs`` are built.
 Each subgroup is built and closure-checked once per group: ``subgroup``,
 ``generated_subgroup`` and ``enumerate_subgroups`` hand out one shared
 object per member set, which also keeps its own tables (coset partitions,
@@ -54,6 +57,7 @@ __all__ = [
     "bit_indices",
     "default_max_order",
     "make_group",
+    "image_mask",
     "product_set",
     "conjugate_set",
     "left_coset",
@@ -466,11 +470,7 @@ class ElementSet:
         return _from_mask(self.group, self.mask | bit)
 
     def inverses(self) -> "ElementSet":
-        inv = self.group.inv
-        out = 0
-        for x in self.members:
-            out |= 1 << inv[x]
-        return _from_mask(self.group, out)
+        return _from_mask(self.group, image_mask(self.group.inv, self.members))
 
     @property
     def is_inverse_closed(self) -> bool:
@@ -618,9 +618,7 @@ class Subgroup(ElementSet):
         right = b.mask
         out = 0
         for x in a.members:
-            row = mul[x]
-            for y in bit_indices(right & cosets[inv[x]]):
-                out |= 1 << row[y]
+            out |= image_mask(mul[x], bit_indices(right & cosets[inv[x]]))
         return _from_mask(group, out)
 
     def star_product(self, x: ElementSet) -> ElementSet:
@@ -918,6 +916,18 @@ def make_group(spec: str, max_order: Optional[int] = None) -> GroupTable:
 # Set algebra
 
 
+def image_mask(images, members: Iterable[int]) -> int:
+    """The mask of {images[y] : y in members}.  With the row
+    ``group.mul[x]`` as ``images`` it is the left translate x*S of the
+    members S, with the column ``group._columns[x]`` the right translate
+    S*x, with ``group.inv`` the inverses S^-1, and with an automorphism phi,
+    the tuple of its images, phi(S)."""
+    out = 0
+    for y in members:
+        out |= 1 << images[y]
+    return out
+
+
 def product_set(a: ElementSet, b: ElementSet) -> ElementSet:
     """The setwise product {xy : x in a, y in b}."""
     g = _require_same_group(a, b)
@@ -925,39 +935,26 @@ def product_set(a: ElementSet, b: ElementSet) -> ElementSet:
     right = b.members
     out = 0
     for x in a.members:
-        row = mul[x]
-        for y in right:
-            out |= 1 << row[y]
+        out |= image_mask(mul[x], right)
     return _from_mask(g, out)
 
 
 def conjugate_set(x: ElementSet, g_elt: int) -> ElementSet:
-    """The conjugate set {g^-1 x g : x in the set}."""
+    """The conjugate set {g^-1 x g : x in the set}, the right translate by
+    g of the left translate by g^-1."""
     g = x.group
-    mul = g.mul
-    row = mul[g.inv[g_elt]]
-    out = 0
-    for m in x.members:
-        out |= 1 << mul[row[m]][g_elt]
-    return _from_mask(g, out)
+    left = image_mask(g.mul[g.inv[g_elt]], x.members)
+    return _from_mask(g, image_mask(g._columns[g_elt], bit_indices(left)))
 
 
 def left_coset(s: ElementSet, x: int) -> ElementSet:
     """xS for an element x."""
-    row = s.group.mul[x]
-    out = 0
-    for m in s.members:
-        out |= 1 << row[m]
-    return _from_mask(s.group, out)
+    return _from_mask(s.group, image_mask(s.group.mul[x], s.members))
 
 
 def right_coset(s: ElementSet, x: int) -> ElementSet:
     """Sx for an element x."""
-    mul = s.group.mul
-    out = 0
-    for m in s.members:
-        out |= 1 << mul[m][x]
-    return _from_mask(s.group, out)
+    return _from_mask(s.group, image_mask(s.group._columns[x], s.members))
 
 
 def _build_cosets(h: Subgroup, coset) -> tuple[ElementSet, ...]:
@@ -1133,9 +1130,7 @@ def _width(g: GroupTable, mask: int) -> int:
     while target & ~covered:
         grown = 0
         for a in bit_indices(current):
-            row = mul[a]
-            for b in factors:
-                grown |= 1 << row[b]
+            grown |= image_mask(mul[a], factors)
         current = grown
         covered |= current
         steps += 1

@@ -42,6 +42,7 @@ from .group_core import (
     conjugate_set,
     coset_partition,
     generated_subgroup,
+    image_mask,
     is_subgroup_set,
     product_set,
     psi,
@@ -211,17 +212,6 @@ def predict_valencies(
     )
 
 
-def cayley_adjacency(group: GroupTable, c: ElementSet) -> tuple[int, ...]:
-    """Bitset adjacency of the plain Cayley graph on all of G with set C."""
-    rows = []
-    for x in range(group.order):
-        row = 0
-        for member in c.members:
-            row |= 1 << group.mul[x][member]
-        rows.append(row)
-    return tuple(rows)
-
-
 # --------------------------------------------------------------------------
 # Connectivity and diameter
 
@@ -294,11 +284,7 @@ def predict_connectivity(
         x = mul[(coset & -coset).bit_length() - 1][m]
         part = shifted.get(x)
         if part is None:
-            row = mul[x]
-            part = 0
-            for y in spans:
-                part |= 1 << row[y]
-            shifted[x] = part
+            part = shifted[x] = image_mask(mul[x], spans)
         covered[coset] = covered.get(coset, 0) | part
     target = h.mask
     witnesses = 0
@@ -390,13 +376,7 @@ def predict_clique(
     mul = group.mul
     c_mask = c.mask
     # the translate member*C of C by each member outside H, as a mask
-    shifted = []
-    for member in outer.members:
-        row = mul[member]
-        mask = 0
-        for x in c.members:
-            mask |= 1 << row[x]
-        shifted.append(mask)
+    shifted = [image_mask(mul[member], c.members) for member in outer.members]
 
     # (H n C)* is a subgroup exactly when the largest subgroup inside it
     # is all of it
@@ -526,12 +506,7 @@ def _partition_condition(
         if meet.bit_count() < 3 or coset.mask == h.mask:
             continue
         members = bit_indices(meet)
-        for g_elt in coset.members:
-            row = mul[inv[g_elt]]
-            window = 0
-            for m in members:
-                window |= 1 << row[m]
-            windows.add(window)
+        windows.update(image_mask(mul[inv[g_elt]], members) for g_elt in coset.members)
     return all(
         any(w & first and w & second and w & third for w in windows)
         for first, second, third in h.shift_avoiding_splits(step)
@@ -881,9 +856,7 @@ def _induced_coloring(
     labels = (group.identity, *generators)
     rows = [0] * group.order
     for x in h.members:
-        row = group.mul[x]
-        for s in generators:
-            rows[x] |= 1 << row[s]
+        rows[x] = image_mask(group.mul[x], generators)
     edges = {}
     used_at = [0] * group.order
     for (u, v), color_index in _misra_gries(group.order, rows, len(labels)).items():

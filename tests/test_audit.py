@@ -1389,6 +1389,25 @@ def test_a_connection_set_is_built_once_per_mask_in_use(monkeypatch, fresh_evalu
     assert per_group["D7"] <= 847 and per_group["C2xC2xC2"] <= 128
 
 
+def test_an_audit_leaves_no_connection_set_behind(monkeypatch):
+    # the connection sets a run builds are shared by its work items and
+    # dropped when it returns or raises, with any built before it; before,
+    # D7's 847 stayed in the process-wide cache
+    cached = relcay.audit._connection_set
+    for spec, parallelism in (("D7", 1), ("C6", 2)):
+        cached(make_group("C6"), 1)
+        run_audit((spec,), parallelism=parallelism)
+        assert cached.cache_info().currsize == 0
+
+    def fails(ctx, check):
+        raise ValueError("not a RelCayError, so the scan stops")
+
+    monkeypatch.setattr(relcay.audit, "evaluate", fails)
+    with pytest.raises(ValueError):
+        run_audit(("C6",))
+    assert cached.cache_info().currsize == 0
+
+
 def test_the_shrinks_of_a_work_item_share_their_greedy_passes(monkeypatch):
     # a pass that reaches a state an earlier shrink of its work item went
     # through ends where that one did, without a look-up; before, D7's

@@ -17,8 +17,10 @@ from relcay.graphs import ConnectionSet
 from relcay.group_core import (
     ElementSet,
     Subgroup,
+    bit_indices,
     conjugate_set,
     enumerate_subgroups,
+    image_mask,
     is_subgroup_set,
     left_coset,
     make_group,
@@ -129,18 +131,26 @@ def test_products_and_cosets_match_the_model(case, data):
     g, a, b = case
     x, y = ElementSet(g, a), ElementSet(g, b)
     t = data.draw(st.integers(0, g.order - 1))
+    h = data.draw(st.sampled_from(enumerate_subgroups(g)))
+    phi = data.draw(st.sampled_from(g.automorphisms))
     mul, inv = g.mul, g.inv
     expected = {
         "product": frozenset(mul[p][q] for p in a for q in b),
         "left": frozenset(mul[t][p] for p in a),
         "right": frozenset(mul[p][t] for p in a),
         "conjugate": frozenset(mul[mul[inv[t]][p]][t] for p in a),
+        "inverses": frozenset(inv[p] for p in a),
+        "within": frozenset(mul[p][q] for p in a for q in b) & frozenset(h),
+        "automorphism": frozenset(phi[p] for p in a),
     }
     got = {
         "product": product_set(x, y),
         "left": left_coset(x, t),
         "right": right_coset(x, t),
         "conjugate": conjugate_set(x, t),
+        "inverses": x.inverses(),
+        "within": h.product_within(x, y),
+        "automorphism": ElementSet(g, bit_indices(image_mask(phi, a))),
     }
     for name, want in expected.items():
         assert got[name].members == tuple(sorted(want)), name

@@ -381,6 +381,29 @@ def test_stabiliser_generators_are_automorphisms_by_sympy():
     assert checked > 50
 
 
+def test_automorphism_orders_match_sympy():
+    # an independent count: the order of the group sympy generates from the
+    # kept generators is the number of listed automorphisms, of the whole
+    # group and of each proper subgroup's stabiliser (those that map H's
+    # generators into H)
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    np = pytest.importorskip("numpy")
+
+    def order_generated(gens, n):
+        perms = [combinatorics.Permutation(list(phi)) for phi in gens]
+        return combinatorics.PermutationGroup(perms or [combinatorics.Permutation(n - 1)]).order()
+
+    for spec in DEFAULT_CATALOG:
+        g = make_group(spec)
+        assert order_generated(g.automorphism_generators, g.order) == len(g.automorphisms), spec
+        automorphisms = np.array(g.automorphisms)
+        for h in enumerate_subgroups(g):
+            if h.is_proper:
+                inside = np.array([h.mask >> y & 1 for y in range(g.order)], dtype=bool)
+                fixing = inside[automorphisms[:, list(h.generators)]].all(axis=1).sum()
+                assert order_generated(h.stabiliser_generators, g.order) == fixing, (spec, h)
+
+
 def test_element_name_round_trip():
     for spec in SMALL_SPECS:
         g = make_group(spec)

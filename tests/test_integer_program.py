@@ -1,10 +1,14 @@
-"""The domination number checked against an integer program.
+"""The domination, vertex cover and independence numbers checked against
+integer programs.
 
 gamma is the optimum of the set-cover program: minimise the sum of x_v
 over binary x subject to sum(x_v for v in N[u]) >= 1 for every vertex u.
-scipy's ``milp`` (HiGHS) solves it with no code shared with
-``oracles.min_dominating_set``, so the two agreeing at the order cap is
-an independent check.  scipy is a test-only dependency; the module is
+beta is the optimum of the covering program with one constraint
+x_u + x_v >= 1 for each edge uv, and alpha is n - beta (Gallai).
+scipy's ``milp`` (HiGHS) solves them with no code shared with
+``oracles.min_dominating_set``, ``min_vertex_cover`` or
+``max_independent_set``, so the two agreeing at the order cap is an
+independent check.  scipy is a test-only dependency; the module is
 skipped without it.
 """
 from __future__ import annotations
@@ -14,7 +18,7 @@ import pytest
 from relcay.cli import parse_elements
 from relcay.graphs import ConnectionSet, build_relcay
 from relcay.group_core import ElementSet, generated_subgroup, make_group
-from relcay.oracles import min_dominating_set
+from relcay.oracles import max_independent_set, min_dominating_set, min_vertex_cover
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
@@ -58,6 +62,19 @@ def graph_of(spec, subgroup, conn):
     return build_relcay(group, h, ConnectionSet(group, parse_elements(group, conn)))
 
 
+def covering_optimum(rows) -> int:
+    """The least number of binary x_v with every row's sum at least 1."""
+    n = rows.shape[1]
+    result = optimize.milp(
+        c=np.ones(n),
+        constraints=optimize.LinearConstraint(rows, lb=1),
+        integrality=np.ones(n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    assert result.success, result.message
+    return round(result.fun)
+
+
 def integer_program_gamma(graph) -> int:
     n = graph.n
     closed = np.zeros((n, n))
@@ -65,14 +82,15 @@ def integer_program_gamma(graph) -> int:
         closed[v, v] = 1
         for u in graph.neighbors(v):
             closed[v, u] = 1
-    result = optimize.milp(
-        c=np.ones(n),
-        constraints=optimize.LinearConstraint(closed, lb=1),
-        integrality=np.ones(n),
-        bounds=optimize.Bounds(0, 1),
-    )
-    assert result.success, result.message
-    return round(result.fun)
+    return covering_optimum(closed)
+
+
+def integer_program_beta(graph) -> int:
+    edges = [(u, v) for u in range(graph.n) for v in graph.neighbors(u) if v > u]
+    incidence = np.zeros((len(edges), graph.n))
+    for row, (u, v) in enumerate(edges):
+        incidence[row, u] = incidence[row, v] = 1
+    return covering_optimum(incidence)
 
 
 @pytest.mark.parametrize("case", LADDER + ORDER_CAP, ids=lambda case: f"{case[0]}/{case[1]}")
@@ -82,3 +100,11 @@ def test_domination_matches_the_integer_program(case):
     assert gamma == case[3]
     if case in SEARCHED:
         assert min_dominating_set(graph.n, graph.adjacency, graph.left_translations) == gamma
+
+
+@pytest.mark.parametrize("case", LADDER + ORDER_CAP, ids=lambda case: f"{case[0]}/{case[1]}")
+def test_vertex_cover_and_independence_match_the_integer_program(case):
+    graph = graph_of(*case[:3])
+    beta = integer_program_beta(graph)
+    assert min_vertex_cover(graph.n, graph.adjacency) == beta
+    assert max_independent_set(graph.n, graph.adjacency) == graph.n - beta

@@ -30,6 +30,7 @@ from relcay.graphs import (
     ConnectionSet,
     RelCayGraph,
     build_relcay,
+    cayley_adjacency,
     enumerate_connection_sets,
     inverse_orbits,
 )
@@ -46,7 +47,6 @@ from relcay.theorems import (
     FORBIDDEN_KINDS,
     InstanceSets,
     build_class_one_coloring,
-    cayley_adjacency,
     predict_all,
     predict_alpha_beta,
     predict_chromatic,
